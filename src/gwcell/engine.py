@@ -23,10 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from . import twist as tw
 from . import young
 from .expr import FormalSum, GWSummand, LongExactSequence
-from .twist import BaseSymbol, Delta, FlagQuotient, PicClass, lambda_parity, quotient_range
+from .twist import BaseSymbol, Delta, FlagQuotient, PicClass, lambda_parity
 from .young import Frame, YoungDiagram
 
 TRIVIAL = "trivial"
@@ -69,82 +68,56 @@ class ProjBundleQuery:
 
 @dataclass(frozen=True)
 class _Leaf:
-    """A GW leaf relative to its query: diagram, shift offset, extra twist."""
+    """A GW leaf relative to its query: diagram, shift offset, flag twist bit."""
 
     rows: tuple[int, ...]
     offset: int  # always equals -sum(rows)
-    extra: PicClass  # accumulated quotient classes, relative to the query's base twist
+    rho: int  # 1 iff the leaf's flag twist telescopes to det V, else 0
 
 
 _CACHE: dict[tuple[int, int, int], tuple[int, tuple[_Leaf, ...]]] = {}
 
 
-def _reverse_quotients(cls: PicClass, r0: int) -> PicClass:
-    """Flip q_i to q_{r0+1-i}: effect of passing to the dual flag."""
-    gens = []
-    for g in cls.generators:
-        if isinstance(g, FlagQuotient) and g.index <= r0:
-            gens.append(FlagQuotient(r0 + 1 - g.index))
-        else:
-            gens.append(g)
-    return PicClass(frozenset(gens))
-
-
 def _solve(d: int, m: int, eps: int) -> tuple[int, tuple[_Leaf, ...]]:
     """K count and GW leaves of Gr_d (ambient rank d+m) at twist eps * Delta_d.
 
-    Leaf data is relative: shifts are offsets from the query shift, twists
-    are the flag quotient classes accumulated on top of the query's base
-    twist.  An arbitrary base twist rides along additively, so this is the
-    only shape that needs memoizing.
+    Leaf shifts are offsets from the query shift.  A leaf's flag quotient
+    classes always telescope to 0 or det V, so they travel as one bit
+    ``rho``: d = 0 gives 0, m = 0 gives eps, Gr_1 gives 0 to its empty leaf
+    and 1 to its full one, the dual Grassmannian flips it when eps is set
+    (Delta_d corresponds to Delta_m + det V there), and an inner node passes
+    each child's bit through unchanged, solving the rank-cd child at
+    eps = cd mod 2.  ``verify.check_twist_table`` checks these rules against
+    the paper's line bundle table.  An arbitrary base twist rides along
+    additively, so this is the only shape that needs memoizing.
     """
     key = (d, m, eps)
     if key in _CACHE:
         return _CACHE[key]
 
-    r0 = d + m
     if d == 0:
         assert eps == 0, "rank-0 tautological determinant carries no twist"
-        result = (0, (_Leaf((), 0, PicClass()),))
+        result = (0, (_Leaf((), 0, 0),))
     elif m == 0:
         # Gr_d of a rank-d bundle is the base; Delta_d telescopes to det V.
-        extra = quotient_range(1, d) if eps else PicClass()
-        result = (0, (_Leaf((0,) * d, 0, extra),))
+        result = (0, (_Leaf((0,) * d, 0, eps),))
     elif d > m:
-        # dual Grassmannian: Delta_d corresponds to Delta_m + det V there
         k, leaves = _solve(m, d, eps)
-        det_v = quotient_range(1, r0)
         out = []
         for leaf in leaves:
             diagram = YoungDiagram(Frame(m, d), leaf.rows).transpose()
-            extra = _reverse_quotients(leaf.extra, r0)
-            if eps:
-                extra = extra + det_v
-            out.append(_Leaf(diagram.rows, leaf.offset, extra))
+            out.append(_Leaf(diagram.rows, leaf.offset, leaf.rho ^ eps))
         result = (k, tuple(out))
     elif d == 1:
         result = _solve_projective_line_case(m, eps)
     else:
-        family = tw.H_TILDE if eps == (d - 1) % 2 else tw.H
-        t = PicClass.of(Delta(d)) if eps else PicClass()
-        children = tw.child_twists(family, d, t, 0, r0)
-        if family == tw.H_TILDE:
-            k_extra = 0
-            spec = [((d, m - 1), -d, _prepend_columns(1)), ((d - 1, m), 0, _append_rows(1))]
-        else:
-            k_extra = comb(d + m - 2, d - 1)
-            spec = [((d, m - 2), -2 * d, _prepend_columns(2)), ((d - 2, m), 0, _append_rows(2))]
-        k_total = k_extra
+        k_total, children = split_node(d, m, eps)
         out = []
-        for ((cd, cm), offset, thread), (site, ct) in zip(spec, sorted(children.items(), reverse=True)):
-            assert site[0] == cd
-            c_eps = lambda_parity(ct, Delta(cd))
-            c_base = ct.base_part()
-            ck, cleaves = _solve(cd, cm, c_eps)
+        for (cd, cm), offset, thread in children:
+            ck, cleaves = _solve(cd, cm, cd % 2)
             k_total += ck
             for leaf in cleaves:
-                rows = thread(leaf.rows, d, m)
-                out.append(_Leaf(rows, offset + leaf.offset, c_base + leaf.extra))
+                out.append(_Leaf(thread(leaf.rows), offset + leaf.offset, leaf.rho))
         result = (k_total, tuple(out))
 
     for leaf in result[1]:
@@ -155,11 +128,25 @@ def _solve(d: int, m: int, eps: int) -> tuple[int, tuple[_Leaf, ...]]:
     return result
 
 
+def split_node(d: int, m: int, eps: int):
+    """K block and children ((cd, cm), shift offset, thread) of an inner node.
+
+    ``thread`` maps a child leaf's rows into the parent frame.
+    """
+    if eps == (d - 1) % 2:  # first family
+        k, step = 0, 1
+    else:  # second family
+        k, step = comb(d + m - 2, d - 1), 2
+    return k, (
+        ((d, m - step), -step * d, lambda rows: tuple(r + step for r in rows)),
+        ((d - step, m), 0, lambda rows: rows + (0,) * step),
+    )
+
+
 def _solve_projective_line_case(m: int, eps: int) -> tuple[int, tuple[_Leaf, ...]]:
     """Gr_1 of a rank m+1 bundle: the projective bundle decomposition."""
-    det_e = quotient_range(1, m + 1)
-    empty = _Leaf((0,), 0, PicClass())
-    full = _Leaf((m,), -m, det_e)
+    empty = _Leaf((0,), 0, 0)
+    full = _Leaf((m,), -m, 1)
     if m % 2 == 0:
         if eps == 0:
             return m // 2, (empty,)
@@ -167,22 +154,6 @@ def _solve_projective_line_case(m: int, eps: int) -> tuple[int, tuple[_Leaf, ...
     if eps == 1:
         return (m + 1) // 2, ()
     return (m - 1) // 2, (empty, full)
-
-
-def _prepend_columns(count):
-    def thread(rows, d, m):
-        assert len(rows) == d
-        return tuple(r + count for r in rows)
-
-    return thread
-
-
-def _append_rows(count):
-    def thread(rows, d, m):
-        assert len(rows) == d - count
-        return rows + (0,) * count
-
-    return thread
 
 
 def decompose_point(shift: int, t: PicClass) -> FormalSum:
@@ -207,28 +178,19 @@ def decompose_grassmannian(q: GrassmannQuery) -> FormalSum:
             raise ValueError(f"twist generator {g.key()} outside the rank-{r0} flag")
     if q.twist.delta_part() not in (PicClass(), PicClass.of(Delta(q.d))):
         raise ValueError(f"twist {q.twist} is not expressed over the query's Delta_{q.d}")
+    if q.d == 0 and eps:
+        raise ValueError("Gr_0 has a trivial tautological determinant: the twist cannot carry Delta:0")
 
     k, leaves = _solve(q.d, q.m, eps)
-    det_v = quotient_range(1, r0)
     gw = []
     for leaf in leaves:
-        if leaf.extra == PicClass():
-            rho = 0
-        elif leaf.extra == det_v:
-            rho = 1
-        else:
-            raise AssertionError(f"leaf twist {leaf.extra} did not telescope to 0 or detV")
-        if q.bundle == TRIVIAL:
-            out_twist = base0
-        else:
-            out_twist = base0 + (PicClass.of(DET_V) if rho else PicClass())
         gw.append(
             GWSummand(
                 shift=q.shift + leaf.offset,
-                twist=out_twist,
+                twist=base0 + PicClass.of(DET_V) if q.bundle == FLAGGED and leaf.rho else base0,
                 diagram=YoungDiagram(Frame(q.d, q.m), leaf.rows),
                 t_index=eps,
-                rho=rho,
+                rho=leaf.rho,
             )
         )
     return FormalSum.with_meta(

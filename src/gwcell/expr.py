@@ -34,6 +34,10 @@ class ContextMismatchError(ValueError):
     """Raised when combining formal sums from different query contexts."""
 
 
+class SchemaMismatchError(ValueError):
+    """Raised when a JSON document (a base table, a formal sum) fails its schema."""
+
+
 @dataclass(frozen=True)
 class AbelianGroup:
     """Finitely generated abelian group as a multiset of cyclic orders.
@@ -270,13 +274,24 @@ BASE_TABLE_SCHEMA = {
 
 
 def validate_json(doc: dict, schema: dict):
-    if jsonschema is not None:
+    if jsonschema is None:
+        return
+    try:
         jsonschema.validate(doc, schema)
+    except jsonschema.ValidationError as exc:
+        raise SchemaMismatchError(f"JSON document does not match its schema at {exc.json_path}: {exc.message}") from exc
 
 
 def _meta_value(v):
     if isinstance(v, tuple):
         return [_meta_value(x) for x in v]
+    return v
+
+
+def _meta_from_json(v):
+    """Inverse of ``_meta_value``: JSON lists back to tuples."""
+    if isinstance(v, list):
+        return tuple(_meta_from_json(x) for x in v)
     return v
 
 
@@ -315,7 +330,7 @@ def formal_sum_from_json(doc: dict, frame: Frame | None = None) -> FormalSum:
                 rho=g.get("rho"),
             )
         )
-    meta = tuple(sorted((k, v) for k, v in doc["meta"].items() if not isinstance(v, list)))
+    meta = tuple(sorted((k, _meta_from_json(v)) for k, v in doc["meta"].items()))
     return FormalSum(doc["k"], tuple(gw), meta)
 
 

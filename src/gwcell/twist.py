@@ -1,10 +1,14 @@
-"""Picard classes modulo squares on flag bundles, and the recursion's twist table.
+"""Picard classes modulo squares on flag bundles, and the paper's twist table.
 
 A twist is a sparse Z/2 vector over named line-bundle generators: symbols
 pulled back from the base (e.g. ``L`` or ``detE``), the rank-one quotients
 ``q_j`` of a fixed complete flag, and the determinant ``Delta_e`` of the
 tautological rank-e subbundle.  Only the class modulo squares matters for
 the duality, so addition is symmetric difference of generator sets.
+
+The engine carries a leaf's flag twist as one bit; the line bundle table
+here is the independent oracle that ``verify.check_twist_table`` checks
+the engine's bit rules against.
 """
 
 from __future__ import annotations
@@ -105,28 +109,6 @@ def quotient_range(lo: int, hi: int) -> PicClass:
     return PicClass(frozenset(FlagQuotient(i) for i in range(lo, hi + 1)))
 
 
-@dataclass(frozen=True)
-class FlagDescriptor:
-    """A strict partition of subbundle ranks inside an ambient rank-r bundle."""
-
-    ranks: tuple[int, ...]
-    ambient_rank: int
-
-    def __post_init__(self):
-        ranks = tuple(self.ranks)
-        object.__setattr__(self, "ranks", ranks)
-        prev = 0
-        for r in ranks:
-            if not prev < r <= self.ambient_rank:
-                raise ValueError(f"ranks {ranks} are not a strict partition within {self.ambient_rank}")
-            prev = r
-
-
-def pic_rank(flag: FlagDescriptor, base_pic_rank: int) -> int:
-    """Rank of Pic of the flag bundle: one new Z factor per tautological step."""
-    return base_pic_rank + len(flag.ranks)
-
-
 def lambda_parity(t: PicClass, current_delta: Delta) -> int:
     """Coefficient of the current tautological determinant in the twist.
 
@@ -134,18 +116,6 @@ def lambda_parity(t: PicClass, current_delta: Delta) -> int:
     direction and contribute 0.
     """
     return t.coefficient(current_delta)
-
-
-def det_of_range(flag: FlagDescriptor, j: int, k: int) -> PicClass:
-    """det(V^k / V^j) as a sum of flag quotient classes, upper-index convention.
-
-    With V^i = V_{r-i} the quotient V^k / V^j telescopes to the rank-one
-    quotients q_{r-j+1}, ..., q_{r-k}.
-    """
-    r = flag.ambient_rank
-    if not 0 <= k < j <= r:
-        raise ValueError(f"need 0 <= k < j <= {r}, got j={j}, k={k}")
-    return quotient_range(r - j + 1, r - k)
 
 
 H_TILDE = "H-tilde"

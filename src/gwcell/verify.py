@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import groupby
 from math import comb
 
+from . import twist as tw
 from . import young
-from .engine import FLAGGED, GrassmannQuery, clear_cache, decompose_grassmannian, decompose_total
+from .engine import FLAGGED, GrassmannQuery, clear_cache, decompose_grassmannian, decompose_total, split_node
 from .expr import formal_sum_to_json, witt_specialize
-from .twist import BaseSymbol, Delta, PicClass
+from .twist import BaseSymbol, Delta, PicClass, lambda_parity, quotient_range
 from .young import Frame, Segment, SegmentDecomposition, YoungDiagram
 
 # Even-diagram fixtures, one row vector per published figure.
@@ -72,39 +74,25 @@ def brute_force_interface(diagram: YoungDiagram) -> SegmentDecomposition:
     """Independent interface oracle: scan every unit edge of the grid.
 
     Collects the edges with a filled box on one side and an unfilled
-    in-frame box on the other, then groups maximal straight runs ordered
-    along the staircase (both unit steps increase y - x by one).
+    in-frame box on the other and orders them along the staircase (both
+    unit steps increase y - x by one).  A straight run keeps its orientation
+    and advances one position per edge, so (orientation, position - index)
+    is constant exactly on each run.
     """
     d, m = diagram.frame.d, diagram.frame.m
     if d > ORACLE_FRAME_LIMIT or m > ORACLE_FRAME_LIMIT:
         raise ValueError(f"oracle limited to {ORACLE_FRAME_LIMIT}x{ORACLE_FRAME_LIMIT} frames")
-    edges = []  # (path position, orientation, x, y)
+    edges = []  # (path position, orientation)
     for i in range(1, d + 1):
         for j in range(1, m + 1):
             if not diagram.contains_box(i, j):
                 continue
             if j + 1 <= m and not diagram.contains_box(i, j + 1):
-                edges.append((i - 1 - j, young.VERTICAL, j, i))
+                edges.append((i - 1 - j, young.VERTICAL))
             if i + 1 <= d and not diagram.contains_box(i + 1, j):
-                edges.append((i - j + 1, young.HORIZONTAL, j, i))
-    edges.sort()
-    segments = []
-    current = None
-    for _, orientation, x, y in edges:
-        if current is not None and current[0] == orientation:
-            corient, clen, cx, cy = current
-            if orientation == young.VERTICAL and x == cx and y == cy + 1:
-                current = (corient, clen + 1, cx, y)
-                continue
-            if orientation == young.HORIZONTAL and y == cy and x == cx - 1:
-                current = (corient, clen + 1, x, cy)
-                continue
-        if current is not None:
-            segments.append(Segment(current[0], current[1]))
-        current = (orientation, 1, x, y)
-    if current is not None:
-        segments.append(Segment(current[0], current[1]))
-    return SegmentDecomposition(tuple(segments))
+                edges.append((i - j + 1, young.HORIZONTAL))
+    runs = groupby(enumerate(sorted(edges)), key=lambda ke: (ke[1][1], ke[1][0] - ke[0]))
+    return SegmentDecomposition(tuple(Segment(orient, len(list(run))) for (orient, _), run in runs))
 
 
 def _check(checks, check_id, ok: bool, detail: str = "", params=None):
@@ -255,6 +243,46 @@ def check_interface_oracle(checks, limit=6):
     _check(checks, "interface_oracle", not bad, f"failures: {bad[:5]}" if bad else "", {"limit": limit})
 
 
+def _rho_by_rows(d, m, eps):
+    t = PicClass.of(Delta(d)) if eps else PicClass()
+    s = decompose_grassmannian(GrassmannQuery(d, m, 0, t, FLAGGED))
+    return {g.diagram.rows: g.rho for g in s.gw}
+
+
+def check_twist_table(checks, d_max, m_max):
+    """The paper's line bundle table as an oracle for the engine's one-bit twist.
+
+    At every inner node (2 <= d <= m) and twist parity eps, the table's
+    child twists must sit on the child frames the engine recurses into,
+    have Delta-parity cd mod 2 (the engine's child eps), and telescope with
+    each child leaf's det V to the det V bit of the threaded parent leaf.
+    """
+    bad = []
+    for d in range(2, d_max + 1):
+        for m in range(d, m_max + 1):
+            for eps in (0, 1):
+                family = tw.H_TILDE if eps == (d - 1) % 2 else tw.H
+                t = PicClass.of(Delta(d)) if eps else PicClass()
+                table = {(cd, d + m - i - cd): ct for (cd, i), ct in tw.child_twists(family, d, t, 0, d + m).items()}
+                _, children = split_node(d, m, eps)
+                if set(table) != {frame for frame, _, _ in children}:
+                    bad.append((d, m, eps, "sites"))
+                    continue
+                parent = _rho_by_rows(d, m, eps)
+                det_v = quotient_range(1, d + m)
+                for (cd, cm), _, thread in children:
+                    ct = table[(cd, cm)]
+                    if lambda_parity(ct, Delta(cd)) != cd % 2:
+                        bad.append((d, m, eps, "parity"))
+                        continue
+                    for rows, rho_c in _rho_by_rows(cd, cm, cd % 2).items():
+                        rho_p = parent.get(thread(rows))
+                        got = ct.base_part() + (quotient_range(1, cd + cm) if rho_c else PicClass())
+                        if rho_p is None or got != (det_v if rho_p else PicClass()):
+                            bad.append((d, m, eps, rows))
+    _check(checks, "twist_table", not bad, f"failures: {bad[:5]}" if bad else "", {"d_max": d_max, "m_max": m_max})
+
+
 def run_all(d_max: int, m_max: int) -> VerificationReport:
     """Execute every check up to the given frame bounds."""
     if d_max < 1 or m_max < 1:
@@ -271,5 +299,6 @@ def run_all(d_max: int, m_max: int) -> VerificationReport:
     check_witt_counts(checks, d_max, m_max)
     check_determinism(checks, d_max, m_max)
     check_interface_oracle(checks, min(max(d_max, m_max), 6))
+    check_twist_table(checks, min(d_max, 6), min(m_max, 6))
     checks.sort(key=lambda c: c["id"])
     return VerificationReport(tuple(checks))

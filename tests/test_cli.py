@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from gwcell.cli import main
 from gwcell.expr import FORMAL_SUM_SCHEMA, validate_json
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -74,6 +79,32 @@ class TestGrassmannCommand:
         out1 = run(capsys, *argv)[1]
         out2 = run(capsys, *argv)[1]
         assert out1 == out2
+
+    @pytest.mark.parametrize("argv", [("-d", "0", "-m", "3", "--twist", "odd"), ("-d", "0", "-m", "0", "--twist", "Delta")])
+    def test_odd_twist_on_rank_zero_is_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, "grassmann", *argv)
+        assert code == 1 and out == ""
+        assert "Delta:0" in json.loads(err)["error"]
+
+    def test_odd_twist_on_rank_zero_rejected_under_optimize(self):
+        # the check must not be an assert, which python -O strips
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "gwcell.cli", "grassmann", "-d", "0", "-m", "3", "--twist", "odd"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "error" in json.loads(proc.stderr)
+
+    def test_base_table_failing_schema_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "table.json"
+        bad = {"theory": "GW", "shift": 0, "twist": [], "degree": 0, "group": [-1]}
+        path.write_text(json.dumps({"name": "bad", "entries": [bad]}))
+        code, out, err = run(
+            capsys, "grassmann", "-d", "2", "-m", "2", "--twist", "L", "--mode", "eval", "--base-table", str(path),
+        )
+        assert code == 1 and out == ""
+        assert "group[0]" in json.loads(err)["error"]
 
 
 class TestYoungCommand:

@@ -191,6 +191,10 @@ class TestJson:
         back = formal_sum_from_json(doc, Frame(2, 2))
         assert equals(a, back)
         assert back.gw[0].diagram.rows == (1, 1)
+        assert back.meta == a.meta
+        merged = direct_sum(a, fsum(0, gw(0), d=3, m=1), merge=True)
+        back = formal_sum_from_json(formal_sum_to_json(merged))
+        assert back.meta == merged.meta
 
     def test_json_is_deterministic(self):
         a = fsum(1, gw(0), gw(-2))

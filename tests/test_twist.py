@@ -6,16 +6,12 @@ from gwcell.twist import (
     H_TILDE,
     BaseSymbol,
     Delta,
-    FlagDescriptor,
     FlagQuotient,
     LINE_BUNDLE_TABLE,
     PicClass,
     child_twists,
-    det_of_range,
     instantiate_row,
     lambda_parity,
-    pic_rank,
-    quotient_range,
 )
 
 L = PicClass.of(BaseSymbol("L"))
@@ -53,23 +49,6 @@ class TestPicClass:
         assert not t.generators
 
 
-class TestPicRank:
-    def test_grassmannian(self):
-        assert pic_rank(FlagDescriptor((2,), 5), 0) == 1
-
-    def test_three_step_flag(self):
-        assert pic_rank(FlagDescriptor((1, 2, 4), 5), 2) == 5
-
-    def test_point(self):
-        assert pic_rank(FlagDescriptor((), 3), 1) == 1
-
-    def test_rejects_non_strict(self):
-        with pytest.raises(ValueError):
-            FlagDescriptor((2, 2), 5)
-        with pytest.raises(ValueError):
-            FlagDescriptor((1, 7), 5)
-
-
 class TestLambdaParity:
     def test_base_twist(self):
         assert lambda_parity(L, Delta(2)) == 0
@@ -79,23 +58,6 @@ class TestLambdaParity:
 
     def test_quotients_contribute_zero(self):
         assert lambda_parity(L + PicClass.of(FlagQuotient(3)), Delta(2)) == 0
-
-
-class TestDetOfRange:
-    def test_rank_one_quotient(self):
-        assert det_of_range(FlagDescriptor((), 3), 1, 0) == PicClass.of(FlagQuotient(3))
-
-    def test_rank_two_quotient(self):
-        assert det_of_range(FlagDescriptor((), 4), 2, 0) == PicClass.of(FlagQuotient(3), FlagQuotient(4))
-
-    def test_full_telescope(self):
-        assert det_of_range(FlagDescriptor((), 2), 2, 0) == quotient_range(1, 2)
-
-    def test_rejects_bad_indices(self):
-        with pytest.raises(ValueError):
-            det_of_range(FlagDescriptor((), 3), 0, 1)
-        with pytest.raises(ValueError):
-            det_of_range(FlagDescriptor((), 3), 4, 0)
 
 
 class TestChildTwists:

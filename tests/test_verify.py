@@ -1,12 +1,14 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from gwcell import young
+from gwcell import twist, young
 from gwcell.verify import (
     EVEN_FIXTURES,
     VerificationReport,
     brute_force_interface,
+    check_twist_table,
     run_all,
 )
 from gwcell.young import Frame, YoungDiagram, interface_segments
@@ -69,6 +71,21 @@ class TestRunAll:
         json.dumps(doc)  # must be JSON-serializable
         text = report.to_text()
         assert "pass" in text
+
+    def test_twist_table_check_passes(self):
+        by_id = {c["id"]: c for c in run_all(6, 6).checks}
+        assert by_id["twist_table"]["status"] == "pass"
+        assert by_id["twist_table"]["params"] == {"d_max": 6, "m_max": 6}
+
+    def test_corrupted_twist_table_fails(self, monkeypatch):
+        # drop detV/V1 from Htilde^(1)_d: the engine's bit rules no longer follow from the table
+        table = tuple(
+            replace(e, value_d_odd="L,Delta") if e.name == "Htilde^(1)_d" else e for e in twist.LINE_BUNDLE_TABLE
+        )
+        monkeypatch.setattr(twist, "LINE_BUNDLE_TABLE", table)
+        checks = []
+        check_twist_table(checks, 6, 6)
+        assert checks[0]["status"] == "fail"
 
     def test_failure_detected(self):
         bad = VerificationReport(
