@@ -1,9 +1,10 @@
 """The decomposition engine.
 
 Executes the splitting recursions for Grassmannians over a base with a
-complete flag, with the projective-bundle decomposition as base case.
-Every GW leaf is threaded with the even Young diagram recording which
-cells produced it; K-theory copies are only counted.
+complete flag.  The Gr_1 base case also serves P(E) = Gr_1(E), and Gr_0
+serves the point.  Every GW leaf is a pair (even Young diagram recording
+which cells produced it, flag twist bit rho); K-theory copies are only
+counted.
 
 The recursion on Gr_d of an ambient rank d+m bundle dispatches on the
 parity of the twist relative to the tautological determinant:
@@ -23,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from . import young
 from .expr import FormalSum, GWSummand, LongExactSequence
 from .twist import BaseSymbol, Delta, FlagQuotient, PicClass, lambda_parity
 from .young import Frame, YoungDiagram
@@ -68,10 +68,9 @@ class ProjBundleQuery:
 
 @dataclass(frozen=True)
 class _Leaf:
-    """A GW leaf relative to its query: diagram, shift offset, flag twist bit."""
+    """A GW leaf: its even diagram (the shift drops by its box count) and flag twist bit."""
 
     rows: tuple[int, ...]
-    offset: int  # always equals -sum(rows)
     rho: int  # 1 iff the leaf's flag twist telescopes to det V, else 0
 
 
@@ -81,55 +80,53 @@ _CACHE: dict[tuple[int, int, int], tuple[int, tuple[_Leaf, ...]]] = {}
 def _solve(d: int, m: int, eps: int) -> tuple[int, tuple[_Leaf, ...]]:
     """K count and GW leaves of Gr_d (ambient rank d+m) at twist eps * Delta_d.
 
-    Leaf shifts are offsets from the query shift.  A leaf's flag quotient
-    classes always telescope to 0 or det V, so they travel as one bit
-    ``rho``: d = 0 gives 0, m = 0 gives eps, Gr_1 gives 0 to its empty leaf
-    and 1 to its full one, the dual Grassmannian flips it when eps is set
-    (Delta_d corresponds to Delta_m + det V there), and an inner node passes
-    each child's bit through unchanged, solving the rank-cd child at
-    eps = cd mod 2.  ``verify.check_twist_table`` checks these rules against
-    the paper's line bundle table.  An arbitrary base twist rides along
-    additively, so this is the only shape that needs memoizing.
+    A leaf's flag quotient classes always telescope to 0 or det V, so they
+    travel as one bit ``rho``: d = 0 gives 0, m = 0 gives eps, Gr_1 gives 0
+    to its empty leaf and 1 to its full one, the dual Grassmannian flips it
+    when eps is set (Delta_d corresponds to Delta_m + det V there), and an
+    inner node passes each child's bit through unchanged, solving the
+    rank-cd child at eps = cd mod 2.  ``verify.check_twist_table`` checks
+    these rules against the paper's line bundle table.  An arbitrary base
+    twist rides along additively, so this is the only shape that needs
+    memoizing.  Callers reject d = 0 with eps set, so d = 0 means eps = 0.
     """
     key = (d, m, eps)
     if key in _CACHE:
         return _CACHE[key]
 
     if d == 0:
-        assert eps == 0, "rank-0 tautological determinant carries no twist"
-        result = (0, (_Leaf((), 0, 0),))
+        result = (0, (_Leaf((), 0),))
     elif m == 0:
         # Gr_d of a rank-d bundle is the base; Delta_d telescopes to det V.
-        result = (0, (_Leaf((0,) * d, 0, eps),))
+        result = (0, (_Leaf((0,) * d, eps),))
     elif d > m:
         k, leaves = _solve(m, d, eps)
         out = []
         for leaf in leaves:
             diagram = YoungDiagram(Frame(m, d), leaf.rows).transpose()
-            out.append(_Leaf(diagram.rows, leaf.offset, leaf.rho ^ eps))
+            out.append(_Leaf(diagram.rows, leaf.rho ^ eps))
         result = (k, tuple(out))
     elif d == 1:
-        result = _solve_projective_line_case(m, eps)
+        # P(E) for E of rank m+1: the empty row survives at eps = 0, the full
+        # row (twisted by det E) at eps = m+1 mod 2, and the rest is K by rank.
+        leaves = ((_Leaf((0,), 0),) if eps == 0 else ()) + ((_Leaf((m,), 1),) if eps != m % 2 else ())
+        result = ((m + 1 - len(leaves)) // 2, leaves)
     else:
-        k_total, children = split_node(d, m, eps)
+        k, children = split_node(d, m, eps)
         out = []
-        for (cd, cm), offset, thread in children:
+        for (cd, cm), thread in children:
             ck, cleaves = _solve(cd, cm, cd % 2)
-            k_total += ck
+            k += ck
             for leaf in cleaves:
-                out.append(_Leaf(thread(leaf.rows), offset + leaf.offset, leaf.rho))
-        result = (k_total, tuple(out))
+                out.append(_Leaf(thread(leaf.rows), leaf.rho))
+        result = (k, tuple(out))
 
-    for leaf in result[1]:
-        diagram = YoungDiagram(Frame(d, m), leaf.rows)
-        assert young.is_even(diagram), f"engine produced uneven leaf {diagram} for {key}"
-        assert leaf.offset == -diagram.boxes()
     _CACHE[key] = result
     return result
 
 
 def split_node(d: int, m: int, eps: int):
-    """K block and children ((cd, cm), shift offset, thread) of an inner node.
+    """K block and children ((cd, cm), thread) of an inner node.
 
     ``thread`` maps a child leaf's rows into the parent frame.
     """
@@ -138,34 +135,29 @@ def split_node(d: int, m: int, eps: int):
     else:  # second family
         k, step = comb(d + m - 2, d - 1), 2
     return k, (
-        ((d, m - step), -step * d, lambda rows: tuple(r + step for r in rows)),
-        ((d - step, m), 0, lambda rows: rows + (0,) * step),
+        ((d, m - step), lambda rows: tuple(r + step for r in rows)),
+        ((d - step, m), lambda rows: rows + (0,) * step),
     )
 
 
-def _solve_projective_line_case(m: int, eps: int) -> tuple[int, tuple[_Leaf, ...]]:
-    """Gr_1 of a rank m+1 bundle: the projective bundle decomposition."""
-    empty = _Leaf((0,), 0, 0)
-    full = _Leaf((m,), -m, 1)
-    if m % 2 == 0:
-        if eps == 0:
-            return m // 2, (empty,)
-        return m // 2, (full,)
-    if eps == 1:
-        return (m + 1) // 2, ()
-    return (m - 1) // 2, (empty, full)
+def _summands(leaves, frame: Frame, shift: int, twists: tuple[PicClass, PicClass], t_index: int):
+    """GW summands of the leaves: the query shift less the box count, the twist picked by rho."""
+    return [
+        GWSummand(
+            shift=shift - sum(leaf.rows),
+            twist=twists[leaf.rho],
+            diagram=YoungDiagram(frame, leaf.rows),
+            t_index=t_index,
+            rho=leaf.rho,
+        )
+        for leaf in leaves
+    ]
 
 
 def decompose_point(shift: int, t: PicClass) -> FormalSum:
     """A degenerate Grassmannian: the base itself, one GW summand."""
-    leaf = GWSummand(
-        shift=shift,
-        twist=t,
-        diagram=YoungDiagram(Frame(0, 0), ()),
-        t_index=lambda_parity(t, Delta(0)),
-        rho=0,
-    )
-    return FormalSum.with_meta(0, (leaf,), kind="point", shift=shift)
+    s = decompose_grassmannian(GrassmannQuery(0, 0, shift, t))
+    return FormalSum.with_meta(s.k, s.gw, kind="point", shift=shift)
 
 
 def decompose_grassmannian(q: GrassmannQuery) -> FormalSum:
@@ -182,20 +174,10 @@ def decompose_grassmannian(q: GrassmannQuery) -> FormalSum:
         raise ValueError("Gr_0 has a trivial tautological determinant: the twist cannot carry Delta:0")
 
     k, leaves = _solve(q.d, q.m, eps)
-    gw = []
-    for leaf in leaves:
-        gw.append(
-            GWSummand(
-                shift=q.shift + leaf.offset,
-                twist=base0 + PicClass.of(DET_V) if q.bundle == FLAGGED and leaf.rho else base0,
-                diagram=YoungDiagram(Frame(q.d, q.m), leaf.rows),
-                t_index=eps,
-                rho=leaf.rho,
-            )
-        )
+    twists = (base0, base0 + PicClass.of(DET_V) if q.bundle == FLAGGED else base0)
     return FormalSum.with_meta(
         k,
-        tuple(gw),
+        _summands(leaves, Frame(q.d, q.m), q.shift, twists, eps),
         kind="grassmannian",
         d=q.d,
         m=q.m,
@@ -211,7 +193,7 @@ def decompose_total(d: int, m: int, shift: int, base: PicClass, bundle: str = TR
         raise ValueError(f"total decomposition needs d, m >= 1, got {d}, {m}")
     even = decompose_grassmannian(GrassmannQuery(d, m, shift, base, bundle))
     odd = decompose_grassmannian(GrassmannQuery(d, m, shift, base + PicClass.of(Delta(d)), bundle))
-    total = FormalSum.with_meta(
+    return FormalSum.with_meta(
         even.k + odd.k,
         even.gw + odd.gw,
         kind="grassmannian-total",
@@ -221,7 +203,6 @@ def decompose_total(d: int, m: int, shift: int, base: PicClass, bundle: str = TR
         twist="+".join(base.serialize()),
         bundle=bundle,
     )
-    return total
 
 
 def flag_closed_form(d: int, m: int, l: int, shift: int, base: PicClass = PicClass()) -> FormalSum:
@@ -231,32 +212,17 @@ def flag_closed_form(d: int, m: int, l: int, shift: int, base: PicClass = PicCla
 
 
 def decompose_projective_bundle(q: ProjBundleQuery) -> FormalSum | LongExactSequence:
-    """Decompose P(E) for a rank r+1 bundle E over the base.
+    """Decompose P(E) = Gr_1(E) for a rank r+1 bundle E over the base.
 
-    The four parity cases split into three direct-sum shapes plus one long
-    exact sequence; the latter is returned only when ``split`` is off.
+    The full-row leaf (rho set) is twisted by det E.  With r odd and the
+    twist even, the two leaves are a splitting of the long exact sequence,
+    which is returned instead when ``split`` is off.
     """
-    frame = Frame(1, q.r)
-    meta = dict(kind="projective-bundle", r=q.r, parity=q.parity, shift=q.shift)
-    untwisted = GWSummand(
-        shift=q.shift, twist=PicClass(), diagram=YoungDiagram(frame, (0,)), t_index=q.parity, rho=0
-    )
-    det_leaf = GWSummand(
-        shift=q.shift - q.r,
-        twist=PicClass.of(DET_E),
-        diagram=YoungDiagram(frame, (q.r,)),
-        t_index=q.parity,
-        rho=1,
-    )
-    if q.r % 2 == 0:
-        if q.parity == 0:
-            return FormalSum.with_meta(q.r // 2, (untwisted,), **meta)
-        return FormalSum.with_meta(q.r // 2, (det_leaf,), **meta)
-    if q.parity == 1:
-        return FormalSum.with_meta((q.r + 1) // 2, (), **meta)
-    if q.split:
-        return FormalSum.with_meta((q.r - 1) // 2, (untwisted, det_leaf), **meta)
-    return les_theorem_d(q.r, q.shift)
+    if q.r % 2 and not q.parity and not q.split:
+        return les_theorem_d(q.r, q.shift)
+    k, leaves = _solve(1, q.r, q.parity)
+    gw = _summands(leaves, Frame(1, q.r), q.shift, (PicClass(), PicClass.of(DET_E)), q.parity)
+    return FormalSum.with_meta(k, gw, kind="projective-bundle", r=q.r, parity=q.parity, shift=q.shift)
 
 
 def les_theorem_d(r: int, shift: int) -> LongExactSequence:

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cache
+
+import jsonschema
 
 from .twist import PicClass
 from .young import Frame, YoungDiagram
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
 
 
 class MissingKeyError(KeyError):
@@ -155,12 +153,6 @@ def witt_specialize(a: FormalSum) -> FormalSum:
     return FormalSum(0, gw, tuple(sorted(meta.items())))
 
 
-def counts(a: FormalSum):
-    """Project a sum to its K count and GW profile (shift, twist key, t)."""
-    profile = sorted((g.shift, "+".join(g.twist.serialize()), g.t_index) for g in a.gw)
-    return a.k, profile
-
-
 @dataclass(frozen=True)
 class BaseTheoryTable:
     """User-supplied evaluation data: (theory, shift, twist, degree) -> group."""
@@ -273,12 +265,20 @@ BASE_TABLE_SCHEMA = {
 }
 
 
+@cache
+def _validator(schema_text: str):
+    """A checked validator for one schema, keyed by its canonical JSON text."""
+    schema = json.loads(schema_text)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def validate_json(doc: dict, schema: dict):
-    if jsonschema is None:
-        return
-    try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as exc:
+    """Validate like ``jsonschema.validate``, checking each schema only once."""
+    validator = _validator(json.dumps(schema, sort_keys=True))
+    exc = jsonschema.exceptions.best_match(validator.iter_errors(doc))
+    if exc is not None:
         raise SchemaMismatchError(f"JSON document does not match its schema at {exc.json_path}: {exc.message}") from exc
 
 

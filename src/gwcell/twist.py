@@ -94,9 +94,6 @@ class PicClass:
         """The twist with all Delta generators removed."""
         return PicClass(frozenset(g for g in self.generators if not isinstance(g, Delta)))
 
-    def without_quotients(self) -> "PicClass":
-        return PicClass(frozenset(g for g in self.generators if not isinstance(g, FlagQuotient)))
-
     def serialize(self) -> list[str]:
         return sorted(g.key() for g in self.generators)
 

@@ -265,12 +265,12 @@ def check_twist_table(checks, d_max, m_max):
                 t = PicClass.of(Delta(d)) if eps else PicClass()
                 table = {(cd, d + m - i - cd): ct for (cd, i), ct in tw.child_twists(family, d, t, 0, d + m).items()}
                 _, children = split_node(d, m, eps)
-                if set(table) != {frame for frame, _, _ in children}:
+                if set(table) != {frame for frame, _ in children}:
                     bad.append((d, m, eps, "sites"))
                     continue
                 parent = _rho_by_rows(d, m, eps)
                 det_v = quotient_range(1, d + m)
-                for (cd, cm), _, thread in children:
+                for (cd, cm), thread in children:
                     ct = table[(cd, cm)]
                     if lambda_parity(ct, Delta(cd)) != cd % 2:
                         bad.append((d, m, eps, "parity"))

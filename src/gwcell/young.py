@@ -84,9 +84,6 @@ class SegmentDecomposition:
 
     segments: tuple[Segment, ...]
 
-    def total_edges(self) -> int:
-        return sum(s.length for s in self.segments)
-
 
 def _group_edges(edges):
     """Merge an ordered run of unit edges into maximal straight segments.
@@ -201,9 +198,6 @@ def _beta_parity_or_zero(l: int, d: int, m: int) -> int:
     if d == 0 or m == 0:
         return 0
     return beta_parity(l, d, m)
-
-
-PASCAL_IDENTITY_IDS = (1, 2)
 
 
 def verify_pascal(d_max: int, m_max: int) -> list[dict]:

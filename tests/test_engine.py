@@ -1,13 +1,18 @@
+from functools import cache
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gwcell import young
 from gwcell.engine import (
     DET_E,
+    DET_V,
     FLAGGED,
+    TRIVIAL,
     GrassmannQuery,
     ProjBundleQuery,
+    clear_cache,
     decompose_grassmannian,
     decompose_point,
     decompose_projective_bundle,
@@ -15,8 +20,8 @@ from gwcell.engine import (
     flag_closed_form,
     les_theorem_d,
 )
-from gwcell.expr import LongExactSequence, counts, equals, witt_specialize
-from gwcell.twist import BaseSymbol, Delta, PicClass
+from gwcell.expr import LongExactSequence, witt_specialize
+from gwcell.twist import BaseSymbol, Delta, FlagQuotient, PicClass
 from gwcell.young import Frame
 
 L = PicClass.of(BaseSymbol("L"))
@@ -31,6 +36,13 @@ class TestPoint:
         s = decompose_point(3, L)
         assert s.k == 0 and len(s.gw) == 1
         assert s.gw[0].shift == 3 and s.gw[0].twist == L
+        assert s.gw[0].diagram.rows == () and s.gw[0].t_index == 0 and s.gw[0].rho == 0
+        assert s.meta_dict() == {"kind": "point", "shift": 3}
+
+    def test_rejects_delta_twist(self):
+        # a point is Gr_0, whose tautological determinant is trivial
+        with pytest.raises(ValueError):
+            decompose_point(0, L + PicClass.of(Delta(0)))
 
     def test_zero_dim_query_routes_to_point(self):
         s = decompose_grassmannian(GrassmannQuery(0, 4, 1, L))
@@ -111,8 +123,9 @@ class TestGrassmannian:
         assert leaf_profile(s) == [(-2, (1, 1), 1, 0), (-2, (2, 0), 1, 1)]
 
     def test_gr22_counts_projection(self):
-        k, profile = counts(decompose_total(2, 2, 0, L))
-        assert k == 4
+        s = decompose_total(2, 2, 0, L)
+        profile = sorted((g.shift, "+".join(g.twist.serialize()), g.t_index) for g in s.gw)
+        assert s.k == 4
         assert profile == [(-4, "L", 0), (-2, "L", 1), (-2, "L", 1), (0, "L", 0)]
 
     def test_gr33_total(self):
@@ -192,6 +205,16 @@ class TestEngineInvariants:
                 assert g.twist in (L, L + PicClass.of(BaseSymbol("detV")))
                 assert g.twist == L + (PicClass.of(BaseSymbol("detV")) if g.rho else PicClass())
 
+    def test_deep_thin_frame_within_recursion_limit(self):
+        # the recursion depth on Gr_2 is about m/2 frames, one per level
+        clear_cache()
+        try:
+            s = decompose_grassmannian(GrassmannQuery(2, 1300, 0, L))
+            assert s.k == young.beta_parity(0, 2, 1300)
+            assert 2 * s.k + len(s.gw) == comb(1302, 2)
+        finally:
+            clear_cache()
+
     def test_shift_offset_independent_of_query_shift(self):
         a = decompose_total(3, 2, 0, L)
         b = decompose_total(3, 2, 7, L)
@@ -219,3 +242,43 @@ class TestWittOnEngine:
         w = witt_specialize(decompose_total(2, 2, 0, L))
         assert w.k == 0
         assert sorted(g.shift for g in w.gw) == [0, 0, 2, 2]
+
+
+@cache
+def even_rows(d, m):
+    return sorted(lam.rows for lam in young.enumerate_even(Frame(d, m)))
+
+
+@st.composite
+def grassmann_cases(draw):
+    """A frame with d, m <= 8, a query shift, a bundle and a Delta-free base twist."""
+    d, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    symbols = st.sampled_from([BaseSymbol("L"), BaseSymbol("M")])
+    quotients = st.integers(1, d + m).map(FlagQuotient)
+    base = PicClass.of(*draw(st.lists(symbols | quotients, max_size=4)))
+    return d, m, draw(st.integers(-20, 20)), draw(st.sampled_from([TRIVIAL, FLAGGED])), base
+
+
+@settings(max_examples=80, deadline=None)
+@given(grassmann_cases())
+def test_engine_against_oracles(case):
+    d, m, shift, bundle, base = case
+    rows = []
+    for l in (0, 1):
+        q = GrassmannQuery(d, m, shift, base + (PicClass.of(Delta(d)) if l else PicClass()), bundle)
+        s = decompose_grassmannian(q)
+        assert s.k == young.beta_parity(l, d, m)
+        for g in s.gw:
+            rows.append(g.diagram.rows)
+            assert young.is_even(g.diagram)
+            assert g.shift == q.shift - g.diagram.boxes()
+            assert g.t_index == l
+            flagged = bundle == FLAGGED and g.rho
+            assert g.twist == base + (PicClass.of(DET_V) if flagged else PicClass())
+        # transpose equivariance: Gr_d(V) is Gr_m(V^dual), where Delta_d is Delta_m + det V
+        dual = decompose_grassmannian(GrassmannQuery(m, d, shift, base + (PicClass.of(Delta(m)) if l else PicClass())))
+        assert dual.k == s.k
+        assert sorted((g.shift, g.diagram.rows, g.rho) for g in s.gw) == sorted(
+            (g.shift, g.diagram.transpose().rows, g.rho ^ l) for g in dual.gw
+        )
+    assert sorted(rows) == even_rows(d, m)

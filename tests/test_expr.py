@@ -11,7 +11,6 @@ from gwcell.expr import (
     GWSummand,
     LongExactSequence,
     MissingKeyError,
-    counts,
     direct_sum,
     equals,
     evaluate,
@@ -156,16 +155,6 @@ class TestEvaluate:
         lhs = evaluate(direct_sum(a, b, merge=True), table, 0)
         rhs = evaluate(a, table, 0) + evaluate(b, table, 0)
         assert lhs == rhs
-
-
-class TestCounts:
-    def test_projection(self):
-        k, profile = counts(fsum(4, gw(0, t=0), gw(-2, t=1), gw(-2, t=1), gw(-4, t=0)))
-        assert k == 4
-        assert profile == [(-4, "L", 0), (-2, "L", 1), (-2, "L", 1), (0, "L", 0)]
-
-    def test_point(self):
-        assert counts(fsum(0, gw(0, t=0))) == (0, [(0, "L", 0)])
 
 
 class TestAbelianGroup:

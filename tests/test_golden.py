@@ -9,7 +9,7 @@ import contextlib
 import hashlib
 import io
 
-from gwcell import engine, expr
+from gwcell import engine
 from gwcell.cli import main
 
 GOLDEN_SHA256 = "8a652cd96a76d2e220fc0d13852a8869951438fa7eda9a88220407d2c0864b81"
@@ -44,9 +44,5 @@ def sweep_digest() -> str:
     return h.hexdigest()
 
 
-def test_cli_sweep_matches_golden_digest(monkeypatch):
-    # Schema validation is a pure function of the document and never changes
-    # output: byte-identical documents validate alike.  Skipping it keeps the
-    # sweep near 2 s instead of 9 s (jsonschema re-checks the schema per call).
-    monkeypatch.setattr(expr, "validate_json", lambda doc, schema: None)
+def test_cli_sweep_matches_golden_digest():
     assert sweep_digest() == GOLDEN_SHA256
