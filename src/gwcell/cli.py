@@ -138,11 +138,11 @@ def _cmd_verify(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gwcell", description=__doc__)
-    default_fmt = os.environ.get("GWCELL_FORMAT", "json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_format(p):
-        p.add_argument("--format", choices=["json", "text"], default=default_fmt)
+        # None means "not given": main reads GWCELL_FORMAT at each call
+        p.add_argument("--format", choices=["json", "text"], default=None)
 
     p = sub.add_parser("grassmann", help="decompose a Grassmannian")
     p.add_argument("-d", type=int, required=True)
@@ -187,9 +187,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    if getattr(args, "format", "json") is None:
+        args.format = os.environ.get("GWCELL_FORMAT", "json")
     if args.command == "verify":
         args.d_max = args.d_max if args.d_max is not None else args.both_max
         args.m_max = args.m_max if args.m_max is not None else args.both_max
@@ -200,6 +204,9 @@ def main(argv=None) -> int:
         return EXIT_MISSING_KEYS
     except (ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        return EXIT_DOMAIN
+    except RecursionError:
+        print(json.dumps({"error": "frame too deep for the recursion (Python's recursion limit reached)"}), file=sys.stderr)
         return EXIT_DOMAIN
 
 

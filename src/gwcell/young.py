@@ -4,15 +4,15 @@ A diagram lives inside a d x m frame (d rows, m columns).  The diagrams
 whose filled/unfilled interface consists only of even-length straight
 segments index the rank-one summands of the decompositions computed by
 the engine; the beta numbers below count the remaining K-theory summands.
+Each such segment is a drop between consecutive rows or a run of equal
+rows inside the frame, so evenness is a test on the row lengths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from math import comb
-
-HORIZONTAL = "horizontal"
-VERTICAL = "vertical"
 
 
 @dataclass(frozen=True)
@@ -67,75 +67,17 @@ class YoungDiagram:
         return f"({inner})" if inner else "()"
 
 
-@dataclass(frozen=True)
-class Segment:
-    orientation: str
-    length: int
-
-
-@dataclass(frozen=True)
-class SegmentDecomposition:
-    """Maximal straight segments of the filled/unfilled interface.
-
-    Segments are ordered from the top-right of the frame to the
-    bottom-left; consecutive segments alternate orientation.  Edges lying
-    on the frame border never appear.
-    """
-
-    segments: tuple[Segment, ...]
-
-
-def _group_edges(edges):
-    """Merge an ordered run of unit edges into maximal straight segments.
-
-    Each edge is (orientation, x, y): a vertical edge at column x from
-    height y-1 to y, or a horizontal edge at height y from column x to x-1
-    (the path moves downward and leftward).
-    """
-    segments = []
-    current = None  # (orientation, length, x, y) of the growing run
-    for orientation, x, y in edges:
-        if current is not None and current[0] == orientation:
-            corient, clen, cx, cy = current
-            if orientation == VERTICAL and x == cx and y == cy + 1:
-                current = (corient, clen + 1, cx, y)
-                continue
-            if orientation == HORIZONTAL and y == cy and x == cx - 1:
-                current = (corient, clen + 1, x, cy)
-                continue
-        if current is not None:
-            segments.append(Segment(current[0], current[1]))
-        current = (orientation, 1, x, y)
-    if current is not None:
-        segments.append(Segment(current[0], current[1]))
-    return SegmentDecomposition(tuple(segments))
-
-
-def interface_segments(diagram: YoungDiagram) -> SegmentDecomposition:
-    """Walk the staircase profile of the diagram, keeping interface edges.
-
-    The profile runs from the top-right corner of the diagram to the
-    bottom-left corner of the frame.  A vertical edge at column x only
-    separates two in-frame boxes when 0 < x < m; a horizontal edge at
-    height y only when 0 < y < d.
-    """
-    d, m = diagram.frame.d, diagram.frame.m
-    rows = diagram.rows
-    edges = []
-    for i in range(1, d + 1):
-        x = rows[i - 1]
-        if 0 < x < m:
-            edges.append((VERTICAL, x, i))
-        nxt = rows[i] if i < d else 0
-        if i < d:
-            for x2 in range(x, nxt, -1):
-                edges.append((HORIZONTAL, x2, i))
-    return _group_edges(edges)
-
-
 def is_even(diagram: YoungDiagram) -> bool:
-    """True iff every interface segment has even length (vacuously for none)."""
-    return all(s.length % 2 == 0 for s in interface_segments(diagram).segments)
+    """True iff every interface segment has even length (vacuously for none).
+
+    Horizontal segments are the drops between consecutive rows; vertical
+    segments are the runs of equal rows strictly inside the frame, since
+    rows of length 0 or m end on the frame border.
+    """
+    rows, m = diagram.rows, diagram.frame.m
+    if any((a - b) % 2 for a, b in zip(rows, rows[1:])):
+        return False
+    return all(len(list(run)) % 2 == 0 for r, run in groupby(rows) if 0 < r < m)
 
 
 def enumerate_diagrams(frame: Frame) -> list[YoungDiagram]:
@@ -179,10 +121,7 @@ def beta_parity(l: int, d: int, m: int) -> int:
     full = comb(d + m, d)
     half = comb(d // 2 + m // 2, d // 2)
     if d % 2 == 0 or m % 2 == 0:
-        value = full - half
-        assert value % 2 == 0
-        return value // 2
-    assert full % 2 == 0
+        return (full - half) // 2
     if l == 1:
         return full // 2
     return full // 2 - half

@@ -96,6 +96,17 @@ class TestGrassmannCommand:
         assert proc.returncode == 1 and proc.stdout == ""
         assert "error" in json.loads(proc.stderr)
 
+    def test_frame_too_deep_is_domain_error(self):
+        # Gr_2 recurses about m/2 levels deep: past Python's limit it must still exit 1 with JSON
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gwcell.cli", "grassmann", "-d", "2", "-m", "3000", "--twist", "even"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "recursion" in json.loads(proc.stderr.splitlines()[-1])["error"]
+
     def test_base_table_failing_schema_exit_1(self, capsys, tmp_path):
         path = tmp_path / "table.json"
         bad = {"theory": "GW", "shift": 0, "twist": [], "degree": 0, "group": [-1]}
@@ -165,3 +176,16 @@ class TestEnvFormat:
         code, out, _ = run(capsys, "grassmann", "-d", "1", "-m", "1", "--twist", "even")
         assert code == 0
         assert "GW[0]" in out
+
+    def test_env_read_at_every_call(self, capsys, monkeypatch):
+        monkeypatch.delenv("GWCELL_FORMAT", raising=False)
+        argv = ("grassmann", "-d", "1", "-m", "1", "--twist", "even")
+        assert json.loads(run(capsys, *argv)[1])["k"] == 0
+        monkeypatch.setenv("GWCELL_FORMAT", "text")
+        assert run(capsys, *argv)[1] == "GW[-1](L)(1) (+) GW[0](L)()\n"
+
+    def test_unknown_env_format_prints_json(self, capsys, monkeypatch):
+        monkeypatch.setenv("GWCELL_FORMAT", "xml")
+        code, out, _ = run(capsys, "grassmann", "-d", "1", "-m", "1", "--twist", "even")
+        assert code == 0
+        assert json.loads(out)["k"] == 0

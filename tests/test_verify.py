@@ -2,39 +2,73 @@ import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from test_young import framed_diagrams
 
 from gwcell import twist, young
 from gwcell.verify import (
     EVEN_FIXTURES,
+    ORACLE_FRAME_LIMIT,
     VerificationReport,
     brute_force_interface,
+    check_interface_oracle,
     check_twist_table,
     run_all,
 )
-from gwcell.young import Frame, YoungDiagram, interface_segments
+from gwcell.young import Frame, YoungDiagram
 
 
 def diagram(d, m, *rows):
     return YoungDiagram(Frame(d, m), tuple(rows) + (0,) * (d - len(rows)))
 
 
+def brute_force_even(lam):
+    return all(length % 2 == 0 for _, length in brute_force_interface(lam))
+
+
 class TestBruteForceInterface:
+    def test_single_row(self):
+        assert brute_force_interface(diagram(2, 2, 2)) == (("horizontal", 2),)
+
+    def test_empty(self):
+        assert brute_force_interface(diagram(2, 2)) == ()
+
     def test_hook(self):
-        segs = brute_force_interface(diagram(2, 2, 2, 1)).segments
-        assert [(s.orientation, s.length) for s in segs] == [("horizontal", 1), ("vertical", 1)]
+        assert brute_force_interface(diagram(2, 2, 2, 1)) == (("horizontal", 1), ("vertical", 1))
 
     def test_full_frame(self):
-        assert brute_force_interface(diagram(3, 3, 3, 3, 3)).segments == ()
+        assert brute_force_interface(diagram(3, 3, 3, 3, 3)) == ()
 
     def test_gr33_thick_edges(self):
-        segs = brute_force_interface(diagram(3, 3, 3, 1, 1)).segments
-        assert [(s.orientation, s.length) for s in segs] == [("horizontal", 2), ("vertical", 2)]
+        # ordered from the top-right: the drop of 2 under row 1, then the run of two 1s
+        assert brute_force_interface(diagram(3, 3, 3, 1, 1)) == (("horizontal", 2), ("vertical", 2))
 
-    def test_matches_fast_path_on_all_small_frames(self):
+    @given(framed_diagrams())
+    def test_alternating_orientations(self, lam):
+        segs = brute_force_interface(lam)
+        for (a, _), (b, _) in zip(segs, segs[1:]):
+            assert a != b
+
+    def test_is_even_matches_on_all_small_frames(self):
         for d in range(7):
             for m in range(7):
                 for lam in young.enumerate_diagrams(Frame(d, m)):
-                    assert brute_force_interface(lam) == interface_segments(lam)
+                    assert young.is_even(lam) == brute_force_even(lam)
+
+    @given(framed_diagrams(max_side=ORACLE_FRAME_LIMIT))
+    def test_is_even_matches_on_random_frames(self, lam):
+        assert young.is_even(lam) == brute_force_even(lam)
+
+    def test_oracle_check_catches_wrong_evenness(self, monkeypatch):
+        # a test that forgets the interior runs calls (1) in the 1x2 frame even
+        def drops_only(lam):
+            return all((a - b) % 2 == 0 for a, b in zip(lam.rows, lam.rows[1:]))
+
+        monkeypatch.setattr(young, "is_even", drops_only)
+        checks = []
+        check_interface_oracle(checks, 3)
+        assert checks[0]["status"] == "fail"
+        assert checks[0]["detail"].startswith("failures: [(1, 2, (1,)), ")
 
     def test_rejects_oversize_frame(self):
         with pytest.raises(ValueError):

@@ -5,16 +5,12 @@ from hypothesis import given, strategies as st
 
 from gwcell.young import (
     Frame,
-    HORIZONTAL,
-    Segment,
-    VERTICAL,
     YoungDiagram,
     beta,
     beta_parity,
     enumerate_diagrams,
     enumerate_even,
     even_cardinality,
-    interface_segments,
     is_even,
     render_ascii,
     verify_pascal,
@@ -63,32 +59,6 @@ class TestEnumeration:
             YoungDiagram(Frame(2, 2), (1,))
 
 
-class TestInterfaceSegments:
-    def test_single_row(self):
-        segs = interface_segments(diagram(2, 2, 2)).segments
-        assert segs == (Segment(HORIZONTAL, 2),)
-
-    def test_empty(self):
-        assert interface_segments(diagram(2, 2)).segments == ()
-
-    def test_hook(self):
-        segs = interface_segments(diagram(2, 2, 2, 1)).segments
-        assert segs == (Segment(HORIZONTAL, 1), Segment(VERTICAL, 1))
-
-    def test_staircase_order_top_right_first(self):
-        segs = interface_segments(diagram(3, 3, 3, 1, 1)).segments
-        assert segs == (Segment(HORIZONTAL, 2), Segment(VERTICAL, 2))
-
-    def test_full_frame_has_no_interface(self):
-        assert interface_segments(diagram(3, 3, 3, 3, 3)).segments == ()
-
-    @given(framed_diagrams())
-    def test_alternating_orientations(self, lam):
-        segs = interface_segments(lam).segments
-        for a, b in zip(segs, segs[1:]):
-            assert a.orientation != b.orientation
-
-
 class TestEvenness:
     def test_examples_2x2(self):
         assert is_even(diagram(2, 2, 1, 1))
@@ -96,6 +66,14 @@ class TestEvenness:
 
     def test_example_3x3(self):
         assert is_even(diagram(3, 3, 3, 1, 1))
+
+    def test_odd_interior_run(self):
+        # no drops, but a vertical segment of length 3 at column 2
+        assert not is_even(diagram(3, 3, 2, 2, 2))
+
+    def test_odd_drop(self):
+        # rows 3 and 0 lie on the frame border; only the drop of 3 counts
+        assert not is_even(diagram(2, 3, 3))
 
     def test_empty_and_full_always_even(self):
         for d in range(6):
