@@ -6,6 +6,12 @@ isomorphic) and shifted, twisted GW-summands of the base, each optionally
 labelled by the Young diagram that produced it.  Formal sums can be
 specialized to Witt groups or evaluated against a user-supplied table of
 base groups.
+
+Documents that come in from outside (base tables, formal sums read back)
+are validated against their JSON schemas; ``jsonschema`` is imported only
+then.  Documents this module builds are not re-validated on every call:
+``verify``'s ``output_schema`` check, the golden CLI sweep and a property
+test check that they conform to ``FORMAL_SUM_SCHEMA``.
 """
 
 from __future__ import annotations
@@ -13,8 +19,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from functools import cache
-
-import jsonschema
 
 from .twist import PicClass
 from .young import Frame, YoungDiagram
@@ -268,6 +272,8 @@ BASE_TABLE_SCHEMA = {
 @cache
 def _validator(schema_text: str):
     """A checked validator for one schema, keyed by its canonical JSON text."""
+    import jsonschema
+
     schema = json.loads(schema_text)
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
@@ -276,8 +282,10 @@ def _validator(schema_text: str):
 
 def validate_json(doc: dict, schema: dict):
     """Validate like ``jsonschema.validate``, checking each schema only once."""
+    from jsonschema.exceptions import best_match
+
     validator = _validator(json.dumps(schema, sort_keys=True))
-    exc = jsonschema.exceptions.best_match(validator.iter_errors(doc))
+    exc = best_match(validator.iter_errors(doc))
     if exc is not None:
         raise SchemaMismatchError(f"JSON document does not match its schema at {exc.json_path}: {exc.message}") from exc
 
@@ -296,7 +304,12 @@ def _meta_from_json(v):
 
 
 def formal_sum_to_json(a: FormalSum) -> dict:
-    doc = {
+    """The ``FORMAL_SUM_SCHEMA`` document of a formal sum, built without validation.
+
+    Conformance is checked by ``verify.check_output_schema`` and in the
+    tests, not on every call.
+    """
+    return {
         "k": a.k,
         "gw": [
             {
@@ -310,8 +323,6 @@ def formal_sum_to_json(a: FormalSum) -> dict:
         ],
         "meta": {k: _meta_value(v) for k, v in a.meta},
     }
-    validate_json(doc, FORMAL_SUM_SCHEMA)
-    return doc
 
 
 def formal_sum_from_json(doc: dict, frame: Frame | None = None) -> FormalSum:

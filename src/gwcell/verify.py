@@ -15,8 +15,26 @@ from math import comb
 
 from . import twist as tw
 from . import young
-from .engine import FLAGGED, GrassmannQuery, clear_cache, decompose_grassmannian, decompose_total, split_node
-from .expr import formal_sum_to_json, witt_specialize
+from .engine import (
+    FLAGGED,
+    GrassmannQuery,
+    ProjBundleQuery,
+    clear_cache,
+    decompose_grassmannian,
+    decompose_projective_bundle,
+    decompose_total,
+    les_theorem_d,
+    split_node,
+)
+from .expr import (
+    FORMAL_SUM_SCHEMA,
+    SchemaMismatchError,
+    direct_sum,
+    formal_sum_to_json,
+    les_to_json,
+    validate_json,
+    witt_specialize,
+)
 from .twist import BaseSymbol, Delta, PicClass, lambda_parity, quotient_range
 from .young import Frame, YoungDiagram
 
@@ -145,35 +163,42 @@ def check_beta_parity_sum(checks, d_max=30, m_max=30):
     _check(checks, "beta_parity_sum", not bad, f"failures: {bad}" if bad else "", {"d_max": d_max, "m_max": m_max})
 
 
-def _both_twists(d, m, shift=0, bundle=FLAGGED):
-    for l in (0, 1):
-        t = L + (PicClass.of(Delta(d)) if l else PicClass())
-        yield l, decompose_grassmannian(GrassmannQuery(d, m, shift, t, bundle))
+def flagged_sums(d_max, m_max):
+    """Both twist classes (L and L + Delta) of every flagged frame up to the bounds.
+
+    Maps (d, m) to the pair (even sum, odd sum).  ``run_all`` builds it once
+    and hands it to each check that reads these frames.
+    """
+    sums = {}
+    for d in range(1, d_max + 1):
+        for m in range(1, m_max + 1):
+            twists = (L, L + PicClass.of(Delta(d)))
+            sums[d, m] = tuple(decompose_grassmannian(GrassmannQuery(d, m, 0, t, FLAGGED)) for t in twists)
+    return sums
 
 
-def check_engine_vs_enumeration(checks, d_max, m_max):
+def check_engine_vs_enumeration(checks, d_max, m_max, sums):
     bad = []
     for d in range(1, d_max + 1):
         for m in range(1, m_max + 1):
-            sums = [s for _, s in _both_twists(d, m)]
-            leaves = [g.diagram for s in sums for g in s.gw]
+            leaves = [g.diagram for s in sums[d, m] for g in s.gw]
             expected = sorted(lam.rows for lam in young.enumerate_even(Frame(d, m)))
             if sorted(g.rows for g in leaves) != expected:
                 bad.append((d, m, "diagrams"))
             if any(not young.is_even(g) for g in leaves):
                 bad.append((d, m, "evenness"))
-            for s in sums:
+            for s in sums[d, m]:
                 if any(g.shift != -g.diagram.boxes() for g in s.gw):
                     bad.append((d, m, "shift-law"))
     _check(checks, "engine_vs_enumeration", not bad, f"failures: {bad}" if bad else "", {"d_max": d_max, "m_max": m_max})
 
 
-def check_k_counts(checks, d_max, m_max):
+def check_k_counts(checks, d_max, m_max, sums):
     bad_beta, bad_rank = [], []
     for d in range(1, d_max + 1):
         for m in range(1, m_max + 1):
             total_k = 0
-            for l, s in _both_twists(d, m):
+            for l, s in enumerate(sums[d, m]):
                 total_k += s.k
                 if s.k != young.beta_parity(l, d, m):
                     bad_beta.append((d, m, l))
@@ -185,11 +210,11 @@ def check_k_counts(checks, d_max, m_max):
     _check(checks, "rank_accounting", not bad_rank, f"failures: {bad_rank}" if bad_rank else "", {"d_max": d_max, "m_max": m_max})
 
 
-def check_odd_odd(checks, d_max, m_max):
+def check_odd_odd(checks, d_max, m_max, sums):
     bad = []
     for d in range(1, d_max + 1, 2):
         for m in range(1, m_max + 1, 2):
-            _, s = list(_both_twists(d, m))[1]
+            s = sums[d, m][1]
             if s.gw or s.k != comb(d + m, d) // 2:
                 bad.append((d, m))
     _check(checks, "odd_odd_concentration", not bad, f"failures: {bad}" if bad else "", {"d_max": d_max, "m_max": m_max})
@@ -208,11 +233,11 @@ def check_transpose(checks, d_max, m_max):
     _check(checks, "transpose_equivariance", not bad, f"failures: {bad}" if bad else "", {"d_max": d_max, "m_max": m_max})
 
 
-def check_witt_counts(checks, d_max, m_max):
+def check_witt_counts(checks, d_max, m_max, sums):
     bad = []
     for d in range(1, d_max + 1):
         for m in range(1, m_max + 1):
-            for l, s in _both_twists(d, m):
+            for l, s in enumerate(sums[d, m]):
                 w = witt_specialize(s)
                 # the per-class count is pinned by the rank accounting identity
                 expected_count = comb(d + m, d) - 2 * young.beta_parity(l, d, m)
@@ -230,6 +255,28 @@ def check_determinism(checks, d_max, m_max):
         return json.dumps(formal_sum_to_json(decompose_total(d, m, 0, L)), sort_keys=True)
 
     _check(checks, "determinism", run() == run(), "", {"d": d, "m": m})
+
+
+def check_output_schema(checks):
+    """One small document of each kind the serializer builds conforms to FORMAL_SUM_SCHEMA.
+
+    ``formal_sum_to_json`` does not validate what it builds, so this is
+    where its output meets the schema: a flagged Gr(2, 2) over both twists
+    (it has rho = 1 summands), its Witt specialization, a projective bundle,
+    the formal-sum terms of a long exact sequence, and a merged direct sum
+    (list-valued meta).
+    """
+    gr = decompose_total(2, 2, 0, L, FLAGGED)
+    pb = decompose_projective_bundle(ProjBundleQuery(2, 1, 0))
+    docs = [formal_sum_to_json(s) for s in (gr, witt_specialize(gr), pb, direct_sum(gr, pb, merge=True))]
+    docs += [t for t in les_to_json(les_theorem_d(3, 0))["terms"] if isinstance(t, dict)]
+    bad = []
+    for i, doc in enumerate(docs):
+        try:
+            validate_json(doc, FORMAL_SUM_SCHEMA)
+        except SchemaMismatchError as exc:
+            bad.append((i, str(exc)))
+    _check(checks, "output_schema", not bad, f"failures: {bad}" if bad else f"{len(docs)} documents")
 
 
 def check_interface_oracle(checks, limit=6):
@@ -291,12 +338,14 @@ def run_all(d_max: int, m_max: int) -> VerificationReport:
     check_cardinality(checks, min(d_max, 8), min(m_max, 8))
     check_pascal(checks)
     check_beta_parity_sum(checks)
-    check_engine_vs_enumeration(checks, d_max, m_max)
-    check_k_counts(checks, d_max, m_max)
-    check_odd_odd(checks, d_max, m_max)
+    sums = flagged_sums(d_max, m_max)
+    check_engine_vs_enumeration(checks, d_max, m_max, sums)
+    check_k_counts(checks, d_max, m_max, sums)
+    check_odd_odd(checks, d_max, m_max, sums)
     check_transpose(checks, d_max, m_max)
-    check_witt_counts(checks, d_max, m_max)
+    check_witt_counts(checks, d_max, m_max, sums)
     check_determinism(checks, d_max, m_max)
+    check_output_schema(checks)
     check_interface_oracle(checks, min(max(d_max, m_max), 6))
     check_twist_table(checks, min(d_max, 6), min(m_max, 6))
     checks.sort(key=lambda c: c["id"])

@@ -11,6 +11,10 @@ from gwcell.expr import FORMAL_SUM_SCHEMA, validate_json
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
+def _child_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -88,20 +92,18 @@ class TestGrassmannCommand:
 
     def test_odd_twist_on_rank_zero_rejected_under_optimize(self):
         # the check must not be an assert, which python -O strips
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "gwcell.cli", "grassmann", "-d", "0", "-m", "3", "--twist", "odd"],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=_child_env(),
         )
         assert proc.returncode == 1 and proc.stdout == ""
         assert "error" in json.loads(proc.stderr)
 
     def test_frame_too_deep_is_domain_error(self):
         # Gr_2 recurses about m/2 levels deep: past Python's limit it must still exit 1 with JSON
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "gwcell.cli", "grassmann", "-d", "2", "-m", "3000", "--twist", "even"],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=_child_env(),
         )
         assert proc.returncode == 1 and proc.stdout == ""
         assert "Traceback" not in proc.stderr
@@ -116,6 +118,37 @@ class TestGrassmannCommand:
         )
         assert code == 1 and out == ""
         assert "group[0]" in json.loads(err)["error"]
+
+
+class TestLazySchemaImport:
+    # jsonschema is imported only to read a document from outside; the CLI's own output is not re-validated
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "import gwcell.cli",
+            "from gwcell.cli import main; main(['grassmann', '-d', '2', '-m', '2'])",
+        ],
+    )
+    def test_jsonschema_not_imported(self, code):
+        proc = subprocess.run(
+            [sys.executable, "-c", f"{code}\nimport sys; print('jsonschema' in sys.modules)"],
+            capture_output=True, text=True, env=_child_env(),
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[-1] == "False"
+
+    def test_base_table_failing_schema_in_fresh_process(self, tmp_path):
+        # the first validation imports jsonschema; its failure is still a JSON error with exit 1
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"name": "bad", "entries": [{"theory": "X"}]}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gwcell.cli", "grassmann", "-d", "2", "-m", "2", "--mode", "eval",
+             "--base-table", str(path)],
+            capture_output=True, text=True, env=_child_env(),
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "does not match its schema" in json.loads(proc.stderr)["error"]
 
 
 class TestYoungCommand:

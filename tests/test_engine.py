@@ -20,7 +20,14 @@ from gwcell.engine import (
     flag_closed_form,
     les_theorem_d,
 )
-from gwcell.expr import LongExactSequence, witt_specialize
+from gwcell.expr import (
+    FORMAL_SUM_SCHEMA,
+    LongExactSequence,
+    formal_sum_from_json,
+    formal_sum_to_json,
+    validate_json,
+    witt_specialize,
+)
 from gwcell.twist import BaseSymbol, Delta, FlagQuotient, PicClass
 from gwcell.young import Frame
 
@@ -250,9 +257,9 @@ def even_rows(d, m):
 
 
 @st.composite
-def grassmann_cases(draw):
-    """A frame with d, m <= 8, a query shift, a bundle and a Delta-free base twist."""
-    d, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+def grassmann_cases(draw, max_side=8):
+    """A frame with d, m <= max_side, a query shift, a bundle and a Delta-free base twist."""
+    d, m = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
     symbols = st.sampled_from([BaseSymbol("L"), BaseSymbol("M")])
     quotients = st.integers(1, d + m).map(FlagQuotient)
     base = PicClass.of(*draw(st.lists(symbols | quotients, max_size=4)))
@@ -282,3 +289,22 @@ def test_engine_against_oracles(case):
             (g.shift, g.diagram.transpose().rows, g.rho ^ l) for g in dual.gw
         )
     assert sorted(rows) == even_rows(d, m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(grassmann_cases(max_side=6), st.sampled_from([0, 1]), st.sampled_from(["formal", "witt"]))
+def test_json_round_trip_and_witt_shifts(case, l, mode):
+    d, m, shift, bundle, base = case
+    s = decompose_grassmannian(GrassmannQuery(d, m, shift, base + (PicClass.of(Delta(d)) if l else PicClass()), bundle))
+    if mode == "witt":
+        s = witt_specialize(s)
+    doc = formal_sum_to_json(s)
+    validate_json(doc, FORMAL_SUM_SCHEMA)
+    back = formal_sum_from_json(doc, Frame(d, m))
+    assert back.k == s.k and back.meta == s.meta
+    assert [(g.shift, g.twist, g.diagram, g.t_index, g.rho) for g in back.gw] == [
+        (g.shift, g.twist, g.diagram, g.t_index, g.rho) for g in s.gw
+    ]
+    for g in s.gw:
+        expected = shift - g.diagram.boxes()
+        assert g.shift == (expected % 4 if mode == "witt" else expected)

@@ -2,15 +2,21 @@
 
 The digest pins every byte the sweep prints, so a refactor of the engine or
 of serialization that changes any output, error message or exit code fails
-here.  Regenerate the digest only for a deliberate change of output.
+here.  Regenerate the digest only for a deliberate change of output.  The
+same sweep checks every JSON document it prints against FORMAL_SUM_SCHEMA,
+since the serializer itself does not validate.
 """
 
 import contextlib
 import hashlib
 import io
+import json
+
+import pytest
 
 from gwcell import engine
 from gwcell.cli import main
+from gwcell.expr import FORMAL_SUM_SCHEMA, validate_json
 
 GOLDEN_SHA256 = "8a652cd96a76d2e220fc0d13852a8869951438fa7eda9a88220407d2c0864b81"
 
@@ -33,16 +39,34 @@ def _argvs():
             yield ["projbundle", "-r", str(r), "--parity", str(parity), "--no-split"]
 
 
-def sweep_digest() -> str:
+@pytest.fixture(scope="module")
+def sweep():
+    """(argv, exit code, stdout, stderr) of every call of the sweep, from a cold engine cache."""
     engine.clear_cache()
-    h = hashlib.sha256()
+    runs = []
     for argv in _argvs():
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        h.update(f"{' '.join(argv)}\n{code}\n{out.getvalue()}\n{err.getvalue()}\n".encode())
-    return h.hexdigest()
+        runs.append((argv, code, out.getvalue(), err.getvalue()))
+    return runs
 
 
-def test_cli_sweep_matches_golden_digest():
-    assert sweep_digest() == GOLDEN_SHA256
+def test_cli_sweep_matches_golden_digest(sweep):
+    h = hashlib.sha256()
+    for argv, code, out, err in sweep:
+        h.update(f"{' '.join(argv)}\n{code}\n{out}\n{err}\n".encode())
+    assert h.hexdigest() == GOLDEN_SHA256
+
+
+def test_cli_sweep_documents_match_schema(sweep):
+    assert len(sweep) == 760
+    for argv, code, out, _ in sweep:
+        if code != 0:
+            continue  # an error prints nothing on stdout; the digest pins its message
+        doc = json.loads(out)
+        # a long exact sequence prints its terms: formal sums between named groups
+        terms = [t for t in doc["terms"] if isinstance(t, dict)] if "terms" in doc else [doc]
+        assert terms, argv
+        for term in terms:
+            validate_json(term, FORMAL_SUM_SCHEMA)

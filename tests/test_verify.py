@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given
 from test_young import framed_diagrams
 
-from gwcell import twist, young
+from gwcell import twist, verify, young
 from gwcell.verify import (
     EVEN_FIXTURES,
     ORACLE_FRAME_LIMIT,
     VerificationReport,
     brute_force_interface,
     check_interface_oracle,
+    check_output_schema,
     check_twist_table,
     run_all,
 )
@@ -89,6 +90,7 @@ class TestRunAll:
         by_id = {c["id"]: c for c in report.checks}
         assert "fixtures_4x4" in by_id
         assert by_id["engine_vs_enumeration"]["status"] == "pass"
+        assert by_id["output_schema"] == {"id": "output_schema", "params": {}, "status": "pass", "detail": "6 documents"}
 
     def test_base_case_sweep(self):
         report = run_all(1, 1)
@@ -120,6 +122,35 @@ class TestRunAll:
         checks = []
         check_twist_table(checks, 6, 6)
         assert checks[0]["status"] == "fail"
+
+    def test_flagged_frames_decomposed_once(self, monkeypatch):
+        # engine_vs_enumeration, k_counts, odd_odd and witt_counts share one decomposition per query
+        calls = []
+        original = verify.decompose_grassmannian
+
+        def counted(q):
+            calls.append(q)
+            return original(q)
+
+        monkeypatch.setattr(verify, "decompose_grassmannian", counted)
+        run_all(4, 4)
+        shared = [q for q in calls if q.twist.base_part() == verify.L]
+        assert len(shared) == len(set(shared)) == 4 * 4 * 2
+
+    def test_output_schema_catches_bad_document(self, monkeypatch):
+        original = verify.formal_sum_to_json
+
+        def bad_t(a):
+            doc = original(a)
+            for g in doc["gw"]:
+                g["t"] = 2
+            return doc
+
+        monkeypatch.setattr(verify, "formal_sum_to_json", bad_t)
+        checks = []
+        check_output_schema(checks)
+        assert checks[0]["status"] == "fail"
+        assert "t: 2 is not one of [0, 1, None]" in checks[0]["detail"]
 
     def test_failure_detected(self):
         bad = VerificationReport(
