@@ -8,10 +8,12 @@ specialized to Witt groups or evaluated against a user-supplied table of
 base groups.
 
 Documents that come in from outside (base tables, formal sums read back)
-are validated against their JSON schemas; ``jsonschema`` is imported only
-then.  Documents this module builds are not re-validated on every call:
-``verify``'s ``output_schema`` check, the golden CLI sweep and a property
-test check that they conform to ``FORMAL_SUM_SCHEMA``.
+are validated against their JSON schemas.  A base table that passes a
+plain structural check, stricter than its schema, needs no ``jsonschema``;
+it is imported only for the other documents.  Documents this module
+builds are not re-validated on every call: ``verify``'s ``output_schema``
+check, the golden CLI sweep and a property test check that they conform
+to ``FORMAL_SUM_SCHEMA``.
 """
 
 from __future__ import annotations
@@ -169,7 +171,8 @@ class BaseTheoryTable:
 
     @classmethod
     def from_json(cls, doc: dict) -> "BaseTheoryTable":
-        validate_json(doc, BASE_TABLE_SCHEMA)
+        if not _plainly_valid_table(doc):
+            validate_json(doc, BASE_TABLE_SCHEMA)
         entries = []
         for e in doc["entries"]:
             key = (e["theory"], e["shift"], tuple(sorted(e["twist"])), e["degree"])
@@ -267,6 +270,32 @@ BASE_TABLE_SCHEMA = {
     "required": ["name", "entries"],
     "additionalProperties": False,
 }
+
+
+def _plainly_valid_table(doc) -> bool:
+    """True only for documents ``BASE_TABLE_SCHEMA`` accepts, checked without jsonschema.
+
+    Stricter than the schema: numbers must be ``int`` (the schema also takes
+    integral floats).  A document it turns down goes to ``validate_json``,
+    which decides and words the error, so a well-formed table is read
+    without importing jsonschema and at a cost that stays small as it grows.
+    """
+    if type(doc) is not dict or doc.keys() != {"name", "entries"}:
+        return False
+    if type(doc["name"]) is not str or type(doc["entries"]) is not list:
+        return False
+    for e in doc["entries"]:
+        if type(e) is not dict or e.keys() != {"theory", "shift", "twist", "degree", "group"}:
+            return False
+        if type(e["theory"]) is not str or e["theory"] not in ("GW", "K", "W"):
+            return False
+        if type(e["shift"]) is not int or type(e["degree"]) is not int:
+            return False
+        if type(e["twist"]) is not list or any(type(g) is not str for g in e["twist"]):
+            return False
+        if type(e["group"]) is not list or any(type(o) is not int or o < 0 for o in e["group"]):
+            return False
+    return True
 
 
 @cache

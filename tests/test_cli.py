@@ -137,6 +137,20 @@ class TestLazySchemaImport:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[-1] == "False"
 
+    def test_well_formed_base_table_read_without_jsonschema(self, tmp_path):
+        # a table passing the plain structural check never reaches jsonschema
+        entries = [{"theory": "K", "shift": 0, "twist": [], "degree": 0, "group": [0]}]
+        entries += [{"theory": "GW", "shift": -s, "twist": ["L"], "degree": 0, "group": [2]} for s in range(5)]
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"name": "plain", "entries": entries}))
+        argv = ["grassmann", "-d", "2", "-m", "2", "--mode", "eval", "--base-table", str(path)]
+        code = f"from gwcell.cli import main; print(main({argv!r}))\nimport sys; print('jsonschema' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        *out, exit_code, imported = proc.stdout.splitlines()
+        assert (exit_code, imported) == ("0", "False")
+        assert json.loads("\n".join(out))["degree"] == 0
+
     def test_base_table_failing_schema_in_fresh_process(self, tmp_path):
         # the first validation imports jsonschema; its failure is still a JSON error with exit 1
         path = tmp_path / "table.json"

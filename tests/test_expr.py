@@ -1,9 +1,11 @@
+import copy
 import json
 
 import pytest
 from hypothesis import given, strategies as st
 
 from gwcell.expr import (
+    BASE_TABLE_SCHEMA,
     AbelianGroup,
     BaseTheoryTable,
     ContextMismatchError,
@@ -11,11 +13,14 @@ from gwcell.expr import (
     GWSummand,
     LongExactSequence,
     MissingKeyError,
+    SchemaMismatchError,
+    _plainly_valid_table,
     direct_sum,
     equals,
     evaluate,
     formal_sum_from_json,
     formal_sum_to_json,
+    validate_json,
     witt_specialize,
 )
 from gwcell.twist import BaseSymbol, PicClass
@@ -117,6 +122,61 @@ class TestWittSpecialize:
         assert equals(lhs, rhs)
 
 
+_TABLE_ENTRIES = st.fixed_dictionaries(
+    {
+        "theory": st.sampled_from(["GW", "K", "W"]),
+        "shift": st.integers(-4, 4),
+        "twist": st.lists(st.sampled_from(["L", "M", "detV"]), max_size=2),
+        "degree": st.integers(0, 2),
+        "group": st.lists(st.integers(0, 4), max_size=3),
+    }
+)
+_WELL_FORMED_TABLE = {
+    "name": "t",
+    "entries": [
+        {"theory": "K", "shift": 0, "twist": [], "degree": 0, "group": [0]},
+        {"theory": "GW", "shift": -2, "twist": ["L"], "degree": 1, "group": [0, 2]},
+    ],
+}
+_JUNK = (None, True, False, -1, 1.5, 1.0, "", "X", "GW", [], {}, ["L"], [-1])
+
+
+def _containers(node, path=()):
+    """Paths to every dict and list in a JSON document, the document first."""
+    yield path
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        if isinstance(value, (dict, list)):
+            yield from _containers(value, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def one_defect_tables():
+    """The well-formed table with one change: a value replaced by junk, a key or item dropped, or one added."""
+    for path in _containers(_WELL_FORMED_TABLE):
+        node = _at(_WELL_FORMED_TABLE, path)
+        for key in list(node) if isinstance(node, dict) else range(len(node)):
+            for junk in _JUNK:
+                doc = copy.deepcopy(_WELL_FORMED_TABLE)
+                _at(doc, path)[key] = junk
+                yield doc
+            doc = copy.deepcopy(_WELL_FORMED_TABLE)
+            del _at(doc, path)[key]
+            yield doc
+        for junk in _JUNK:
+            doc = copy.deepcopy(_WELL_FORMED_TABLE)
+            target = _at(doc, path)
+            if isinstance(target, list):
+                target.append(junk)
+            else:
+                target["extra"] = junk
+            yield doc
+
+
 def simple_table():
     doc = {
         "name": "synthetic",
@@ -194,6 +254,30 @@ class TestJson:
     def test_base_table_rejects_malformed(self):
         with pytest.raises(Exception):
             BaseTheoryTable.from_json({"name": "x", "entries": [{"theory": "bogus"}]})
+
+    def test_plain_table_check_accepts_only_schema_valid(self):
+        # a table the plain check passes, the schema passes; any other goes to
+        # validate_json, so from_json fails with validate_json's error
+        variants = list(one_defect_tables())
+        assert len(variants) == 356
+        for doc in variants:
+            try:
+                validate_json(doc, BASE_TABLE_SCHEMA)
+            except SchemaMismatchError as exc:
+                assert not _plainly_valid_table(doc), doc
+                with pytest.raises(SchemaMismatchError) as err:
+                    BaseTheoryTable.from_json(doc)
+                assert str(err.value) == str(exc)
+
+    @given(st.fixed_dictionaries({"name": st.text(max_size=3), "entries": st.lists(_TABLE_ENTRIES, max_size=4)}))
+    def test_plain_table_check_accepts_well_formed_tables(self, doc):
+        assert _plainly_valid_table(doc)
+
+    def test_integral_float_table_goes_to_the_schema(self):
+        # the schema takes 1.0 as an integer; the plain check leaves it to jsonschema
+        doc = {"name": "t", "entries": [{"theory": "K", "shift": 0, "twist": [], "degree": 1.0, "group": [0]}]}
+        assert not _plainly_valid_table(doc)
+        assert BaseTheoryTable.from_json(doc).entries[0][0] == ("K", 0, (), 1)
 
 
 class TestLongExactSequence:
