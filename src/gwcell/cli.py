@@ -42,9 +42,10 @@ EXIT_VERIFY = 2
 EXIT_MISSING_KEYS = 3
 
 
-def _emit(doc, fmt: str, text_fallback=None):
-    if fmt == "text" and text_fallback is not None:
-        print(text_fallback)
+def _emit(doc, fmt: str, text=None):
+    """Print the JSON document, or with --format text the string ``text()`` renders, when given."""
+    if fmt == "text" and text is not None:
+        print(text())
     else:
         print(json.dumps(doc, sort_keys=True, indent=2))
 
@@ -86,16 +87,14 @@ def _cmd_grassmann(args) -> int:
         result = decompose_grassmannian(GrassmannQuery(args.d, args.m, args.shift, t, bundle))
     if args.mode == "witt":
         result = witt_specialize(result)
-        _emit(formal_sum_to_json(result), args.format, _sum_text(result))
-        return EXIT_OK
-    if args.mode == "eval":
+    elif args.mode == "eval":
         if not args.base_table:
             raise ValueError("--mode eval requires --base-table")
         table = BaseTheoryTable.load(args.base_table)
         group = evaluate(result, table, args.degree)
-        _emit({"degree": args.degree, "group": list(group.orders)}, args.format, str(group))
+        _emit({"degree": args.degree, "group": list(group.orders)}, args.format, lambda: str(group))
         return EXIT_OK
-    _emit(formal_sum_to_json(result), args.format, _sum_text(result))
+    _emit(formal_sum_to_json(result), args.format, lambda: _sum_text(result))
     return EXIT_OK
 
 
@@ -105,7 +104,7 @@ def _cmd_projbundle(args) -> int:
     if isinstance(result, LongExactSequence):
         _emit(les_to_json(result), args.format)
     else:
-        _emit(formal_sum_to_json(result), args.format, _sum_text(result))
+        _emit(formal_sum_to_json(result), args.format, lambda: _sum_text(result))
     return EXIT_OK
 
 
@@ -132,7 +131,7 @@ def _cmd_les(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = verify.run_all(args.d_max, args.m_max)
-    _emit(report.to_json(), args.format, report.to_text())
+    _emit(report.to_json(), args.format, report.to_text)
     return EXIT_OK if report.passed() else EXIT_VERIFY
 
 

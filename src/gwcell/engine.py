@@ -17,6 +17,14 @@ parity of the twist relative to the tautological determinant:
   Gr_{d-2} of it unshifted (two appended empty rows).
 
 Queries with d > m are transposed through the dual Grassmannian first.
+
+The memo keeps only counts: (K count, number of GW leaves) per (d, m, eps).
+A query's leaves are then walked once, top down, skipping subtrees with no
+leaves.  The walk carries each leaf as its boundary word (``young``): the
+d + m unit steps, E or N, from the bottom-left corner of the frame to the
+top-right one.  Prepending a column is prepending E, appending an empty
+row is prepending N, and transposing is reversing the word and swapping E
+with N.  Rows are decoded once per output leaf.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from math import comb
 
 from .expr import FormalSum, GWSummand, LongExactSequence
 from .twist import BaseSymbol, Delta, FlagQuotient, PicClass, lambda_parity
-from .young import Frame, YoungDiagram
+from .young import Frame, YoungDiagram, rows_of_word, swap_steps
 
 TRIVIAL = "trivial"
 FLAGGED = "flagged"
@@ -66,19 +74,14 @@ class ProjBundleQuery:
             raise ValueError("twist parity must be 0 or 1")
 
 
-@dataclass(frozen=True)
-class _Leaf:
-    """A GW leaf: its even diagram (the shift drops by its box count) and flag twist bit."""
+Leaf = tuple[tuple[int, ...], int]  # (rows, rho): the shift drops by the box count, rho picks the twist
 
-    rows: tuple[int, ...]
-    rho: int  # 1 iff the leaf's flag twist telescopes to det V, else 0
+_CACHE: dict[tuple[int, int, int], tuple[int, int]] = {}  # (K count, number of GW leaves) per node
+_LEAVES: dict[tuple[int, int, int], tuple[int, tuple[Leaf, ...]]] = {}  # walked leaves of queried frames
 
 
-_CACHE: dict[tuple[int, int, int], tuple[int, tuple[_Leaf, ...]]] = {}
-
-
-def _solve(d: int, m: int, eps: int) -> tuple[int, tuple[_Leaf, ...]]:
-    """K count and GW leaves of Gr_d (ambient rank d+m) at twist eps * Delta_d.
+def _solve(d: int, m: int, eps: int) -> tuple[int, tuple[Leaf, ...]]:
+    """K count and GW leaves (rows, rho) of Gr_d (ambient rank d+m) at twist eps * Delta_d.
 
     A leaf's flag quotient classes always telescope to 0 or det V, so they
     travel as one bit ``rho``: d = 0 gives 0, m = 0 gives eps, Gr_1 gives 0
@@ -89,68 +92,108 @@ def _solve(d: int, m: int, eps: int) -> tuple[int, tuple[_Leaf, ...]]:
     these rules against the paper's line bundle table.  An arbitrary base
     twist rides along additively, so this is the only shape that needs
     memoizing.  Callers reject d = 0 with eps set, so d = 0 means eps = 0.
+
+    The memo ``_CACHE`` holds counts only, filled by ``_count``; the leaves
+    are walked once per queried frame, as boundary words, by ``_walk`` and
+    kept in ``_LEAVES`` so that a repeated query is one lookup.
     """
     key = (d, m, eps)
-    if key in _CACHE:
-        return _CACHE[key]
+    hit = _LEAVES.get(key)
+    if hit is None:
+        hit = _LEAVES[key] = (_count(d, m, eps)[0], tuple(_walk(d, m, eps)))
+    return hit
 
+
+def _base_leaves(d: int, m: int, eps: int):
+    """Boundary words and rho bits of the leaves at d = 0, m = 0 and Gr_1; None elsewhere."""
     if d == 0:
-        result = (0, (_Leaf((), 0),))
-    elif m == 0:
+        return (("E" * m, 0),)
+    if m == 0:
         # Gr_d of a rank-d bundle is the base; Delta_d telescopes to det V.
-        result = (0, (_Leaf((0,) * d, eps),))
-    elif d > m:
-        k, leaves = _solve(m, d, eps)
-        out = []
-        for leaf in leaves:
-            diagram = YoungDiagram(Frame(m, d), leaf.rows).transpose()
-            out.append(_Leaf(diagram.rows, leaf.rho ^ eps))
-        result = (k, tuple(out))
-    elif d == 1:
+        return (("N" * d, eps),)
+    if d == 1:
         # P(E) for E of rank m+1: the empty row survives at eps = 0, the full
         # row (twisted by det E) at eps = m+1 mod 2, and the rest is K by rank.
-        leaves = ((_Leaf((0,), 0),) if eps == 0 else ()) + ((_Leaf((m,), 1),) if eps != m % 2 else ())
-        result = ((m + 1 - len(leaves)) // 2, leaves)
+        return ((("N" + "E" * m, 0),) if eps == 0 else ()) + ((("E" * m + "N", 1),) if eps != m % 2 else ())
+    return None
+
+
+def _count(d: int, m: int, eps: int) -> tuple[int, int]:
+    """K count and number of GW leaves of one node, memoized in ``_CACHE``."""
+    key = (d, m, eps)
+    hit = _CACHE.get(key)
+    if hit is not None:
+        return hit
+    base = _base_leaves(d, m, eps)
+    if base is not None:
+        result = ((m + 1 - len(base)) // 2 if d == 1 else 0, len(base))
+    elif d > m:
+        result = _count(m, d, eps)
     else:
         k, children = split_node(d, m, eps)
-        out = []
-        for (cd, cm), thread in children:
-            ck, cleaves = _solve(cd, cm, cd % 2)
+        n = 0
+        for (cd, cm), _ in children:
+            ck, cn = _count(cd, cm, cd % 2)
             k += ck
-            for leaf in cleaves:
-                out.append(_Leaf(thread(leaf.rows), leaf.rho))
-        result = (k, tuple(out))
-
+            n += cn
+        result = (k, n)
     _CACHE[key] = result
     return result
 
 
-def split_node(d: int, m: int, eps: int):
-    """K block and children ((cd, cm), thread) of an inner node.
+def _walk(d: int, m: int, eps: int) -> list[Leaf]:
+    """The GW leaves of a counted node, walked top down with an explicit stack.
 
-    ``thread`` maps a child leaf's rows into the parent frame.
+    A pending node stands for the query words ``head + w + tail``, where w
+    runs over the node's own boundary words, all reversed and swapped when
+    ``flip`` is set.  A child prepends its step to w.  A transposed node
+    toggles ``flip``, so it reverses and swaps ``head`` and ``tail`` into
+    the dual frame, and picks up eps in rho.  Children without leaves are
+    skipped, so every word built ends in an output leaf.
+    """
+    leaves = []
+    stack = [(d, m, eps, False, "", "", 0)]
+    while stack:
+        d, m, eps, flip, head, tail, rho = stack.pop()
+        base = _base_leaves(d, m, eps)
+        if base is not None:
+            for word, bit in base:
+                word = head + word + tail
+                leaves.append((rows_of_word(swap_steps(word[::-1]) if flip else word), rho ^ bit))
+        elif d > m:
+            stack.append((m, d, eps, not flip, swap_steps(tail[::-1]), swap_steps(head[::-1]), rho ^ eps))
+        else:
+            for (cd, cm), step in split_node(d, m, eps)[1]:
+                if _CACHE[cd, cm, cd % 2][1]:
+                    stack.append((cd, cm, cd % 2, flip, head + step, tail, rho))
+    return leaves
+
+
+def split_node(d: int, m: int, eps: int):
+    """K block and children ((cd, cm), step) of an inner node.
+
+    ``step`` is what a child prepends to its leaves' boundary words to give
+    the parent's: E per full column of the shifted child, N per empty row
+    appended by the unshifted one.
     """
     if eps == (d - 1) % 2:  # first family
         k, step = 0, 1
     else:  # second family
         k, step = comb(d + m - 2, d - 1), 2
-    return k, (
-        ((d, m - step), lambda rows: tuple(r + step for r in rows)),
-        ((d - step, m), lambda rows: rows + (0,) * step),
-    )
+    return k, (((d, m - step), "E" * step), ((d - step, m), "N" * step))
 
 
 def _summands(leaves, frame: Frame, shift: int, twists: tuple[PicClass, PicClass], t_index: int):
     """GW summands of the leaves: the query shift less the box count, the twist picked by rho."""
     return [
         GWSummand(
-            shift=shift - sum(leaf.rows),
-            twist=twists[leaf.rho],
-            diagram=YoungDiagram(frame, leaf.rows),
+            shift=shift - sum(rows),
+            twist=twists[rho],
+            diagram=YoungDiagram(frame, rows),
             t_index=t_index,
-            rho=leaf.rho,
+            rho=rho,
         )
-        for leaf in leaves
+        for rows, rho in leaves
     ]
 
 
@@ -258,3 +301,4 @@ def les_theorem_d(r: int, shift: int) -> LongExactSequence:
 
 def clear_cache():
     _CACHE.clear()
+    _LEAVES.clear()

@@ -90,9 +90,10 @@ class GWSummand:
         rows = self.diagram.rows if self.diagram is not None else ()
         object.__setattr__(self, "sort_index", (self.shift, tuple(self.twist.serialize()), rows))
 
-    def __lt__(self, other: "GWSummand"):
-        key = (self.sort_index, self.t_index or 0, self.rho or 0)
-        return key < (other.sort_index, other.t_index or 0, other.rho or 0)
+
+def summand_order(g: GWSummand) -> tuple:
+    """The canonical order of GW summands: ``sort_index``, then twist class and rho (unknown as 0)."""
+    return (g.sort_index, g.t_index or 0, g.rho or 0)
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ class FormalSum:
     meta: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "gw", tuple(sorted(self.gw)))
+        object.__setattr__(self, "gw", tuple(sorted(self.gw, key=summand_order)))
         object.__setattr__(self, "meta", tuple(self.meta))
 
     @classmethod

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from itertools import groupby
 from math import comb
 
@@ -126,9 +127,20 @@ def _check(checks, check_id, ok: bool, detail: str = "", params=None):
     )
 
 
-def check_fixtures(checks):
+def even_diagrams(d_max, m_max):
+    """The even diagrams of every frame up to the bounds and of every fixture frame.
+
+    Maps (d, m) to ``young.enumerate_even(Frame(d, m))``.  ``run_all``
+    builds it once, so each frame is enumerated once however many checks
+    read it.
+    """
+    frames = {(d, m) for d in range(1, d_max + 1) for m in range(1, m_max + 1)} | set(EVEN_FIXTURES)
+    return {(d, m): young.enumerate_even(Frame(d, m)) for d, m in sorted(frames)}
+
+
+def check_fixtures(checks, evens):
     for (d, m), expected in sorted(EVEN_FIXTURES.items()):
-        got = {lam.rows for lam in young.enumerate_even(Frame(d, m))}
+        got = {lam.rows for lam in evens[d, m]}
         _check(
             checks,
             f"fixtures_{d}x{m}",
@@ -138,11 +150,11 @@ def check_fixtures(checks):
         )
 
 
-def check_cardinality(checks, d_max, m_max):
+def check_cardinality(checks, d_max, m_max, evens):
     bad = []
     for d in range(1, d_max + 1):
         for m in range(1, m_max + 1):
-            if len(young.enumerate_even(Frame(d, m))) != young.even_cardinality(d, m):
+            if len(evens[d, m]) != young.even_cardinality(d, m):
                 bad.append((d, m))
     _check(checks, "cardinality", not bad, f"failures: {bad}" if bad else "", {"d_max": d_max, "m_max": m_max})
 
@@ -177,12 +189,12 @@ def flagged_sums(d_max, m_max):
     return sums
 
 
-def check_engine_vs_enumeration(checks, d_max, m_max, sums):
+def check_engine_vs_enumeration(checks, d_max, m_max, sums, evens):
     bad = []
     for d in range(1, d_max + 1):
         for m in range(1, m_max + 1):
             leaves = [g.diagram for s in sums[d, m] for g in s.gw]
-            expected = sorted(lam.rows for lam in young.enumerate_even(Frame(d, m)))
+            expected = sorted(lam.rows for lam in evens[d, m])
             if sorted(g.rows for g in leaves) != expected:
                 bad.append((d, m, "diagrams"))
             if any(not young.is_even(g) for g in leaves):
@@ -289,10 +301,11 @@ def check_interface_oracle(checks, limit=6):
     _check(checks, "interface_oracle", not bad, f"failures: {bad[:5]}" if bad else "", {"limit": limit})
 
 
-def _rho_by_rows(d, m, eps):
+def _rho_by_word(d, m, eps):
+    """The rho bit of each leaf of a flagged frame, keyed by the leaf's boundary word."""
     t = PicClass.of(Delta(d)) if eps else PicClass()
     s = decompose_grassmannian(GrassmannQuery(d, m, 0, t, FLAGGED))
-    return {g.diagram.rows: g.rho for g in s.gw}
+    return {young.boundary_word(g.diagram): g.rho for g in s.gw}
 
 
 def check_twist_table(checks, d_max, m_max):
@@ -301,9 +314,12 @@ def check_twist_table(checks, d_max, m_max):
     At every inner node (2 <= d <= m) and twist parity eps, the table's
     child twists must sit on the child frames the engine recurses into,
     have Delta-parity cd mod 2 (the engine's child eps), and telescope with
-    each child leaf's det V to the det V bit of the threaded parent leaf.
+    each child leaf's det V to the det V bit of the parent leaf whose
+    boundary word is the child's step followed by the child leaf's word.
+    Each frame's leaves are read once, however many parents share it.
     """
     bad = []
+    rho_by_word = cache(_rho_by_word)
     for d in range(2, d_max + 1):
         for m in range(d, m_max + 1):
             for eps in (0, 1):
@@ -314,18 +330,18 @@ def check_twist_table(checks, d_max, m_max):
                 if set(table) != {frame for frame, _ in children}:
                     bad.append((d, m, eps, "sites"))
                     continue
-                parent = _rho_by_rows(d, m, eps)
+                parent = rho_by_word(d, m, eps)
                 det_v = quotient_range(1, d + m)
-                for (cd, cm), thread in children:
+                for (cd, cm), step in children:
                     ct = table[(cd, cm)]
                     if lambda_parity(ct, Delta(cd)) != cd % 2:
                         bad.append((d, m, eps, "parity"))
                         continue
-                    for rows, rho_c in _rho_by_rows(cd, cm, cd % 2).items():
-                        rho_p = parent.get(thread(rows))
+                    for word, rho_c in rho_by_word(cd, cm, cd % 2).items():
+                        rho_p = parent.get(step + word)
                         got = ct.base_part() + (quotient_range(1, cd + cm) if rho_c else PicClass())
                         if rho_p is None or got != (det_v if rho_p else PicClass()):
-                            bad.append((d, m, eps, rows))
+                            bad.append((d, m, eps, step + word))
     _check(checks, "twist_table", not bad, f"failures: {bad[:5]}" if bad else "", {"d_max": d_max, "m_max": m_max})
 
 
@@ -334,12 +350,13 @@ def run_all(d_max: int, m_max: int) -> VerificationReport:
     if d_max < 1 or m_max < 1:
         raise ValueError("need d_max, m_max >= 1")
     checks = []
-    check_fixtures(checks)
-    check_cardinality(checks, min(d_max, 8), min(m_max, 8))
+    evens = even_diagrams(d_max, m_max)
+    check_fixtures(checks, evens)
+    check_cardinality(checks, min(d_max, 8), min(m_max, 8), evens)
     check_pascal(checks)
     check_beta_parity_sum(checks)
     sums = flagged_sums(d_max, m_max)
-    check_engine_vs_enumeration(checks, d_max, m_max, sums)
+    check_engine_vs_enumeration(checks, d_max, m_max, sums, evens)
     check_k_counts(checks, d_max, m_max, sums)
     check_odd_odd(checks, d_max, m_max, sums)
     check_transpose(checks, d_max, m_max)

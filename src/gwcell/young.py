@@ -11,7 +11,7 @@ rows inside the frame, so evenness is a test on the row lengths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import accumulate, groupby
 from math import comb
 
 
@@ -65,6 +65,35 @@ class YoungDiagram:
     def __str__(self):
         inner = ",".join(str(r) for r in self.rows if r > 0)
         return f"({inner})" if inner else "()"
+
+
+# A diagram's boundary, walked from the bottom-left corner of its frame to
+# the top-right one, is its boundary word: d + m unit steps, "N" once per
+# row and "E" once per column.  A row's length is the number of E steps
+# before its N step.  Transposing a diagram reverses its word and swaps
+# the two steps.
+
+_SWAP = str.maketrans("EN", "NE")
+
+
+def boundary_word(diagram: YoungDiagram) -> str:
+    """The boundary word of a diagram, bottom row first."""
+    steps, prev = [], 0
+    for r in reversed(diagram.rows):
+        steps.append("E" * (r - prev) + "N")
+        prev = r
+    steps.append("E" * (diagram.frame.m - prev))
+    return "".join(steps)
+
+
+def rows_of_word(word: str) -> tuple[int, ...]:
+    """Row lengths, top row first, of a boundary word."""
+    return tuple(accumulate(map(len, word.split("N")[:-1])))[::-1]
+
+
+def swap_steps(word: str) -> str:
+    """Exchange E and N steps, as transposition does after reversal."""
+    return word.translate(_SWAP)
 
 
 def is_even(diagram: YoungDiagram) -> bool:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from gwcell import cli
 from gwcell.cli import main
 from gwcell.expr import FORMAL_SUM_SCHEMA, validate_json
 
@@ -215,6 +216,26 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--max", "2", "--format", "text")
         assert code == 0
         assert "pass" in out
+
+
+class TestTextRenderedOnlyForText:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("grassmann", "-d", "2", "-m", "3"),
+            ("grassmann", "-d", "2", "-m", "3", "--mode", "witt"),
+            ("projbundle", "-r", "2"),
+        ],
+    )
+    def test_json_output_renders_no_text(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "_sum_text", lambda s: pytest.fail("text rendered for JSON output"))
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0 and json.loads(out)["gw"]
+
+    def test_verify_json_renders_no_text(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.verify.VerificationReport, "to_text", lambda r: pytest.fail("text rendered"))
+        code, out, _ = run(capsys, "verify", "--max", "2", "--format", "json")
+        assert code == 0 and json.loads(out)["ok"] is True
 
 
 class TestEnvFormat:

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gwcell import young
+from gwcell import engine, young
 from gwcell.engine import (
     DET_E,
     DET_V,
@@ -222,6 +222,32 @@ class TestEngineInvariants:
         finally:
             clear_cache()
 
+    def test_clear_cache_empties_every_memo(self):
+        clear_cache()
+        dicts = {name: v for name, v in vars(engine).items() if isinstance(v, dict)}
+        sizes = {name: len(v) for name, v in dicts.items()}
+        decompose_total(5, 4, 0, L, FLAGGED)
+        decompose_projective_bundle(ProjBundleQuery(3, 1, 0))
+        memos = [name for name, v in dicts.items() if len(v) > sizes[name]]
+        assert {"_CACHE", "_LEAVES"} <= set(memos)
+        clear_cache()
+        assert all(not dicts[name] for name in memos)
+
+    def test_repeated_query_is_not_walked_again(self, monkeypatch):
+        clear_cache()
+        walks = []
+        walk = engine._walk
+
+        def counted(d, m, eps):
+            walks.append((d, m, eps))
+            return walk(d, m, eps)
+
+        monkeypatch.setattr(engine, "_walk", counted)
+        first = decompose_grassmannian(GrassmannQuery(6, 3, 0, L, FLAGGED))
+        again = decompose_grassmannian(GrassmannQuery(6, 3, 2, L))
+        assert walks == [(6, 3, 0)]
+        assert leaf_profile(again) == [(shift + 2, rows, t, rho) for shift, rows, t, rho in leaf_profile(first)]
+
     def test_shift_offset_independent_of_query_shift(self):
         a = decompose_total(3, 2, 0, L)
         b = decompose_total(3, 2, 7, L)
@@ -256,18 +282,26 @@ def even_rows(d, m):
     return sorted(lam.rows for lam in young.enumerate_even(Frame(d, m)))
 
 
+def square_frames(max_side):
+    return st.tuples(st.integers(1, max_side), st.integers(1, max_side))
+
+
+# d <= 3 against m <= 60, either way round: deep paths through many transpositions
+thin_frames = st.tuples(st.integers(1, 3), st.integers(1, 60)).flatmap(lambda f: st.sampled_from([f, f[::-1]]))
+
+
 @st.composite
-def grassmann_cases(draw, max_side=8):
-    """A frame with d, m <= max_side, a query shift, a bundle and a Delta-free base twist."""
-    d, m = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+def grassmann_cases(draw, frames=square_frames(8)):
+    """A frame drawn from ``frames``, a query shift, a bundle and a Delta-free base twist."""
+    d, m = draw(frames)
     symbols = st.sampled_from([BaseSymbol("L"), BaseSymbol("M")])
     quotients = st.integers(1, d + m).map(FlagQuotient)
     base = PicClass.of(*draw(st.lists(symbols | quotients, max_size=4)))
     return d, m, draw(st.integers(-20, 20)), draw(st.sampled_from([TRIVIAL, FLAGGED])), base
 
 
-@settings(max_examples=80, deadline=None)
-@given(grassmann_cases())
+@settings(max_examples=120, deadline=None)
+@given(grassmann_cases(square_frames(8) | thin_frames))
 def test_engine_against_oracles(case):
     d, m, shift, bundle, base = case
     rows = []
@@ -288,11 +322,15 @@ def test_engine_against_oracles(case):
         assert sorted((g.shift, g.diagram.rows, g.rho) for g in s.gw) == sorted(
             (g.shift, g.diagram.transpose().rows, g.rho ^ l) for g in dual.gw
         )
-    assert sorted(rows) == even_rows(d, m)
+    if max(d, m) <= 8:
+        assert sorted(rows) == even_rows(d, m)
+    else:
+        # enumeration is too slow here: distinct even diagrams, as many as there are even ones
+        assert len(set(rows)) == len(rows) == young.even_cardinality(d, m)
 
 
 @settings(max_examples=80, deadline=None)
-@given(grassmann_cases(max_side=6), st.sampled_from([0, 1]), st.sampled_from(["formal", "witt"]))
+@given(grassmann_cases(square_frames(6)), st.sampled_from([0, 1]), st.sampled_from(["formal", "witt"]))
 def test_json_round_trip_and_witt_shifts(case, l, mode):
     d, m, shift, bundle, base = case
     s = decompose_grassmannian(GrassmannQuery(d, m, shift, base + (PicClass.of(Delta(d)) if l else PicClass()), bundle))

@@ -20,6 +20,7 @@ from gwcell.expr import (
     evaluate,
     formal_sum_from_json,
     formal_sum_to_json,
+    summand_order,
     validate_json,
     witt_specialize,
 )
@@ -80,6 +81,13 @@ class TestDirectSum:
     @given(formal_sums(), formal_sums(), formal_sums())
     def test_associative(self, a, b, c):
         assert equals(direct_sum(direct_sum(a, b), c), direct_sum(a, direct_sum(b, c)))
+
+
+class TestSummandOrder:
+    def test_sort_index_then_class_then_rho(self):
+        a, b, c, d = gw(-2, rows=(1, 1), t=1, rho=1), gw(-2, rows=(1, 1), t=1), gw(-2, rows=(1, 1), t=0, rho=1), gw(-4, rows=(2, 2))
+        assert fsum(0, a, b, c, d).gw == (d, c, b, a)
+        assert summand_order(b) == (b.sort_index, 1, 0)
 
 
 class TestEquals:

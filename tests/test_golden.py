@@ -1,10 +1,12 @@
-"""Golden output: one sha256 over the CLI's stdout, stderr and exit code on a fixed sweep.
+"""Golden output: sha256 digests over the CLI's stdout, stderr and exit code on fixed sweeps.
 
-The digest pins every byte the sweep prints, so a refactor of the engine or
+A digest pins every byte its sweep prints, so a refactor of the engine or
 of serialization that changes any output, error message or exit code fails
-here.  Regenerate the digest only for a deliberate change of output.  The
-same sweep checks every JSON document it prints against FORMAL_SUM_SCHEMA,
-since the serializer itself does not validate.
+here.  Regenerate a digest only for a deliberate change of output.  The
+small sweep covers every frame with d, m <= 6 and checks every JSON
+document it prints against FORMAL_SUM_SCHEMA, since the serializer itself
+does not validate.  The large sweep reaches frames of benchmark size,
+where the engine's walk runs through deep paths and many transpositions.
 """
 
 import contextlib
@@ -19,6 +21,7 @@ from gwcell.cli import main
 from gwcell.expr import FORMAL_SUM_SCHEMA, validate_json
 
 GOLDEN_SHA256 = "8a652cd96a76d2e220fc0d13852a8869951438fa7eda9a88220407d2c0864b81"
+GOLDEN_LARGE_SHA256 = "77eeb36a0d85e7bc51077e7b54fc49a57822330d517931b8b9b91997e1590039"
 
 TWISTS = ("both", "even", "odd", "L,Delta,q1")
 
@@ -39,12 +42,22 @@ def _argvs():
             yield ["projbundle", "-r", str(r), "--parity", str(parity), "--no-split"]
 
 
-@pytest.fixture(scope="module")
-def sweep():
-    """(argv, exit code, stdout, stderr) of every call of the sweep, from a cold engine cache."""
+def _large_argvs():
+    """Squares 7 to 10 and thin frames with their transposes, two twists, both bundles."""
+    frames = [(n, n) for n in range(7, 11)]
+    for d, m in ((2, 100), (2, 101), (3, 60), (3, 61)):
+        frames += [(d, m), (m, d)]
+    for d, m in frames:
+        for twist in ("both", "L,Delta,q1"):
+            for bundle in ("trivial", "flagged"):
+                yield ["grassmann", "-d", str(d), "-m", str(m), "--twist", twist, "--bundle", bundle]
+
+
+def _run(argvs):
+    """(argv, exit code, stdout, stderr) of every call, from a cold engine cache."""
     engine.clear_cache()
     runs = []
-    for argv in _argvs():
+    for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -52,11 +65,26 @@ def sweep():
     return runs
 
 
-def test_cli_sweep_matches_golden_digest(sweep):
+def _digest(runs):
     h = hashlib.sha256()
-    for argv, code, out, err in sweep:
+    for argv, code, out, err in runs:
         h.update(f"{' '.join(argv)}\n{code}\n{out}\n{err}\n".encode())
-    assert h.hexdigest() == GOLDEN_SHA256
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    return _run(_argvs())
+
+
+def test_cli_sweep_matches_golden_digest(sweep):
+    assert _digest(sweep) == GOLDEN_SHA256
+
+
+def test_large_frames_match_golden_digest():
+    runs = _run(_large_argvs())
+    assert len(runs) == 48 and all(code == 0 for _, code, _, _ in runs)
+    assert _digest(runs) == GOLDEN_LARGE_SHA256
 
 
 def test_cli_sweep_documents_match_schema(sweep):

@@ -137,6 +137,36 @@ class TestRunAll:
         shared = [q for q in calls if q.twist.base_part() == verify.L]
         assert len(shared) == len(set(shared)) == 4 * 4 * 2
 
+    def test_each_frame_enumerated_once(self, monkeypatch):
+        # fixtures, cardinality and engine_vs_enumeration read one table
+        frames = []
+        original = young.enumerate_even
+
+        def counted(frame):
+            frames.append((frame.d, frame.m))
+            return original(frame)
+
+        monkeypatch.setattr(young, "enumerate_even", counted)
+        run_all(5, 5)
+        assert sorted(frames) == [(d, m) for d in range(1, 6) for m in range(1, 6)]
+        frames.clear()
+        run_all(3, 2)
+        assert sorted(frames) == sorted({(d, m) for d in range(1, 4) for m in range(1, 3)} | set(EVEN_FIXTURES))
+
+    def test_twist_table_reads_each_frame_once(self, monkeypatch):
+        calls = []
+        original = verify.decompose_grassmannian
+
+        def counted(q):
+            calls.append(q)
+            return original(q)
+
+        monkeypatch.setattr(verify, "decompose_grassmannian", counted)
+        checks = []
+        check_twist_table(checks, 6, 6)
+        assert checks[0]["status"] == "pass"
+        assert len(calls) == len(set(calls)) == 50
+
     def test_output_schema_catches_bad_document(self, monkeypatch):
         original = verify.formal_sum_to_json
 

@@ -8,11 +8,14 @@ from gwcell.young import (
     YoungDiagram,
     beta,
     beta_parity,
+    boundary_word,
     enumerate_diagrams,
     enumerate_even,
     even_cardinality,
     is_even,
     render_ascii,
+    rows_of_word,
+    swap_steps,
     verify_pascal,
 )
 from gwcell.verify import brute_force_interface
@@ -193,3 +196,23 @@ class TestAscii:
 
     def test_render_empty_frame(self):
         assert render_ascii(diagram(0, 3)) == "+---+\n+---+"
+
+
+class TestBoundaryWord:
+    def test_examples(self):
+        # from the bottom-left corner: the bottom row, then each step up
+        assert boundary_word(diagram(2, 3, 2, 1)) == "ENENE"
+        assert boundary_word(diagram(2, 2)) == "NNEE"
+        assert boundary_word(diagram(2, 2, 2, 2)) == "EENN"
+        assert boundary_word(diagram(0, 3)) == "EEE"
+        assert boundary_word(diagram(3, 0)) == "NNN"
+
+    @given(framed_diagrams(max_side=10))
+    def test_round_trip(self, lam):
+        word = boundary_word(lam)
+        assert len(word) == lam.frame.d + lam.frame.m and word.count("N") == lam.frame.d
+        assert rows_of_word(word) == lam.rows
+
+    @given(framed_diagrams(max_side=10))
+    def test_transpose_reverses_and_swaps(self, lam):
+        assert boundary_word(lam.transpose()) == swap_steps(boundary_word(lam)[::-1])
