@@ -1,10 +1,11 @@
 """The decomposition engine.
 
 Executes the splitting recursions for Grassmannians over a base with a
-complete flag.  The Gr_1 base case also serves P(E) = Gr_1(E), and Gr_0
-serves the point.  Every GW leaf is a pair (even Young diagram recording
-which cells produced it, flag twist bit rho); K-theory copies are only
-counted.
+complete flag, on every frame, whichever side is longer.  The Gr_1 base
+case also serves P(E) = Gr_1(E), the m = 1 base case is its dual Gr_d of
+a rank d+1 bundle, and Gr_0 serves the point.  Every GW leaf is a pair
+(even Young diagram recording which cells produced it, flag twist bit
+rho); K-theory copies are only counted.
 
 The recursion on Gr_d of an ambient rank d+m bundle dispatches on the
 parity of the twist relative to the tautological determinant:
@@ -16,15 +17,12 @@ parity of the twist relative to the tautological determinant:
   Gr_d of the corank-2 subbundle shifted by 2d (two prepended columns) and
   Gr_{d-2} of it unshifted (two appended empty rows).
 
-Queries with d > m are transposed through the dual Grassmannian first.
-
 The memo keeps only counts: (K count, number of GW leaves) per (d, m, eps).
 A query's leaves are then walked once, top down, skipping subtrees with no
 leaves.  The walk carries each leaf as its boundary word (``young``): the
 d + m unit steps, E or N, from the bottom-left corner of the frame to the
-top-right one.  Prepending a column is prepending E, appending an empty
-row is prepending N, and transposing is reversing the word and swapping E
-with N.  Rows are decoded once per output leaf.
+top-right one.  Prepending a column is prepending E and appending an
+empty row is prepending N.  Rows are decoded once per output leaf.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from math import comb
 
 from .expr import FormalSum, GWSummand, LongExactSequence
 from .twist import BaseSymbol, Delta, FlagQuotient, PicClass, lambda_parity
-from .young import Frame, YoungDiagram, rows_of_word, swap_steps
+from .young import Frame, YoungDiagram, rows_of_word
 
 TRIVIAL = "trivial"
 FLAGGED = "flagged"
@@ -85,13 +83,13 @@ def _solve(d: int, m: int, eps: int) -> tuple[int, tuple[Leaf, ...]]:
 
     A leaf's flag quotient classes always telescope to 0 or det V, so they
     travel as one bit ``rho``: d = 0 gives 0, m = 0 gives eps, Gr_1 gives 0
-    to its empty leaf and 1 to its full one, the dual Grassmannian flips it
-    when eps is set (Delta_d corresponds to Delta_m + det V there), and an
-    inner node passes each child's bit through unchanged, solving the
-    rank-cd child at eps = cd mod 2.  ``verify.check_twist_table`` checks
-    these rules against the paper's line bundle table.  An arbitrary base
-    twist rides along additively, so this is the only shape that needs
-    memoizing.  Callers reject d = 0 with eps set, so d = 0 means eps = 0.
+    to its empty leaf and 1 to its full one, m = 1 gives 0 to its empty
+    leaf and 1 - eps to its full one, and an inner node passes each child's
+    bit through unchanged, solving the rank-cd child at eps = cd mod 2.
+    ``verify.check_twist_table`` checks these rules against the paper's
+    line bundle table.  An arbitrary base twist rides along additively, so
+    this is the only shape that needs memoizing.  Callers reject d = 0 with
+    eps set, so d = 0 means eps = 0.
 
     The memo ``_CACHE`` holds counts only, filled by ``_count``; the leaves
     are walked once per queried frame, as boundary words, by ``_walk`` and
@@ -105,7 +103,7 @@ def _solve(d: int, m: int, eps: int) -> tuple[int, tuple[Leaf, ...]]:
 
 
 def _base_leaves(d: int, m: int, eps: int):
-    """Boundary words and rho bits of the leaves at d = 0, m = 0 and Gr_1; None elsewhere."""
+    """Boundary words and rho bits of the leaves at d = 0, m = 0, d = 1 and m = 1; None elsewhere."""
     if d == 0:
         return (("E" * m, 0),)
     if m == 0:
@@ -115,6 +113,10 @@ def _base_leaves(d: int, m: int, eps: int):
         # P(E) for E of rank m+1: the empty row survives at eps = 0, the full
         # row (twisted by det E) at eps = m+1 mod 2, and the rest is K by rank.
         return ((("N" + "E" * m, 0),) if eps == 0 else ()) + ((("E" * m + "N", 1),) if eps != m % 2 else ())
+    if m == 1:
+        # Gr_d of a rank d+1 bundle, dual to P(E): the empty column survives
+        # at eps = 0, the full column at eps = d+1 mod 2 with rho 1 - eps.
+        return ((("N" * d + "E", 0),) if eps == 0 else ()) + ((("E" + "N" * d, 1 - eps),) if eps != d % 2 else ())
     return None
 
 
@@ -126,9 +128,8 @@ def _count(d: int, m: int, eps: int) -> tuple[int, int]:
         return hit
     base = _base_leaves(d, m, eps)
     if base is not None:
-        result = ((m + 1 - len(base)) // 2 if d == 1 else 0, len(base))
-    elif d > m:
-        result = _count(m, d, eps)
+        # rank accounting: 2 K + leaves = C(d + m, d)
+        result = ((comb(d + m, d) - len(base)) // 2, len(base))
     else:
         k, children = split_node(d, m, eps)
         n = 0
@@ -144,28 +145,22 @@ def _count(d: int, m: int, eps: int) -> tuple[int, int]:
 def _walk(d: int, m: int, eps: int) -> list[Leaf]:
     """The GW leaves of a counted node, walked top down with an explicit stack.
 
-    A pending node stands for the query words ``head + w + tail``, where w
-    runs over the node's own boundary words, all reversed and swapped when
-    ``flip`` is set.  A child prepends its step to w.  A transposed node
-    toggles ``flip``, so it reverses and swaps ``head`` and ``tail`` into
-    the dual frame, and picks up eps in rho.  Children without leaves are
-    skipped, so every word built ends in an output leaf.
+    A pending node stands for the query words ``head + w``, where w runs
+    over the node's own boundary words; a child prepends its step to w, and
+    leaves keep the rho bit of their base case.  Children without leaves
+    are skipped, so every word built ends in an output leaf.
     """
     leaves = []
-    stack = [(d, m, eps, False, "", "", 0)]
+    stack = [(d, m, eps, "")]
     while stack:
-        d, m, eps, flip, head, tail, rho = stack.pop()
+        d, m, eps, head = stack.pop()
         base = _base_leaves(d, m, eps)
         if base is not None:
-            for word, bit in base:
-                word = head + word + tail
-                leaves.append((rows_of_word(swap_steps(word[::-1]) if flip else word), rho ^ bit))
-        elif d > m:
-            stack.append((m, d, eps, not flip, swap_steps(tail[::-1]), swap_steps(head[::-1]), rho ^ eps))
+            leaves.extend((rows_of_word(head + word), rho) for word, rho in base)
         else:
             for (cd, cm), step in split_node(d, m, eps)[1]:
                 if _CACHE[cd, cm, cd % 2][1]:
-                    stack.append((cd, cm, cd % 2, flip, head + step, tail, rho))
+                    stack.append((cd, cm, cd % 2, head + step))
     return leaves
 
 

@@ -70,10 +70,8 @@ class YoungDiagram:
 # A diagram's boundary, walked from the bottom-left corner of its frame to
 # the top-right one, is its boundary word: d + m unit steps, "N" once per
 # row and "E" once per column.  A row's length is the number of E steps
-# before its N step.  Transposing a diagram reverses its word and swaps
-# the two steps.
-
-_SWAP = str.maketrans("EN", "NE")
+# before its N step.  The engine builds its leaves' words by prepending
+# steps: E for a full column, N for an empty row.
 
 
 def boundary_word(diagram: YoungDiagram) -> str:
@@ -89,11 +87,6 @@ def boundary_word(diagram: YoungDiagram) -> str:
 def rows_of_word(word: str) -> tuple[int, ...]:
     """Row lengths, top row first, of a boundary word."""
     return tuple(accumulate(map(len, word.split("N")[:-1])))[::-1]
-
-
-def swap_steps(word: str) -> str:
-    """Exchange E and N steps, as transposition does after reversal."""
-    return word.translate(_SWAP)
 
 
 def is_even(diagram: YoungDiagram) -> bool:

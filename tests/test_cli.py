@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -9,7 +10,8 @@ from gwcell import cli
 from gwcell.cli import main
 from gwcell.expr import FORMAL_SUM_SCHEMA, validate_json
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
 def _child_env():
@@ -257,3 +259,21 @@ class TestEnvFormat:
         code, out, _ = run(capsys, "grassmann", "-d", "1", "-m", "1", "--twist", "even")
         assert code == 0
         assert json.loads(out)["k"] == 0
+
+
+def readme_cli_commands():
+    """The gwcell commands of README's CLI block, as argument lists."""
+    with open(os.path.join(ROOT, "README.md")) as f:
+        block = f.read().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("gwcell ")]
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize("argv", readme_cli_commands(), ids=" ".join)
+    def test_cli_example_exits_zero(self, capsys, monkeypatch, argv):
+        monkeypatch.chdir(ROOT)
+        monkeypatch.delenv("GWCELL_FORMAT", raising=False)
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        if "eval" in argv:
+            assert json.loads(out)["group"] == [0] * 10

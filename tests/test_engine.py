@@ -222,6 +222,21 @@ class TestEngineInvariants:
         finally:
             clear_cache()
 
+    def test_dual_projective_bundle_is_a_base_case(self):
+        # Gr_d of a rank d+1 bundle needs no recursion over d: it is the
+        # transposed Gr_1 of the same rank, rho flipped at the odd class
+        clear_cache()
+        try:
+            for l in (0, 1):
+                s = flag_closed_form(3000, 1, l, 0, L)
+                dual = flag_closed_form(1, 3000, l, 0, L)
+                assert s.k == dual.k
+                assert sorted((g.shift, g.diagram.rows, g.rho) for g in s.gw) == sorted(
+                    (g.shift, g.diagram.transpose().rows, g.rho ^ l) for g in dual.gw
+                )
+        finally:
+            clear_cache()
+
     def test_clear_cache_empties_every_memo(self):
         clear_cache()
         dicts = {name: v for name, v in vars(engine).items() if isinstance(v, dict)}
@@ -286,7 +301,7 @@ def square_frames(max_side):
     return st.tuples(st.integers(1, max_side), st.integers(1, max_side))
 
 
-# d <= 3 against m <= 60, either way round: deep paths through many transpositions
+# d <= 3 against m <= 60, either way round: deep paths on both sides of the diagonal
 thin_frames = st.tuples(st.integers(1, 3), st.integers(1, 60)).flatmap(lambda f: st.sampled_from([f, f[::-1]]))
 
 

@@ -6,7 +6,8 @@ here.  Regenerate a digest only for a deliberate change of output.  The
 small sweep covers every frame with d, m <= 6 and checks every JSON
 document it prints against FORMAL_SUM_SCHEMA, since the serializer itself
 does not validate.  The large sweep reaches frames of benchmark size,
-where the engine's walk runs through deep paths and many transpositions.
+where the engine's walk runs through deep paths on both sides of the
+diagonal.
 """
 
 import contextlib

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from test_young import framed_diagrams
 
-from gwcell import twist, verify, young
+from gwcell import engine, twist, verify, young
 from gwcell.verify import (
     EVEN_FIXTURES,
     ORACLE_FRAME_LIMIT,
@@ -165,7 +165,26 @@ class TestRunAll:
         checks = []
         check_twist_table(checks, 6, 6)
         assert checks[0]["status"] == "pass"
-        assert len(calls) == len(set(calls)) == 50
+        assert len(calls) == len(set(calls)) == 70
+
+    def test_transpose_catches_dual_base_case_rho(self, monkeypatch):
+        # flip rho of the full leaf of Gr_d of a rank d+1 bundle: rows, K and
+        # every other check still hold, but Gr_1 of the same rank disagrees
+        original = engine._base_leaves
+
+        def mutant(d, m, eps):
+            base = original(d, m, eps)
+            if base is not None and m == 1 and d > 1:
+                return tuple((word, rho ^ (word == "E" + "N" * d)) for word, rho in base)
+            return base
+
+        engine.clear_cache()
+        monkeypatch.setattr(engine, "_base_leaves", mutant)
+        try:
+            by_id = {c["id"]: c for c in run_all(4, 4).checks}
+        finally:
+            engine.clear_cache()
+        assert by_id["transpose_equivariance"]["status"] == "fail"
 
     def test_output_schema_catches_bad_document(self, monkeypatch):
         original = verify.formal_sum_to_json
