@@ -29,6 +29,7 @@ from .expr import (
     LongExactSequence,
     MissingKeyError,
     evaluate,
+    formal_sum_json_text,
     formal_sum_to_json,
     les_to_json,
     witt_specialize,
@@ -48,6 +49,11 @@ def _emit(doc, fmt: str, text=None):
         print(text())
     else:
         print(json.dumps(doc, sort_keys=True, indent=2))
+
+
+def _emit_sum(s: FormalSum, fmt: str):
+    """Print a formal sum: its text with --format text, else its JSON document through ``formal_sum_json_text``."""
+    print(_sum_text(s) if fmt == "text" else formal_sum_json_text(formal_sum_to_json(s)))
 
 
 def _twist_from_arg(spec: str, d: int) -> PicClass:
@@ -94,7 +100,7 @@ def _cmd_grassmann(args) -> int:
         group = evaluate(result, table, args.degree)
         _emit({"degree": args.degree, "group": list(group.orders)}, args.format, lambda: str(group))
         return EXIT_OK
-    _emit(formal_sum_to_json(result), args.format, lambda: _sum_text(result))
+    _emit_sum(result, args.format)
     return EXIT_OK
 
 
@@ -104,7 +110,7 @@ def _cmd_projbundle(args) -> int:
     if isinstance(result, LongExactSequence):
         _emit(les_to_json(result), args.format)
     else:
-        _emit(formal_sum_to_json(result), args.format, lambda: _sum_text(result))
+        _emit_sum(result, args.format)
     return EXIT_OK
 
 

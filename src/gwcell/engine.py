@@ -200,6 +200,21 @@ def decompose_point(shift: int, t: PicClass) -> FormalSum:
 
 def decompose_grassmannian(q: GrassmannQuery) -> FormalSum:
     """Decompose one Grassmannian at one twist into base K and GW summands."""
+    k, gw = _query_summands(q)
+    return FormalSum.with_meta(
+        k,
+        gw,
+        kind="grassmannian",
+        d=q.d,
+        m=q.m,
+        shift=q.shift,
+        twist="+".join(q.twist.serialize()),
+        bundle=q.bundle,
+    )
+
+
+def _query_summands(q: GrassmannQuery) -> tuple[int, list[GWSummand]]:
+    """K count and unsorted GW summands of one checked query; the caller sorts them once."""
     r0 = q.d + q.m
     eps = lambda_parity(q.twist, Delta(q.d))
     base0 = q.twist.base_part()
@@ -213,27 +228,18 @@ def decompose_grassmannian(q: GrassmannQuery) -> FormalSum:
 
     k, leaves = _solve(q.d, q.m, eps)
     twists = (base0, base0 + PicClass.of(DET_V) if q.bundle == FLAGGED else base0)
-    return FormalSum.with_meta(
-        k,
-        _summands(leaves, Frame(q.d, q.m), q.shift, twists, eps),
-        kind="grassmannian",
-        d=q.d,
-        m=q.m,
-        shift=q.shift,
-        twist="+".join(q.twist.serialize()),
-        bundle=q.bundle,
-    )
+    return k, _summands(leaves, Frame(q.d, q.m), q.shift, twists, eps)
 
 
 def decompose_total(d: int, m: int, shift: int, base: PicClass, bundle: str = TRIVIAL) -> FormalSum:
-    """Both twist classes of one Grassmannian, summed."""
+    """Both twist classes of one Grassmannian, summed and sorted once."""
     if d < 1 or m < 1:
         raise ValueError(f"total decomposition needs d, m >= 1, got {d}, {m}")
-    even = decompose_grassmannian(GrassmannQuery(d, m, shift, base, bundle))
-    odd = decompose_grassmannian(GrassmannQuery(d, m, shift, base + PicClass.of(Delta(d)), bundle))
+    k_even, even = _query_summands(GrassmannQuery(d, m, shift, base, bundle))
+    k_odd, odd = _query_summands(GrassmannQuery(d, m, shift, base + PicClass.of(Delta(d)), bundle))
     return FormalSum.with_meta(
-        even.k + odd.k,
-        even.gw + odd.gw,
+        k_even + k_odd,
+        even + odd,
         kind="grassmannian-total",
         d=d,
         m=m,

@@ -14,11 +14,17 @@ it is imported only for the other documents.  Documents this module
 builds are not re-validated on every call: ``verify``'s ``output_schema``
 check, the golden CLI sweep and a property test check that they conform
 to ``FORMAL_SUM_SCHEMA``.
+
+A formal-sum document has one writer, ``formal_sum_json_text``,
+specialized to its shape.  Its text is exactly ``json.dumps(doc,
+sort_keys=True, indent=2)``, without that encoder's pure-Python cost per
+value; the same ``output_schema`` check asserts the equality.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cache
 
@@ -88,7 +94,7 @@ class GWSummand:
 
     def __post_init__(self):
         rows = self.diagram.rows if self.diagram is not None else ()
-        object.__setattr__(self, "sort_index", (self.shift, tuple(self.twist.serialize()), rows))
+        object.__setattr__(self, "sort_index", (self.shift, self.twist.sort_key, rows))
 
 
 def summand_order(g: GWSummand) -> tuple:
@@ -137,7 +143,7 @@ def direct_sum(a: FormalSum, b: FormalSum, merge: bool = False) -> FormalSum:
 def _profile(s: FormalSum, with_diagrams: bool):
     if with_diagrams:
         return sorted(g.sort_index for g in s.gw)
-    return sorted((g.shift, tuple(g.twist.serialize())) for g in s.gw)
+    return sorted(g.sort_index[:2] for g in s.gw)
 
 
 def equals(a: FormalSum, b: FormalSum) -> bool:
@@ -187,22 +193,23 @@ class BaseTheoryTable:
 
 
 def evaluate(a: FormalSum, table: BaseTheoryTable, degree: int) -> AbelianGroup:
-    """Direct sum of looked-up base groups; all-or-nothing on missing keys."""
+    """Direct sum of looked-up base groups; all-or-nothing on missing keys.
+
+    Counts the copies of each key and builds the result once from all the
+    looked-up orders, so the cost is linear in the number of summands.
+    """
     mode = a.meta_dict().get("mode")
     gw_theory = "W" if mode == "witt" else "GW"
     index = table._index()
-    keys = []
+    copies = Counter()
     if a.k:
-        keys.extend([("K", 0, (), degree)] * a.k)
+        copies["K", 0, (), degree] = a.k
     for g in a.gw:
-        keys.append((gw_theory, g.shift, tuple(g.twist.serialize()), degree))
-    missing = sorted({k for k in keys if k not in index})
+        copies[gw_theory, g.shift, g.sort_index[1], degree] += 1
+    missing = sorted(k for k in copies if k not in index)
     if missing:
         raise MissingKeyError(missing)
-    total = AbelianGroup()
-    for k in keys:
-        total = total + index[k]
-    return total
+    return AbelianGroup(tuple(o for k, n in copies.items() for o in index[k].orders * n))
 
 
 @dataclass(frozen=True)
@@ -344,7 +351,7 @@ def formal_sum_to_json(a: FormalSum) -> dict:
         "gw": [
             {
                 "shift": g.shift,
-                "twist": g.twist.serialize(),
+                "twist": list(g.sort_index[1]),
                 "diagram": list(g.diagram.rows) if g.diagram is not None else None,
                 "t": g.t_index,
                 "rho": g.rho,
@@ -353,6 +360,44 @@ def formal_sum_to_json(a: FormalSum) -> dict:
         ],
         "meta": {k: _meta_value(v) for k, v in a.meta},
     }
+
+
+def formal_sum_json_text(doc: dict) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)`` of a document ``formal_sum_to_json`` built.
+
+    The standard encoder runs in pure Python whenever ``indent`` is set.
+    This writer knows the document's shape instead: each ``gw`` entry is
+    one template with its five keys in sorted order, ints written with
+    ``str`` and ``None`` as ``null``; each distinct twist list is rendered
+    once, its strings by ``json.dumps``; ``k`` and ``meta`` are rendered by
+    ``json.dumps`` and spliced in after ``gw``, which sorts first.
+    ``verify.check_output_schema`` checks the text against ``json.dumps``.
+    """
+    twists = {}
+    entries = []
+    for g in doc["gw"]:
+        key = tuple(g["twist"])
+        twist = twists.get(key)
+        if twist is None:
+            twist = twists[key] = _list_text([json.dumps(s) for s in key], 6)
+        rows, t, rho = g["diagram"], g["t"], g["rho"]
+        entries.append(
+            f'    {{\n      "diagram": {"null" if rows is None else _list_text(map(str, rows), 6)},'
+            f'\n      "rho": {"null" if rho is None else rho},'
+            f'\n      "shift": {g["shift"]},'
+            f'\n      "t": {"null" if t is None else t},'
+            f'\n      "twist": {twist}\n    }}'
+        )
+    gw = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+    rest = json.dumps({"k": doc["k"], "meta": doc["meta"]}, sort_keys=True, indent=2)
+    return '{\n  "gw": ' + gw + "," + rest[1:]
+
+
+def _list_text(items, indent: int) -> str:
+    """A JSON list of already-rendered items, laid out as ``indent=2`` lays it out at ``indent`` spaces."""
+    pad = "\n" + " " * (indent + 2)
+    text = ("," + pad).join(items)
+    return "[" + pad + text + "\n" + " " * indent + "]" if text else "[]"
 
 
 def formal_sum_from_json(doc: dict, frame: Frame | None = None) -> FormalSum:

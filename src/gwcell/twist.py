@@ -14,6 +14,7 @@ the engine's bit rules against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 
@@ -94,8 +95,13 @@ class PicClass:
         """The twist with all Delta generators removed."""
         return PicClass(frozenset(g for g in self.generators if not isinstance(g, Delta)))
 
+    @cached_property
+    def sort_key(self) -> tuple[str, ...]:
+        """The sorted generator keys, computed once per instance."""
+        return tuple(sorted(g.key() for g in self.generators))
+
     def serialize(self) -> list[str]:
-        return sorted(g.key() for g in self.generators)
+        return list(self.sort_key)
 
     def __str__(self):
         return "+".join(self.serialize()) if self.generators else "0"

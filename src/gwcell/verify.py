@@ -31,6 +31,7 @@ from .expr import (
     FORMAL_SUM_SCHEMA,
     SchemaMismatchError,
     direct_sum,
+    formal_sum_json_text,
     formal_sum_to_json,
     les_to_json,
     validate_json,
@@ -284,11 +285,13 @@ def check_output_schema(checks):
 
     ``formal_sum_to_json`` does not validate what it builds, so this is
     where its output meets the schema: a flagged Gr(2, 2) over both twists
-    (it has rho = 1 summands), its Witt specialization, a projective bundle,
-    the formal-sum terms of a long exact sequence, and a merged direct sum
-    (list-valued meta).
+    (it has rho = 1 summands) and a base symbol whose name JSON escapes,
+    its Witt specialization, a projective bundle, the formal-sum terms of a
+    long exact sequence, and a merged direct sum (list-valued meta).  Each
+    document must also print through ``formal_sum_json_text`` exactly as
+    ``json.dumps(doc, sort_keys=True, indent=2)`` prints it.
     """
-    gr = decompose_total(2, 2, 0, L, FLAGGED)
+    gr = decompose_total(2, 2, 0, L + PicClass.of(BaseSymbol('"\\\u00e9\x01')), FLAGGED)
     pb = decompose_projective_bundle(ProjBundleQuery(2, 1, 0))
     docs = [formal_sum_to_json(s) for s in (gr, witt_specialize(gr), pb, direct_sum(gr, pb, merge=True))]
     docs += [t for t in les_to_json(les_theorem_d(3, 0))["terms"] if isinstance(t, dict)]
@@ -298,6 +301,9 @@ def check_output_schema(checks):
             validate_json(doc, FORMAL_SUM_SCHEMA)
         except SchemaMismatchError as exc:
             bad.append((i, str(exc)))
+        else:
+            if formal_sum_json_text(doc) != json.dumps(doc, sort_keys=True, indent=2):
+                bad.append((i, "formal_sum_json_text differs from json.dumps"))
     _check(checks, "output_schema", not bad, f"failures: {bad}" if bad else f"{len(docs)} documents")
 
 

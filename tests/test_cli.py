@@ -8,7 +8,9 @@ import pytest
 
 from gwcell import cli
 from gwcell.cli import main
+from gwcell.engine import decompose_total
 from gwcell.expr import FORMAL_SUM_SCHEMA, validate_json
+from gwcell.twist import BaseSymbol, PicClass
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -75,6 +77,27 @@ class TestGrassmannCommand:
         )
         assert code == 3
         assert "missing-keys" in err
+
+    def test_eval_of_large_total_against_covering_table(self, capsys, tmp_path):
+        s = decompose_total(8, 8, 0, PicClass.of(BaseSymbol("L")))
+        groups = {("K", 0, ()): [2]}
+        for g in s.gw:
+            groups["GW", g.shift, ("L",)] = [0, -g.shift % 5]
+        entries = [{"theory": th, "shift": sh, "twist": list(tw), "degree": 0, "group": grp} for (th, sh, tw), grp in groups.items()]
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"name": "covering", "entries": entries}))
+        code, out, err = run(capsys, "grassmann", "-d", "8", "-m", "8", "--twist", "both", "--mode", "eval", "--base-table", str(path))
+        assert code == 0, err
+        looked_up = [groups["K", 0, ()]] * s.k + [groups["GW", g.shift, ("L",)] for g in s.gw]
+        assert json.loads(out)["group"] == sorted(o for grp in looked_up for o in grp if o != 1)
+
+    def test_twist_names_escaped_as_json_dumps_escapes_them(self, capsys):
+        code, out, _ = run(capsys, "grassmann", "-d", "2", "-m", "2", "--twist", '\u00e9,"x')
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["gw"][0]["twist"] == ['"x', "\u00e9"]
+        assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert '"\\"x"' in out and '"\\u00e9"' in out
 
     def test_domain_error_exit_1(self, capsys):
         code, _, err = run(capsys, "grassmann", "-d", "-1", "-m", "2", "--format", "json")

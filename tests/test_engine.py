@@ -1,10 +1,11 @@
+import json
 from functools import cache
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gwcell import engine, young
+from gwcell import engine, expr, twist, young
 from gwcell.engine import (
     DET_E,
     DET_V,
@@ -22,9 +23,13 @@ from gwcell.engine import (
 )
 from gwcell.expr import (
     FORMAL_SUM_SCHEMA,
+    FormalSum,
     LongExactSequence,
+    direct_sum,
     formal_sum_from_json,
+    formal_sum_json_text,
     formal_sum_to_json,
+    les_to_json,
     validate_json,
     witt_specialize,
 )
@@ -263,6 +268,43 @@ class TestEngineInvariants:
         assert walks == [(6, 3, 0)]
         assert leaf_profile(again) == [(shift + 2, rows, t, rho) for shift, rows, t, rho in leaf_profile(first)]
 
+    def test_total_sorts_each_summand_once(self, monkeypatch):
+        calls = []
+        order = expr.summand_order
+
+        def counted(g):
+            calls.append(g)
+            return order(g)
+
+        monkeypatch.setattr(expr, "summand_order", counted)
+        s = decompose_total(8, 8, 0, L)
+        assert len(s.gw) == 140
+        assert len(calls) == len(s.gw)
+
+    def test_twist_keys_sorted_per_twist_not_per_summand(self, monkeypatch):
+        def sorts_for(n):
+            sorts = []
+
+            def counted(*args, **kwargs):
+                sorts.append(args)
+                return sorted(*args, **kwargs)
+
+            monkeypatch.setattr(twist, "sorted", counted, raising=False)
+            try:
+                base = PicClass.of(BaseSymbol("L"))  # a new instance: nothing sorted yet
+                s = decompose_total(n, n, 0, base, FLAGGED)
+                formal_sum_to_json(s)
+            finally:
+                monkeypatch.undo()
+            return len(sorts), len(s.gw), {g.twist for g in s.gw}
+
+        small, few, twists = sorts_for(2)
+        large, many, same = sorts_for(8)
+        assert twists == same == {L, L + PicClass.of(DET_V)}
+        assert (few, many) == (4, 140)
+        # the query twist, then the two twists each twist class builds
+        assert small == large <= 1 + 2 * len(twists)
+
     def test_shift_offset_independent_of_query_shift(self):
         a = decompose_total(3, 2, 0, L)
         b = decompose_total(3, 2, 7, L)
@@ -361,3 +403,35 @@ def test_json_round_trip_and_witt_shifts(case, l, mode):
     for g in s.gw:
         expected = shift - g.diagram.boxes()
         assert g.shift == (expected % 4 if mode == "witt" else expected)
+
+
+ESCAPED_NAMES = ('"x', "back\\slash", "\u00e9", "ctl\x01")
+
+
+@st.composite
+def formal_sum_documents(draw):
+    """A formal-sum document from any source the CLI or ``verify`` prints, over base symbols JSON may escape."""
+    d, m, shift, bundle, _ = draw(grassmann_cases(square_frames(6) | thin_frames))
+    base = PicClass.of(*map(BaseSymbol, draw(st.lists(st.sampled_from(("L", "M") + ESCAPED_NAMES), max_size=3))))
+    odd = base + PicClass.of(Delta(d))
+    total = decompose_total(d, m, shift, base, bundle)
+    r = draw(st.integers(1, 9))
+    sources = {
+        "total": lambda: total,
+        "one class": lambda: decompose_grassmannian(GrassmannQuery(d, m, shift, draw(st.sampled_from([base, odd])), bundle)),
+        "witt": lambda: witt_specialize(total),
+        "merged": lambda: direct_sum(total, decompose_point(shift, base), merge=True),
+        "point": lambda: decompose_point(shift, base),
+        "projective bundle": lambda: decompose_projective_bundle(ProjBundleQuery(r, draw(st.sampled_from([0, 1])), shift)),
+        "empty": FormalSum,
+    }
+    kind = draw(st.sampled_from(sorted(sources) + ["les term"]))
+    if kind == "les term":
+        return draw(st.sampled_from([t for t in les_to_json(les_theorem_d(r | 1, shift))["terms"] if isinstance(t, dict)]))
+    return formal_sum_to_json(sources[kind]())
+
+
+@settings(max_examples=150, deadline=None)
+@given(formal_sum_documents())
+def test_json_text_is_json_dumps(doc):
+    assert formal_sum_json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)

@@ -1,5 +1,7 @@
 import copy
 import json
+import operator
+from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
@@ -223,6 +225,32 @@ class TestEvaluate:
         lhs = evaluate(direct_sum(a, b, merge=True), table, 0)
         rhs = evaluate(a, table, 0) + evaluate(b, table, 0)
         assert lhs == rhs
+
+    @given(formal_sums(), st.booleans(), st.lists(st.lists(st.integers(0, 6), max_size=3), min_size=41, max_size=41))
+    def test_matches_fold_of_one_group_per_summand(self, a, witt, groups):
+        if witt:
+            a = witt_specialize(a)
+        keys = [("K", 0, ())] + [(th, shift, tw) for th in ("GW", "W") for shift in range(-6, 4) for tw in (("L",), ())]
+        entries = [{"theory": th, "shift": sh, "twist": list(tw), "degree": 0, "group": g} for (th, sh, tw), g in zip(keys, groups)]
+        table = BaseTheoryTable.from_json({"name": "t", "entries": entries})
+        index = table._index()
+        theory = "W" if witt else "GW"
+        looked_up = [("K", 0, (), 0)] * a.k + [(theory, g.shift, tuple(g.twist.serialize()), 0) for g in a.gw]
+        assert evaluate(a, table, 0) == reduce(operator.add, (index[k] for k in looked_up), AbelianGroup())
+
+    def test_builds_one_group(self, monkeypatch):
+        table = simple_table()
+        a = fsum(5, *[gw(0), gw(-2)] * 20)
+        built = []
+        post_init = AbelianGroup.__post_init__
+
+        def counted(group):
+            built.append(group.orders)
+            post_init(group)
+
+        monkeypatch.setattr(AbelianGroup, "__post_init__", counted)
+        assert evaluate(a, table, 0).orders == (0,) * 25 + (2,) * 40
+        assert len(built) <= 2
 
 
 class TestAbelianGroup:

@@ -201,6 +201,20 @@ class TestRunAll:
         assert checks[0]["status"] == "fail"
         assert "t: 2 is not one of [0, 1, None]" in checks[0]["detail"]
 
+    def test_output_schema_catches_writer_that_does_not_escape(self, monkeypatch):
+        original = verify.formal_sum_json_text
+
+        def unescaped(doc):
+            text = original(doc)
+            for name in {name for g in doc["gw"] for name in g["twist"]}:
+                text = text.replace(json.dumps(name), f'"{name}"')
+            return text
+
+        monkeypatch.setattr(verify, "formal_sum_json_text", unescaped)
+        by_id = {c["id"]: c for c in run_all(3, 3).checks}
+        assert by_id["output_schema"]["status"] == "fail"
+        assert "formal_sum_json_text differs from json.dumps" in by_id["output_schema"]["detail"]
+
     def test_failure_detected(self):
         bad = VerificationReport(
             (
