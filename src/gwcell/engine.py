@@ -13,11 +13,12 @@ parity of the twist relative to the tautological determinant:
 * parity d-1 ("first family"): split into Gr_d of the corank-1 subbundle,
   shifted by d, and Gr_{d-1} of it, unshifted; the shifted branch prepends
   a full column to every leaf diagram.
-* parity d ("second family"): a K-theory block of rank C(d+m-2, d-1) plus
-  Gr_d of the corank-2 subbundle shifted by 2d (two prepended columns) and
-  Gr_{d-2} of it unshifted (two appended empty rows).
+* parity d ("second family"): a K-theory block plus Gr_d of the corank-2
+  subbundle shifted by 2d (two prepended columns) and Gr_{d-2} of it
+  unshifted (two appended empty rows).
 
-The memo keeps only counts: (K count, number of GW leaves) per (d, m, eps).
+The memo keeps one count per (d, m, eps), its number of GW leaves; K
+follows from the rank rule 2 K + leaves = C(d + m, d) at every node.
 A query's leaves are then walked once, top down, skipping subtrees with no
 leaves.  The walk carries each leaf as its boundary word (``young``): the
 d + m unit steps, E or N, from the bottom-left corner of the frame to the
@@ -74,7 +75,7 @@ class ProjBundleQuery:
 
 Leaf = tuple[tuple[int, ...], int]  # (rows, rho): the shift drops by the box count, rho picks the twist
 
-_CACHE: dict[tuple[int, int, int], tuple[int, int]] = {}  # (K count, number of GW leaves) per node
+_CACHE: dict[tuple[int, int, int], int] = {}  # number of GW leaves per node
 _LEAVES: dict[tuple[int, int, int], tuple[int, tuple[Leaf, ...]]] = {}  # walked leaves of queried frames
 
 
@@ -85,20 +86,20 @@ def _solve(d: int, m: int, eps: int) -> tuple[int, tuple[Leaf, ...]]:
     travel as one bit ``rho``: d = 0 gives 0, m = 0 gives eps, Gr_1 gives 0
     to its empty leaf and 1 to its full one, m = 1 gives 0 to its empty
     leaf and 1 - eps to its full one, and an inner node passes each child's
-    bit through unchanged, solving the rank-cd child at eps = cd mod 2.
-    ``verify.check_twist_table`` checks these rules against the paper's
-    line bundle table.  An arbitrary base twist rides along additively, so
-    this is the only shape that needs memoizing.  Callers reject d = 0 with
-    eps set, so d = 0 means eps = 0.
+    bit through unchanged.  ``verify.check_twist_table`` checks these rules
+    against the paper's line bundle table.  An arbitrary base twist rides
+    along additively, so this is the only shape that needs memoizing.
+    Callers reject d = 0 with eps set, so d = 0 means eps = 0.
 
-    The memo ``_CACHE`` holds counts only, filled by ``_count``; the leaves
-    are walked once per queried frame, as boundary words, by ``_walk`` and
-    kept in ``_LEAVES`` so that a repeated query is one lookup.
+    The memo ``_CACHE`` holds leaf counts, filled by ``_count``, and K
+    follows from the query's count by the rank rule.  The leaves are walked
+    once per queried frame, as boundary words, by ``_walk`` and kept in
+    ``_LEAVES`` so that a repeated query is one lookup.
     """
     key = (d, m, eps)
     hit = _LEAVES.get(key)
     if hit is None:
-        hit = _LEAVES[key] = (_count(d, m, eps)[0], tuple(_walk(d, m, eps)))
+        hit = _LEAVES[key] = ((comb(d + m, d) - _count(d, m, eps)) // 2, tuple(_walk(d, m, eps)))
     return hit
 
 
@@ -120,26 +121,20 @@ def _base_leaves(d: int, m: int, eps: int):
     return None
 
 
-def _count(d: int, m: int, eps: int) -> tuple[int, int]:
-    """K count and number of GW leaves of one node, memoized in ``_CACHE``."""
+def _count(d: int, m: int, eps: int) -> int:
+    """Number of GW leaves of one node, memoized in ``_CACHE``."""
     key = (d, m, eps)
     hit = _CACHE.get(key)
     if hit is not None:
         return hit
     base = _base_leaves(d, m, eps)
     if base is not None:
-        # rank accounting: 2 K + leaves = C(d + m, d)
-        result = ((comb(d + m, d) - len(base)) // 2, len(base))
+        n = len(base)
     else:
-        k, children = split_node(d, m, eps)
-        n = 0
-        for (cd, cm), _ in children:
-            ck, cn = _count(cd, cm, cd % 2)
-            k += ck
-            n += cn
-        result = (k, n)
-    _CACHE[key] = result
-    return result
+        (first, _), (second, _) = split_node(d, m, eps)
+        n = _count(*first) + _count(*second)
+    _CACHE[key] = n
+    return n
 
 
 def _walk(d: int, m: int, eps: int) -> list[Leaf]:
@@ -158,24 +153,21 @@ def _walk(d: int, m: int, eps: int) -> list[Leaf]:
         if base is not None:
             leaves.extend((rows_of_word(head + word), rho) for word, rho in base)
         else:
-            for (cd, cm), step in split_node(d, m, eps)[1]:
-                if _CACHE[cd, cm, cd % 2][1]:
-                    stack.append((cd, cm, cd % 2, head + step))
+            for node, step in split_node(d, m, eps):
+                if _CACHE[node]:
+                    stack.append((*node, head + step))
     return leaves
 
 
 def split_node(d: int, m: int, eps: int):
-    """K block and children ((cd, cm), step) of an inner node.
+    """The two children ((cd, cm, ceps), step) of an inner node, each solved at ceps = cd mod 2.
 
     ``step`` is what a child prepends to its leaves' boundary words to give
     the parent's: E per full column of the shifted child, N per empty row
     appended by the unshifted one.
     """
-    if eps == (d - 1) % 2:  # first family
-        k, step = 0, 1
-    else:  # second family
-        k, step = comb(d + m - 2, d - 1), 2
-    return k, (((d, m - step), "E" * step), ((d - step, m), "N" * step))
+    step = 1 if eps == (d - 1) % 2 else 2  # first family, else second
+    return ((d, m - step, d % 2), "E" * step), ((d - step, m, (d - step) % 2), "N" * step)
 
 
 def _summands(leaves, frame: Frame, shift: int, twists: tuple[PicClass, PicClass], t_index: int):
@@ -275,6 +267,8 @@ def les_theorem_d(r: int, shift: int) -> LongExactSequence:
     Purely structural: three terms cycling with degree, with the paper's
     map labels attached and no map ever evaluated.
     """
+    if r < 1:
+        raise ValueError(f"need bundle rank >= 2, got r+1 = {r + 1}")
     if r % 2 == 0:
         raise ValueError(f"the sequence exists for odd r only, got r={r}")
     first = FormalSum.with_meta(

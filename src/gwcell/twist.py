@@ -8,7 +8,8 @@ the duality, so addition is symmetric difference of generator sets.
 
 The engine carries a leaf's flag twist as one bit; the line bundle table
 here is the independent oracle that ``verify.check_twist_table`` checks
-the engine's bit rules against.
+the engine's bit rules against.  The table's defining rows decide which
+family a twist is in, and so which child twists it has.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ H = "H"
 
 @dataclass(frozen=True)
 class LineBundleTableEntry:
-    """One row of the fixed twist table, instantiated at flag level j = 0.
+    """One row of the fixed twist table.
 
     ``site`` is (subbundle rank e, upper flag index i) for the Grassmannian
     Gr_e(V^i) carrying the twist; ``value`` is given per parity of d as a
@@ -145,6 +146,7 @@ class LineBundleTableEntry:
 # Token meanings: "L" stands for the base part of the incoming twist,
 # "detV/V1" and "detV/V2" for the top one or two flag quotients, "V1/V2"
 # for the second-from-top quotient, "Delta" for the child site's Delta.
+# Each family's row at site (0, 0) defines it.
 LINE_BUNDLE_TABLE = (
     LineBundleTableEntry(H_TILDE, "Htilde", (0, 0), "L", "L,Delta"),
     LineBundleTableEntry(H_TILDE, "Htilde^(1)_d", (0, 1), "L,detV/V1,Delta", "L"),
@@ -157,21 +159,23 @@ LINE_BUNDLE_TABLE = (
     LineBundleTableEntry(H, "H^(2)_d-1", (-1, 2), "L,detV/V1", "L,V1/V2,Delta"),
 )
 
+# The rows that give each family's two child twists.
+CHILD_ROWS = {H_TILDE: ("Htilde^(1)_d", "Htilde^(1)_d-1"), H: ("H^(2)_d", "H^(2)_d-2")}
 
-def instantiate_row(entry: LineBundleTableEntry, d: int, r: int, j: int, base: PicClass) -> PicClass:
-    """Evaluate a table row at flag level j: V becomes V^j, V^1 becomes V^{j+1}."""
+
+def instantiate_row(entry: LineBundleTableEntry, d: int, r: int, base: PicClass) -> PicClass:
+    """Evaluate a table row on Gr_d(V) with V of rank r; its top quotient class is q_r."""
     tokens = (entry.value_d_odd if d % 2 == 1 else entry.value_d_even).split(",")
-    top = r - j  # rank of V^j; its top quotient class is q_top
     out = PicClass()
     for tok in tokens:
         if tok == "L":
             out = out + base
         elif tok == "detV/V1":
-            out = out + PicClass.of(FlagQuotient(top))
+            out = out + PicClass.of(FlagQuotient(r))
         elif tok == "detV/V2":
-            out = out + PicClass.of(FlagQuotient(top), FlagQuotient(top - 1))
+            out = out + PicClass.of(FlagQuotient(r), FlagQuotient(r - 1))
         elif tok == "V1/V2":
-            out = out + PicClass.of(FlagQuotient(top - 1))
+            out = out + PicClass.of(FlagQuotient(r - 1))
         elif tok == "Delta":
             out = out + PicClass.of(Delta(d + entry.site[0]))
         else:
@@ -179,28 +183,26 @@ def instantiate_row(entry: LineBundleTableEntry, d: int, r: int, j: int, base: P
     return out
 
 
-def child_twists(family: str, d: int, t: PicClass, j: int, ambient_rank: int) -> dict:
-    """Twists carried by the child Grassmannians one recursion step down.
+def child_twists(d: int, t: PicClass, ambient_rank: int) -> dict:
+    """Child twists one recursion step down, per family whose defining row has t's Delta_d parity.
 
-    The incoming twist t lives on Gr_d(V^j).  Returns a map from child site
-    (child subbundle rank, child upper flag index) to the child twist; the
-    K-theory site of the second family carries no twist and is omitted.
+    t lives on Gr_d(V) with V of rank ``ambient_rank``; a sound table puts it
+    in exactly one family.  Maps each such family to a map from child site
+    (child subbundle rank, child upper flag index) to child twist; the
+    second family's K-theory site carries no twist and is omitted.
     """
     eps = lambda_parity(t, Delta(d))
-    if family == H_TILDE:
-        if eps != (d - 1) % 2:
-            raise ValueError(f"twist {t} is not in the {family} family for d={d}")
-        wanted = ("Htilde^(1)_d", "Htilde^(1)_d-1")
-    elif family == H:
-        if eps != d % 2:
-            raise ValueError(f"twist {t} is not in the {family} family for d={d}")
-        wanted = ("H^(2)_d", "H^(2)_d-2")
-    else:
-        raise ValueError(f"unknown family {family!r}")
     base = t.base_part()
-    out = {}
-    for entry in LINE_BUNDLE_TABLE:
-        if entry.family == family and entry.name in wanted:
-            site = (d + entry.site[0], j + entry.site[1])
-            out[site] = instantiate_row(entry, d, ambient_rank, j, base)
-    return out
+    families = [
+        e.family
+        for e in LINE_BUNDLE_TABLE
+        if e.site == (0, 0) and lambda_parity(instantiate_row(e, d, ambient_rank, base), Delta(d)) == eps
+    ]
+    return {
+        family: {
+            (d + e.site[0], e.site[1]): instantiate_row(e, d, ambient_rank, base)
+            for e in LINE_BUNDLE_TABLE
+            if e.name in CHILD_ROWS[family]
+        }
+        for family in families
+    }

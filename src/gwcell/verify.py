@@ -177,17 +177,17 @@ def check_beta_parity_sum(checks, d_max=30, m_max=30):
 
 
 def flagged_sums(d_max, m_max):
-    """Both twist classes (L and L + Delta) of every flagged frame up to the bounds.
+    """Both twist classes (L and L + Delta) of every flagged frame up to the bounds, both ways.
 
-    Maps (d, m) to the pair (even sum, odd sum).  ``run_all`` builds it once
-    and hands it to each check that reads these frames.
+    Maps (d, m) and its transpose (m, d), for every d <= d_max and
+    m <= m_max, to the pair (even sum, odd sum).  ``run_all`` builds it
+    once and hands it to each check that reads these frames.
     """
-    return {(d, m): _flagged_pair(d, m) for d in range(1, d_max + 1) for m in range(1, m_max + 1)}
-
-
-def _flagged_pair(d, m):
-    """The flagged Gr(d, m) at L and at L + Delta_d."""
-    return tuple(decompose_grassmannian(GrassmannQuery(d, m, 0, t, FLAGGED)) for t in (L, L + PicClass.of(Delta(d))))
+    frames = {f for d in range(1, d_max + 1) for m in range(1, m_max + 1) for f in ((d, m), (m, d))}
+    return {
+        (d, m): tuple(decompose_grassmannian(GrassmannQuery(d, m, 0, t, FLAGGED)) for t in (L, L + PicClass.of(Delta(d))))
+        for d, m in frames
+    }
 
 
 def check_engine_vs_enumeration(checks, d_max, m_max, sums, evens):
@@ -240,14 +240,12 @@ def check_transpose(checks, d_max, m_max, sums):
     same K count, and transposing the diagrams of Gr(m, d) and flipping
     their rho when l is set gives the (shift, rows, rho) of Gr(d, m).  The
     engine splits the two frames by the same rules along different paths,
-    so neither side is computed from the other.  Orientations outside the
-    bounds of ``sums`` are decomposed here.
+    so neither side is computed from the other.
     """
     bad = []
     for d in range(1, d_max + 1):
         for m in range(1, m_max + 1):
-            dual = sums[m, d] if (m, d) in sums else _flagged_pair(m, d)
-            for l, (a, b) in enumerate(zip(sums[d, m], dual)):
+            for l, (a, b) in enumerate(zip(sums[d, m], sums[m, d])):
                 profile_a = sorted((g.shift, g.diagram.rows, g.rho) for g in a.gw)
                 profile_b = sorted((g.shift, g.diagram.transpose().rows, g.rho ^ l) for g in b.gw)
                 if a.k != b.k or profile_a != profile_b:
@@ -328,32 +326,35 @@ def check_twist_table(checks, d_max, m_max):
     """The paper's line bundle table as an oracle for the engine's one-bit twist.
 
     At every inner node (d, m >= 2) and twist parity eps, the table's
-    child twists must sit on the child frames the engine recurses into,
-    have Delta-parity cd mod 2 (the engine's child eps), and telescope with
-    each child leaf's det V to the det V bit of the parent leaf whose
-    boundary word is the child's step followed by the child leaf's word.
-    Each frame's leaves are read once, however many parents share it.
+    defining rows must put the twist in one family, whose child twists must
+    sit on the engine's child nodes, have the Delta-parity each is solved
+    at, and telescope with each child leaf's det V to the det V bit of the
+    parent leaf whose boundary word is the child's step followed by the
+    child leaf's word.  Each frame's leaves are read once.
     """
     bad = []
     rho_by_word = cache(_rho_by_word)
     for d in range(2, d_max + 1):
         for m in range(2, m_max + 1):
             for eps in (0, 1):
-                family = tw.H_TILDE if eps == (d - 1) % 2 else tw.H
-                t = PicClass.of(Delta(d)) if eps else PicClass()
-                table = {(cd, d + m - i - cd): ct for (cd, i), ct in tw.child_twists(family, d, t, 0, d + m).items()}
-                _, children = split_node(d, m, eps)
-                if set(table) != {frame for frame, _ in children}:
+                families = tw.child_twists(d, PicClass.of(Delta(d)) if eps else PicClass(), d + m)
+                if len(families) != 1:
+                    bad.append((d, m, eps, "family"))
+                    continue
+                (sites,) = families.values()
+                table = {(cd, d + m - i - cd): ct for (cd, i), ct in sites.items()}
+                children = split_node(d, m, eps)
+                if set(table) != {(cd, cm) for (cd, cm, _), _ in children}:
                     bad.append((d, m, eps, "sites"))
                     continue
                 parent = rho_by_word(d, m, eps)
                 det_v = quotient_range(1, d + m)
-                for (cd, cm), step in children:
-                    ct = table[(cd, cm)]
-                    if lambda_parity(ct, Delta(cd)) != cd % 2:
+                for (cd, cm, ceps), step in children:
+                    ct = table[cd, cm]
+                    if lambda_parity(ct, Delta(cd)) != ceps:
                         bad.append((d, m, eps, "parity"))
                         continue
-                    for word, rho_c in rho_by_word(cd, cm, cd % 2).items():
+                    for word, rho_c in rho_by_word(cd, cm, ceps).items():
                         rho_p = parent.get(step + word)
                         got = ct.base_part() + (quotient_range(1, cd + cm) if rho_c else PicClass())
                         if rho_p is None or got != (det_v if rho_p else PicClass()):

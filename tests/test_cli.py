@@ -135,6 +135,16 @@ class TestGrassmannCommand:
         assert "Traceback" not in proc.stderr
         assert "recursion" in json.loads(proc.stderr.splitlines()[-1])["error"]
 
+    @pytest.mark.parametrize("d, m", [(2, 1975), (1975, 2)])
+    def test_thin_frame_near_the_limit_solves(self, d, m):
+        # both orientations of a deep thin frame fit in the default recursion limit
+        proc = subprocess.run(
+            [sys.executable, "-m", "gwcell.cli", "grassmann", "-d", str(d), "-m", str(m)],
+            capture_output=True, text=True, env=_child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["meta"]["d"] == d
+
     def test_base_table_failing_schema_exit_1(self, capsys, tmp_path):
         path = tmp_path / "table.json"
         bad = {"theory": "GW", "shift": 0, "twist": [], "degree": 0, "group": [-1]}
@@ -222,13 +232,30 @@ class TestProjBundleCommand:
 
 class TestLesCommand:
     def test_r1(self, capsys):
+        term = {"k": 0, "meta": {"kind": "les-term", "r": 1, "shift": 0, "site": "S"}}
+        gw = {"diagram": None, "rho": None, "t": 0}
+        expected = {
+            "maps": ["(Theta_even, q^*)", "q_*", "(0, eta cup c(E))"],
+            "terms": [
+                dict(term, gw=[dict(gw, shift=0, twist=[])]),
+                "GW^[0](P(E))",
+                dict(term, gw=[dict(gw, shift=-1, twist=["detE"])]),
+            ],
+        }
         code, out, _ = run(capsys, "les", "-r", "1", "--format", "json")
         assert code == 0
-        assert len(json.loads(out)["terms"]) == 3
+        assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
     def test_even_rank_is_domain_error(self, capsys):
         code, _, _ = run(capsys, "les", "-r", "2", "--format", "json")
         assert code == 1
+
+    @pytest.mark.parametrize("r", [-1, -3])
+    def test_rank_below_two_is_domain_error(self, capsys, r):
+        # an odd r below 1 has no bundle: it must not print a term with negative k
+        code, out, err = run(capsys, "les", "-r", str(r), "--format", "json")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": f"need bundle rank >= 2, got r+1 = {r + 1}"}
 
 
 class TestVerifyCommand:

@@ -242,6 +242,22 @@ class TestEngineInvariants:
         finally:
             clear_cache()
 
+    def test_memo_counts_follow_the_rank_rule(self):
+        # the memo holds one leaf count per node; with K the closed form, every
+        # node reached, inner ones included, has C(d+m, d) - 2 K leaves
+        clear_cache()
+        try:
+            frames = [(d, m) for d in range(1, 11) for m in range(1, 11)]
+            frames += [f for d in range(1, 4) for m in range(1, 61) for f in ((d, m), (m, d))]
+            for d, m in frames:
+                decompose_total(d, m, 0, L)
+            nodes = {key: n for key, n in engine._CACHE.items() if key[0] >= 1 and key[1] >= 1}
+            assert {(d, m, eps) for d, m in frames for eps in (0, 1)} <= set(nodes)
+            for (d, m, eps), n in nodes.items():
+                assert n == comb(d + m, d) - 2 * young.beta_parity(eps, d, m), (d, m, eps)
+        finally:
+            clear_cache()
+
     def test_clear_cache_empties_every_memo(self):
         clear_cache()
         dicts = {name: v for name, v in vars(engine).items() if isinstance(v, dict)}

@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import given, strategies as st
 
 from gwcell.twist import (
@@ -62,50 +61,50 @@ class TestLambdaParity:
 
 class TestChildTwists:
     def test_h_family_d_even(self):
-        out = child_twists(H, 4, L, 0, 6)
-        assert out == {(4, 2): L, (2, 2): L}
+        out = child_twists(4, L, 6)
+        assert out == {H: {(4, 2): L, (2, 2): L}}
 
     def test_htilde_family_d_even(self):
         t = L + PicClass.of(Delta(4))
-        out = child_twists(H_TILDE, 4, t, 0, 6)
+        out = child_twists(4, t, 6)[H_TILDE]
         assert out[(4, 1)] == L
         assert out[(3, 1)] == L + PicClass.of(FlagQuotient(6), Delta(3))
 
     def test_h_family_d_odd(self):
         t = L + PicClass.of(Delta(3))
-        out = child_twists(H, 3, t, 0, 6)
+        out = child_twists(3, t, 6)[H]
         assert out[(3, 2)] == L + PicClass.of(FlagQuotient(6), FlagQuotient(5), Delta(3))
         assert out[(1, 2)] == L + PicClass.of(FlagQuotient(6), FlagQuotient(5), Delta(1))
 
-    def test_parity_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            child_twists(H, 4, L + PicClass.of(Delta(4)), 0, 6)
-        with pytest.raises(ValueError):
-            child_twists(H_TILDE, 4, L, 0, 6)
-
-    def test_level_shifts_quotient_indices(self):
-        t = L + PicClass.of(Delta(3))
-        out = child_twists(H, 3, t, 2, 8)
-        # at level j=2 the top quotient of V^2 is q_6
-        assert out[(3, 4)] == L + PicClass.of(FlagQuotient(6), FlagQuotient(5), Delta(3))
+    def test_family_follows_defining_rows(self):
+        # the defining rows put Delta parity d - 1 mod 2 in H-tilde (corank-1
+        # children) and parity d mod 2 in H (corank-2 children)
+        for d in range(3, 7):
+            for eps in (0, 1):
+                t = L + (PicClass.of(Delta(d)) if eps else PicClass())
+                out = child_twists(d, t, d + 3)
+                if eps == (d - 1) % 2:
+                    assert list(out) == [H_TILDE] and set(out[H_TILDE]) == {(d, 1), (d - 1, 1)}
+                else:
+                    assert list(out) == [H] and set(out[H]) == {(d, 2), (d - 2, 2)}
 
     def test_child_parity_matches_family_requirement(self):
-        # every child twist is in the right family at the child level
         # every child of either family lands in the second family at its level
-        for family in (H_TILDE, H):
-            for d in (3, 4):
-                eps = (d - 1) % 2 if family == H_TILDE else d % 2
+        for d in (3, 4):
+            for eps in (0, 1):
                 t = L + (PicClass.of(Delta(d)) if eps else PicClass())
-                for (cd, _), ct in child_twists(family, d, t, 0, 8).items():
+                (children,) = child_twists(d, t, 8).values()
+                for (cd, _), ct in children.items():
                     assert lambda_parity(ct, Delta(cd)) == cd % 2
 
     def test_trivial_bundle_manufactures_no_base_twists(self):
         # with all quotient classes set to zero, children live in span{L, Delta}
-        for family, d in ((H_TILDE, 3), (H_TILDE, 4), (H, 3), (H, 4)):
-            eps = (d - 1) % 2 if family == H_TILDE else d % 2
-            t = L + (PicClass.of(Delta(d)) if eps else PicClass())
-            for ct in child_twists(family, d, t, 0, 9).values():
-                assert PicClass(g for g in ct.generators if isinstance(g, BaseSymbol)) in (PicClass(), L)
+        for d in (3, 4):
+            for eps in (0, 1):
+                t = L + (PicClass.of(Delta(d)) if eps else PicClass())
+                (children,) = child_twists(d, t, 9).values()
+                for ct in children.values():
+                    assert PicClass(g for g in ct.generators if isinstance(g, BaseSymbol)) in (PicClass(), L)
 
 
 class TestTable:
@@ -125,12 +124,12 @@ class TestTable:
 
     def test_defining_rows(self):
         by_name = {e.name: e for e in LINE_BUNDLE_TABLE}
-        assert instantiate_row(by_name["Htilde"], 3, 6, 0, L) == L
-        assert instantiate_row(by_name["Htilde"], 4, 6, 0, L) == L + PicClass.of(Delta(4))
-        assert instantiate_row(by_name["H"], 3, 6, 0, L) == L + PicClass.of(Delta(3))
-        assert instantiate_row(by_name["H"], 4, 6, 0, L) == L
+        assert instantiate_row(by_name["Htilde"], 3, 6, L) == L
+        assert instantiate_row(by_name["Htilde"], 4, 6, L) == L + PicClass.of(Delta(4))
+        assert instantiate_row(by_name["H"], 3, 6, L) == L + PicClass.of(Delta(3))
+        assert instantiate_row(by_name["H"], 4, 6, L) == L
 
     def test_second_from_top_quotient_row(self):
         by_name = {e.name: e for e in LINE_BUNDLE_TABLE}
-        got = instantiate_row(by_name["H^(2)_d-1"], 4, 6, 0, L)
+        got = instantiate_row(by_name["H^(2)_d-1"], 4, 6, L)
         assert got == L + PicClass.of(FlagQuotient(5), Delta(3))

@@ -124,7 +124,8 @@ class TestRunAll:
         assert checks[0]["status"] == "fail"
 
     def test_flagged_frames_decomposed_once(self, monkeypatch):
-        # engine_vs_enumeration, k_counts, odd_odd and witt_counts share one decomposition per query
+        # engine_vs_enumeration, k_counts, odd_odd, transpose and witt_counts
+        # share one decomposition per query, both orientations of a frame
         calls = []
         original = verify.decompose_grassmannian
 
@@ -133,9 +134,12 @@ class TestRunAll:
             return original(q)
 
         monkeypatch.setattr(verify, "decompose_grassmannian", counted)
-        run_all(4, 4)
-        shared = [q for q in calls if q.twist.base_part() == verify.L]
-        assert len(shared) == len(set(shared)) == 4 * 4 * 2
+        # 4 x 4 frames; 3 x 5 frames and the 6 transposes (4, 1..3), (5, 1..3)
+        for bounds, frames in (((4, 4), 16), ((3, 5), 21)):
+            calls.clear()
+            run_all(*bounds)
+            shared = [q for q in calls if q.twist.base_part() == verify.L]
+            assert len(shared) == len(set(shared)) == frames * 2
 
     def test_each_frame_enumerated_once(self, monkeypatch):
         # fixtures, cardinality and engine_vs_enumeration read one table
@@ -152,6 +156,35 @@ class TestRunAll:
         frames.clear()
         run_all(3, 2)
         assert sorted(frames) == sorted({(d, m) for d in range(1, 4) for m in range(1, 3)} | set(EVEN_FIXTURES))
+
+    @pytest.mark.parametrize("mutant", ["defining_row", "child_eps", "family_rows", "family_split"])
+    def test_twist_table_catches_mutant(self, monkeypatch, mutant):
+        # each mutant is reported as a failure, never raised
+        original = verify.split_node
+        if mutant == "defining_row":
+            # Htilde then shares H's parity at even d: no family, or both
+            table = tuple(replace(e, value_d_even="L") if e.name == "Htilde" else e for e in twist.LINE_BUNDLE_TABLE)
+            monkeypatch.setattr(twist, "LINE_BUNDLE_TABLE", table)
+            reason = "family"
+        elif mutant == "child_eps":
+            def wrong_eps(d, m, eps):
+                first, ((cd, cm, ceps), step) = original(d, m, eps)
+                return first, ((cd, cm, 1 - ceps), step)
+
+            monkeypatch.setattr(verify, "split_node", wrong_eps)
+            reason = "parity"
+        elif mutant == "family_rows":
+            flip = {twist.H: twist.H_TILDE, twist.H_TILDE: twist.H}
+            table = tuple(replace(e, family=flip[e.family]) if e.site == (0, 0) else e for e in twist.LINE_BUNDLE_TABLE)
+            monkeypatch.setattr(twist, "LINE_BUNDLE_TABLE", table)
+            reason = "sites"
+        else:
+            monkeypatch.setattr(verify, "split_node", lambda d, m, eps: original(d, m, 1 - eps))
+            reason = "sites"
+        checks = []
+        check_twist_table(checks, 6, 6)
+        assert checks[0]["status"] == "fail"
+        assert repr(reason) in checks[0]["detail"]
 
     def test_twist_table_reads_each_frame_once(self, monkeypatch):
         calls = []
