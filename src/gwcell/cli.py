@@ -1,7 +1,7 @@
 """Command-line front end with deterministic JSON output.
 
-Exit codes: 0 success, 1 domain error, 2 verification failure, 3 missing
-base-table keys.  The default output format is JSON; set GWCELL_FORMAT=text
+Exit codes: 0 success, 1 domain error or bad arguments, 2 verification failure,
+3 missing base-table keys.  The default output format is JSON; set GWCELL_FORMAT=text
 or pass --format to override.
 """
 
@@ -141,8 +141,15 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.passed() else EXIT_VERIFY
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A parser whose usage errors are domain errors (exit 1, JSON on stderr), not exit 2."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gwcell", description=__doc__)
+    parser = _ArgumentParser(prog="gwcell", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_format(p):
@@ -196,13 +203,13 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
-    if getattr(args, "format", "json") is None:
-        args.format = os.environ.get("GWCELL_FORMAT", "json")
-    if args.command == "verify":
-        args.d_max = args.d_max if args.d_max is not None else args.both_max
-        args.m_max = args.m_max if args.m_max is not None else args.both_max
     try:
+        args = _PARSER.parse_args(argv)
+        if getattr(args, "format", "json") is None:
+            args.format = os.environ.get("GWCELL_FORMAT", "json")
+        if args.command == "verify":
+            args.d_max = args.d_max if args.d_max is not None else args.both_max
+            args.m_max = args.m_max if args.m_max is not None else args.both_max
         return args.func(args)
     except MissingKeyError as exc:
         print(json.dumps({"error": "missing-keys", "keys": [list(map(str, k)) for k in exc.keys]}), file=sys.stderr)
@@ -211,7 +218,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_DOMAIN
     except RecursionError:
-        print(json.dumps({"error": "frame too deep for the recursion (Python's recursion limit reached)"}), file=sys.stderr)
+        print(json.dumps({"error": "frame too deep for the recursion, or an input file nested too deeply (Python's recursion limit reached)"}), file=sys.stderr)
         return EXIT_DOMAIN
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cache
 
 from .twist import PicClass
@@ -79,27 +79,22 @@ class AbelianGroup:
 class GWSummand:
     """One shifted, twisted GW-summand of the base.
 
-    ``sort_index`` makes the canonical order explicit: (shift, twist key,
-    diagram rows).  ``t_index`` is the twist class the summand lives in and
-    ``rho`` the determinant exponent accumulated by the recursion; both are
-    optional provenance.
+    ``t_index`` is the twist class the summand lives in and ``rho`` the
+    determinant exponent accumulated by the recursion; both are optional
+    provenance.
     """
 
-    sort_index: tuple = field(init=False, repr=False)
     shift: int
     twist: PicClass
     diagram: YoungDiagram | None = None
     t_index: int | None = None
     rho: int | None = None
 
-    def __post_init__(self):
-        rows = self.diagram.rows if self.diagram is not None else ()
-        object.__setattr__(self, "sort_index", (self.shift, self.twist.sort_key, rows))
-
 
 def summand_order(g: GWSummand) -> tuple:
-    """The canonical order of GW summands: ``sort_index``, then twist class and rho (unknown as 0)."""
-    return (g.sort_index, g.t_index or 0, g.rho or 0)
+    """The canonical order of GW summands: shift, twist key, diagram rows, then twist class and rho (unknown as 0)."""
+    rows = g.diagram.rows if g.diagram is not None else ()
+    return (g.shift, g.twist.sort_key, rows, g.t_index or 0, g.rho or 0)
 
 
 @dataclass(frozen=True)
@@ -142,8 +137,8 @@ def direct_sum(a: FormalSum, b: FormalSum, merge: bool = False) -> FormalSum:
 
 def _profile(s: FormalSum, with_diagrams: bool):
     if with_diagrams:
-        return sorted(g.sort_index for g in s.gw)
-    return sorted(g.sort_index[:2] for g in s.gw)
+        return sorted(summand_order(g)[:3] for g in s.gw)
+    return sorted((g.shift, g.twist.sort_key) for g in s.gw)
 
 
 def equals(a: FormalSum, b: FormalSum) -> bool:
@@ -205,7 +200,7 @@ def evaluate(a: FormalSum, table: BaseTheoryTable, degree: int) -> AbelianGroup:
     if a.k:
         copies["K", 0, (), degree] = a.k
     for g in a.gw:
-        copies[gw_theory, g.shift, g.sort_index[1], degree] += 1
+        copies[gw_theory, g.shift, g.twist.sort_key, degree] += 1
     missing = sorted(k for k in copies if k not in index)
     if missing:
         raise MissingKeyError(missing)
@@ -351,7 +346,7 @@ def formal_sum_to_json(a: FormalSum) -> dict:
         "gw": [
             {
                 "shift": g.shift,
-                "twist": list(g.sort_index[1]),
+                "twist": list(g.twist.sort_key),
                 "diagram": list(g.diagram.rows) if g.diagram is not None else None,
                 "t": g.t_index,
                 "rho": g.rho,

@@ -6,12 +6,14 @@ segments index the rank-one summands of the decompositions computed by
 the engine; the beta numbers below count the remaining K-theory summands.
 Each such segment is a drop between consecutive rows or a run of equal
 rows inside the frame, so evenness is a test on the row lengths.
+Enumeration walks the row vectors with ``itertools``, with no recursion,
+and filters them by that test before building any diagram.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, groupby
+from itertools import accumulate, combinations_with_replacement, groupby
 from math import comb
 
 
@@ -89,39 +91,36 @@ def rows_of_word(word: str) -> tuple[int, ...]:
     return tuple(accumulate(map(len, word.split("N")[:-1])))[::-1]
 
 
-def is_even(diagram: YoungDiagram) -> bool:
-    """True iff every interface segment has even length (vacuously for none).
+def _even_rows(rows: tuple[int, ...], m: int) -> bool:
+    """The evenness rule on a row vector in a frame of width m.
 
     Horizontal segments are the drops between consecutive rows; vertical
     segments are the runs of equal rows strictly inside the frame, since
     rows of length 0 or m end on the frame border.
     """
-    rows, m = diagram.rows, diagram.frame.m
     if any((a - b) % 2 for a, b in zip(rows, rows[1:])):
         return False
     return all(len(list(run)) % 2 == 0 for r, run in groupby(rows) if 0 < r < m)
 
 
+def is_even(diagram: YoungDiagram) -> bool:
+    """True iff every interface segment has even length (vacuously for none)."""
+    return _even_rows(diagram.rows, diagram.frame.m)
+
+
+def _row_vectors(frame: Frame):
+    """The weakly decreasing d-tuples bounded by m, lexicographically descending."""
+    return combinations_with_replacement(range(frame.m, -1, -1), frame.d)
+
+
 def enumerate_diagrams(frame: Frame) -> list[YoungDiagram]:
     """All partitions fitting the frame, lexicographically descending on rows."""
-    results = []
-
-    def build(prefix, bound):
-        if len(prefix) == frame.d:
-            results.append(YoungDiagram(frame, tuple(prefix)))
-            return
-        for r in range(bound, -1, -1):
-            prefix.append(r)
-            build(prefix, r)
-            prefix.pop()
-
-    build([], frame.m)
-    return results
+    return [YoungDiagram(frame, rows) for rows in _row_vectors(frame)]
 
 
 def enumerate_even(frame: Frame) -> list[YoungDiagram]:
-    """The even diagrams of the frame, in canonical enumeration order."""
-    return [lam for lam in enumerate_diagrams(frame) if is_even(lam)]
+    """The even diagrams of the frame, in canonical enumeration order; only these are built."""
+    return [YoungDiagram(frame, rows) for rows in _row_vectors(frame) if _even_rows(rows, frame.m)]
 
 
 def even_cardinality(d: int, m: int) -> int:
@@ -191,11 +190,7 @@ def verify_pascal(d_max: int, m_max: int) -> list[dict]:
 
 def render_ascii(diagram: YoungDiagram) -> str:
     """Draw the diagram in its frame: '#' filled boxes, '.' empty ones."""
-    d, m = diagram.frame.d, diagram.frame.m
+    m = diagram.frame.m
     border = "+" + "-" * m + "+"
-    lines = [border]
-    for i in range(1, d + 1):
-        cells = "".join("#" if diagram.contains_box(i, j) else "." for j in range(1, m + 1))
-        lines.append("|" + cells + "|")
-    lines.append(border)
-    return "\n".join(lines)
+    lines = ["|" + "#" * r + "." * (m - r) + "|" for r in diagram.rows]
+    return "\n".join([border, *lines, border])

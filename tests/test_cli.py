@@ -135,6 +135,20 @@ class TestGrassmannCommand:
         assert "Traceback" not in proc.stderr
         assert "recursion" in json.loads(proc.stderr.splitlines()[-1])["error"]
 
+    def test_deeply_nested_base_table_is_domain_error(self, tmp_path):
+        # json.load, not the frame, hits the recursion limit: the message names both causes
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        proc = subprocess.run(
+            [sys.executable, "-m", "gwcell.cli", "grassmann", "-d", "2", "-m", "2", "--mode", "eval",
+             "--base-table", str(path)],
+            capture_output=True, text=True, env=_child_env(),
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        error = json.loads(proc.stderr)["error"]
+        assert "recursion" in error and "nested" in error
+
     @pytest.mark.parametrize("d, m", [(2, 1975), (1975, 2)])
     def test_thin_frame_near_the_limit_solves(self, d, m):
         # both orientations of a deep thin frame fit in the default recursion limit
@@ -214,6 +228,35 @@ class TestYoungCommand:
         assert code == 0
         doc = json.loads(out)
         assert len(doc["diagrams"]) == 6
+
+    def test_frame_deeper_than_the_recursion_limit(self, capsys):
+        code, out, _ = run(capsys, "young", "-d", "1500", "-m", "1")
+        assert code == 0
+        assert len(json.loads(out)["diagrams"]) == 1501
+
+
+class TestUsageErrors:
+    # argparse's own exit 2 would read as a failed verification
+    @pytest.mark.parametrize("argv", [
+        "verify --max x",
+        "grassmann -d 2",
+        "grassmann -d x -m 2",
+        "grassmann -d 2 -m 2 --mode nope",
+        "nope",
+        "",
+    ])
+    def test_bad_arguments_are_domain_errors(self, capsys, argv):
+        code, out, err = run(capsys, *shlex.split(argv))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and json.loads(err)["error"].startswith("gwcell")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["grassmann", "--help"]])
+    def test_help_prints_usage_and_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 0 and err == ""
+        assert out.startswith("usage: gwcell")
 
 
 class TestProjBundleCommand:

@@ -89,7 +89,7 @@ class TestSummandOrder:
     def test_sort_index_then_class_then_rho(self):
         a, b, c, d = gw(-2, rows=(1, 1), t=1, rho=1), gw(-2, rows=(1, 1), t=1), gw(-2, rows=(1, 1), t=0, rho=1), gw(-4, rows=(2, 2))
         assert fsum(0, a, b, c, d).gw == (d, c, b, a)
-        assert summand_order(b) == (b.sort_index, 1, 0)
+        assert summand_order(b) == (-2, b.twist.sort_key, (1, 1), 1, 0)
 
 
 class TestEquals:

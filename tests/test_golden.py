@@ -7,7 +7,8 @@ small sweep covers every frame with d, m <= 6 and checks every JSON
 document it prints against FORMAL_SUM_SCHEMA, since the serializer itself
 does not validate.  The large sweep reaches frames of benchmark size,
 where the engine's walk runs through deep paths on both sides of the
-diagonal.
+diagonal.  The young sweep pins diagram enumeration and rendering, with
+and without the evenness filter, and a verify report in both formats.
 """
 
 import contextlib
@@ -23,6 +24,7 @@ from gwcell.expr import FORMAL_SUM_SCHEMA, validate_json
 
 GOLDEN_SHA256 = "8a652cd96a76d2e220fc0d13852a8869951438fa7eda9a88220407d2c0864b81"
 GOLDEN_LARGE_SHA256 = "77eeb36a0d85e7bc51077e7b54fc49a57822330d517931b8b9b91997e1590039"
+GOLDEN_YOUNG_SHA256 = "973b9e97a5298e65767a281259f68b2ab1d269dea48e3f7945628fafe3021df6"
 
 TWISTS = ("both", "even", "odd", "L,Delta,q1")
 
@@ -52,6 +54,17 @@ def _large_argvs():
         for twist in ("both", "L,Delta,q1"):
             for bundle in ("trivial", "flagged"):
                 yield ["grassmann", "-d", str(d), "-m", str(m), "--twist", twist, "--bundle", bundle]
+
+
+def _young_argvs():
+    """Every frame with d, m <= 6 in both renderings, all diagrams and even ones; then verify --max 4."""
+    for d in range(7):
+        for m in range(7):
+            for render in ("json", "ascii"):
+                for even in ([], ["--even"]):
+                    yield ["young", "-d", str(d), "-m", str(m), "--render", render, *even]
+    for fmt in ("text", "json"):
+        yield ["verify", "--max", "4", "--format", fmt]
 
 
 def _run(argvs):
@@ -86,6 +99,12 @@ def test_large_frames_match_golden_digest():
     runs = _run(_large_argvs())
     assert len(runs) == 48 and all(code == 0 for _, code, _, _ in runs)
     assert _digest(runs) == GOLDEN_LARGE_SHA256
+
+
+def test_young_and_verify_match_golden_digest():
+    runs = _run(_young_argvs())
+    assert len(runs) == 198 and all(code == 0 for _, code, _, _ in runs)
+    assert _digest(runs) == GOLDEN_YOUNG_SHA256
 
 
 def test_cli_sweep_documents_match_schema(sweep):

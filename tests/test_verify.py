@@ -71,6 +71,16 @@ class TestBruteForceInterface:
         assert checks[0]["status"] == "fail"
         assert checks[0]["detail"].startswith("failures: [(1, 2, (1,)), ")
 
+    def test_oracle_covers_the_rule_enumeration_uses(self, monkeypatch):
+        # is_even and enumerate_even share one row rule: the grid scan catches a mutant of it
+        def drops_only(rows, m):
+            return all((a - b) % 2 == 0 for a, b in zip(rows, rows[1:]))
+
+        monkeypatch.setattr(young, "_even_rows", drops_only)
+        failed = {c["id"] for c in run_all(4, 4).checks if c["status"] == "fail"}
+        assert "interface_oracle" in failed
+        assert any(name.startswith("fixtures_") for name in failed)
+
     def test_rejects_oversize_frame(self):
         with pytest.raises(ValueError):
             brute_force_interface(diagram(13, 13))

@@ -53,6 +53,33 @@ class TestEnumeration:
     def test_count_is_binomial(self, d, m):
         assert len(enumerate_diagrams(Frame(d, m))) == comb(d + m, d)
 
+    def test_frame_deeper_than_the_recursion_limit(self):
+        rows = [lam.rows for lam in enumerate_diagrams(Frame(1500, 1))]
+        assert len(rows) == 1501
+        assert rows[0] == (1,) * 1500 and rows[-1] == (0,) * 1500
+
+    def test_order_and_even_subsequence_on_small_frames(self):
+        for d in range(7):
+            for m in range(7):
+                frame = Frame(d, m)
+                diagrams = enumerate_diagrams(frame)
+                rows = [lam.rows for lam in diagrams]
+                assert len(rows) == comb(d + m, d)
+                assert all(a > b for a, b in zip(rows, rows[1:]))
+                assert enumerate_even(frame) == [lam for lam in diagrams if is_even(lam)]
+
+    def test_enumerate_even_builds_only_the_diagrams_it_returns(self, monkeypatch):
+        built = []
+        original = YoungDiagram.__post_init__
+
+        def counted(self):
+            built.append(self.rows)
+            original(self)
+
+        monkeypatch.setattr(YoungDiagram, "__post_init__", counted)
+        evens = enumerate_even(Frame(6, 6))
+        assert len(evens) == len(built) == 40
+
     def test_rejects_bad_rows(self):
         with pytest.raises(ValueError):
             YoungDiagram(Frame(2, 2), (1, 2))
