@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache
-from itertools import groupby
 from math import comb
 
 from . import twist as tw
@@ -91,30 +90,37 @@ class VerificationReport:
 
 
 def brute_force_interface(diagram: YoungDiagram) -> tuple[tuple[str, int], ...]:
-    """Independent interface oracle: scan every unit edge of the grid.
+    """Independent interface oracle: a grid scan over the filled boxes, reading rows.
 
     Returns the (orientation, length) of each maximal straight segment,
-    from the top-right of the frame to the bottom-left.  Collects the edges
-    with a filled box on one side and an unfilled in-frame box on the other
-    and orders them along the staircase (both unit steps increase y - x by
-    one).  A straight run keeps its orientation and advances one position
-    per edge, so (orientation, position - index) is constant exactly on
-    each run.
+    from the top-right of the frame to the bottom-left.  Tests each filled
+    box's right neighbour and the box below it against the row lengths,
+    collects the edges between a filled and an unfilled in-frame box, and
+    orders them along the staircase (both unit steps increase y - x by
+    one).  A segment grows while the next edge keeps its orientation and
+    is at the next position.  Calls no evenness rule.
     """
-    d, m = diagram.frame.d, diagram.frame.m
+    d, m, rows = diagram.frame.d, diagram.frame.m, diagram.rows
     if d > ORACLE_FRAME_LIMIT or m > ORACLE_FRAME_LIMIT:
         raise ValueError(f"oracle limited to {ORACLE_FRAME_LIMIT}x{ORACLE_FRAME_LIMIT} frames")
     edges = []  # (path position, orientation)
     for i in range(1, d + 1):
-        for j in range(1, m + 1):
-            if not diagram.contains_box(i, j):
-                continue
-            if j + 1 <= m and not diagram.contains_box(i, j + 1):
+        r = rows[i - 1]
+        below = rows[i] if i < d else m  # below the frame counts as filled: its border is no edge
+        for j in range(1, r + 1):
+            if j < m and j + 1 > r:
                 edges.append((i - 1 - j, "vertical"))
-            if i + 1 <= d and not diagram.contains_box(i + 1, j):
+            if j > below:
                 edges.append((i - j + 1, "horizontal"))
-    runs = groupby(enumerate(sorted(edges)), key=lambda ke: (ke[1][1], ke[1][0] - ke[0]))
-    return tuple((orient, len(list(run))) for (orient, _), run in runs)
+    orients, lengths, next_pos = [], [], None
+    for pos, orient in sorted(edges):
+        if pos == next_pos and orient == orients[-1]:
+            lengths[-1] += 1
+        else:
+            orients.append(orient)
+            lengths.append(1)
+        next_pos = pos + 1
+    return tuple(zip(orients, lengths))
 
 
 def _check(checks, check_id, ok: bool, detail: str = "", params=None):
@@ -332,6 +338,11 @@ def check_twist_table(checks, d_max, m_max):
     parent leaf whose boundary word is the child's step followed by the
     child leaf's word.  Each frame's leaves are read once.
     """
+    params = {"d_max": d_max, "m_max": m_max}
+    if d_max < 2 or m_max < 2:
+        detail = "no inner node (d, m >= 2) within the bounds"
+        checks.append({"id": "twist_table", "params": params, "status": "skipped", "detail": detail})
+        return
     bad = []
     rho_by_word = cache(_rho_by_word)
     for d in range(2, d_max + 1):
@@ -359,7 +370,7 @@ def check_twist_table(checks, d_max, m_max):
                         got = ct.base_part() + (quotient_range(1, cd + cm) if rho_c else PicClass())
                         if rho_p is None or got != (det_v if rho_p else PicClass()):
                             bad.append((d, m, eps, step + word))
-    _check(checks, "twist_table", not bad, f"failures: {bad[:5]}" if bad else "", {"d_max": d_max, "m_max": m_max})
+    _check(checks, "twist_table", not bad, f"failures: {bad[:5]}" if bad else "", params)
 
 
 def run_all(d_max: int, m_max: int) -> VerificationReport:

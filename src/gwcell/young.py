@@ -13,7 +13,7 @@ and filters them by that test before building any diagram.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations_with_replacement, groupby
+from itertools import accumulate, combinations_with_replacement
 from math import comb
 
 
@@ -60,10 +60,6 @@ class YoungDiagram:
         new_rows = tuple(sum(1 for r in self.rows if r > j) for j in range(self.frame.m))
         return YoungDiagram(Frame(self.frame.m, self.frame.d), new_rows)
 
-    def contains_box(self, i: int, j: int) -> bool:
-        """Whether box in row i, column j (both 1-based) is filled."""
-        return 1 <= i <= self.frame.d and 1 <= j <= self.rows[i - 1]
-
     def __str__(self):
         inner = ",".join(str(r) for r in self.rows if r > 0)
         return f"({inner})" if inner else "()"
@@ -92,15 +88,22 @@ def rows_of_word(word: str) -> tuple[int, ...]:
 
 
 def _even_rows(rows: tuple[int, ...], m: int) -> bool:
-    """The evenness rule on a row vector in a frame of width m.
+    """The evenness rule on a row vector in a frame of width m, in one pass.
 
     Horizontal segments are the drops between consecutive rows; vertical
     segments are the runs of equal rows strictly inside the frame, since
-    rows of length 0 or m end on the frame border.
+    rows of length 0 or m end on the frame border.  One pass keeps the
+    previous row and its run length, failing on an odd drop or inner run.
     """
-    if any((a - b) % 2 for a, b in zip(rows, rows[1:])):
-        return False
-    return all(len(list(run)) % 2 == 0 for r, run in groupby(rows) if 0 < r < m)
+    prev, run = (rows[0] if rows else 0), 0
+    for r in rows:
+        if r == prev:
+            run += 1
+            continue
+        if (prev - r) & 1 or run & 1 and 0 < prev < m:
+            return False
+        prev, run = r, 1
+    return not (run & 1 and 0 < prev < m)
 
 
 def is_even(diagram: YoungDiagram) -> bool:

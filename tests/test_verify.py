@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from itertools import groupby
 
 import pytest
 from hypothesis import given
@@ -25,6 +26,30 @@ def diagram(d, m, *rows):
 
 def brute_force_even(lam):
     return all(length % 2 == 0 for _, length in brute_force_interface(lam))
+
+
+def reference_interface(lam):
+    """Reference for brute_force_interface: a scan of every cell of the frame.
+
+    Asks per cell whether it and its right and lower neighbours are
+    filled, and counts runs with groupby on (orientation, position - index).
+    """
+    d, m = lam.frame.d, lam.frame.m
+
+    def contains_box(i, j):
+        return 1 <= i <= d and 1 <= j <= lam.rows[i - 1]
+
+    edges = []
+    for i in range(1, d + 1):
+        for j in range(1, m + 1):
+            if not contains_box(i, j):
+                continue
+            if j + 1 <= m and not contains_box(i, j + 1):
+                edges.append((i - 1 - j, "vertical"))
+            if i + 1 <= d and not contains_box(i + 1, j):
+                edges.append((i - j + 1, "horizontal"))
+    runs = groupby(enumerate(sorted(edges)), key=lambda ke: (ke[1][1], ke[1][0] - ke[0]))
+    return tuple((orient, len(list(run))) for (orient, _), run in runs)
 
 
 class TestBruteForceInterface:
@@ -86,6 +111,26 @@ class TestBruteForceInterface:
             brute_force_interface(diagram(13, 13))
 
 
+class TestScanMatchesReference:
+    def test_every_diagram_up_to_7x7(self):
+        for d in range(8):
+            for m in range(8):
+                for lam in young.enumerate_diagrams(Frame(d, m)):
+                    assert brute_force_interface(lam) == reference_interface(lam), lam.rows
+
+    @given(framed_diagrams(max_side=ORACLE_FRAME_LIMIT))
+    def test_random_frames_up_to_the_limit(self, lam):
+        assert brute_force_interface(lam) == reference_interface(lam)
+
+    def test_scan_calls_no_evenness_rule(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the grid scan called the rule it checks")
+
+        monkeypatch.setattr(young, "_even_rows", forbidden)
+        monkeypatch.setattr(young, "is_even", forbidden)
+        assert brute_force_interface(diagram(3, 3, 3, 1, 1)) == (("horizontal", 2), ("vertical", 2))
+
+
 class TestFixtures:
     def test_counts_match_published_figures(self):
         assert len(EVEN_FIXTURES[(2, 2)]) == 4
@@ -105,6 +150,17 @@ class TestRunAll:
     def test_base_case_sweep(self):
         report = run_all(1, 1)
         assert report.passed()
+
+    @pytest.mark.parametrize("bounds", [(1, 1), (1, 5), (5, 1)])
+    def test_twist_table_skipped_without_inner_nodes(self, bounds):
+        # its nodes start at d, m = 2: below that it checks nothing and must not read as a pass
+        by_id = {c["id"]: c for c in run_all(*bounds).checks}
+        assert by_id["twist_table"] == {
+            "id": "twist_table",
+            "params": {"d_max": min(bounds[0], 6), "m_max": min(bounds[1], 6)},
+            "status": "skipped",
+            "detail": "no inner node (d, m >= 2) within the bounds",
+        }
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):

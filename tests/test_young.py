@@ -1,3 +1,4 @@
+from itertools import combinations_with_replacement, groupby
 from math import comb
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from gwcell.young import (
     Frame,
     YoungDiagram,
+    _even_rows,
     beta,
     beta_parity,
     boundary_word,
@@ -107,7 +109,20 @@ class TestInterfaceSegments:
         assert is_even(lam)
 
 
+def reference_even_rows(rows, m):
+    """Reference for young._even_rows: every drop by zip, every run of equal rows by groupby."""
+    if any((a - b) % 2 for a, b in zip(rows, rows[1:])):
+        return False
+    return all(len(list(run)) % 2 == 0 for r, run in groupby(rows) if 0 < r < m)
+
+
 class TestEvenness:
+    def test_rule_matches_reference_on_every_row_vector_up_to_8x8(self):
+        for d in range(9):
+            for m in range(9):
+                for rows in combinations_with_replacement(range(m, -1, -1), d):
+                    assert _even_rows(rows, m) == reference_even_rows(rows, m), (rows, m)
+
     def test_examples_2x2(self):
         assert is_even(diagram(2, 2, 1, 1))
         assert not is_even(diagram(2, 2, 2, 1))
