@@ -7,7 +7,9 @@ small sweep covers every frame with d, m <= 6 and checks every JSON
 document it prints against FORMAL_SUM_SCHEMA, since the serializer itself
 does not validate.  The large sweep reaches frames of benchmark size,
 where the engine's walk runs through deep paths on both sides of the
-diagonal.  The young sweep pins diagram enumeration and rendering, with
+diagonal.  The walk sweep pins a 16 x 16 frame over both twists and
+both bundles, and the thin frames Gr_2 at m = 1500 and its transpose,
+whose leaves pass through a thousand levels of the walk.  The young sweep pins diagram enumeration and rendering, with
 and without the evenness filter, and a verify report in both formats.
 """
 
@@ -25,6 +27,7 @@ from gwcell.expr import FORMAL_SUM_SCHEMA, validate_json
 GOLDEN_SHA256 = "8a652cd96a76d2e220fc0d13852a8869951438fa7eda9a88220407d2c0864b81"
 GOLDEN_LARGE_SHA256 = "77eeb36a0d85e7bc51077e7b54fc49a57822330d517931b8b9b91997e1590039"
 GOLDEN_YOUNG_SHA256 = "973b9e97a5298e65767a281259f68b2ab1d269dea48e3f7945628fafe3021df6"
+GOLDEN_WALK_SHA256 = "608e36eba0a3bb0406d39abebe4a694f03501c1bda13eb45fb108a6a0acab82f"
 
 TWISTS = ("both", "even", "odd", "L,Delta,q1")
 
@@ -54,6 +57,14 @@ def _large_argvs():
         for twist in ("both", "L,Delta,q1"):
             for bundle in ("trivial", "flagged"):
                 yield ["grassmann", "-d", str(d), "-m", str(m), "--twist", twist, "--bundle", bundle]
+
+
+def _walk_argvs():
+    """16 x 16 with both bundles, then the thin flagged frames 2 x 1500 and 1500 x 2; both twists each."""
+    for bundle in ("trivial", "flagged"):
+        yield ["grassmann", "-d", "16", "-m", "16", "--twist", "both", "--bundle", bundle]
+    for d, m in (("2", "1500"), ("1500", "2")):
+        yield ["grassmann", "-d", d, "-m", m, "--twist", "both", "--bundle", "flagged"]
 
 
 def _young_argvs():
@@ -99,6 +110,12 @@ def test_large_frames_match_golden_digest():
     runs = _run(_large_argvs())
     assert len(runs) == 48 and all(code == 0 for _, code, _, _ in runs)
     assert _digest(runs) == GOLDEN_LARGE_SHA256
+
+
+def test_walked_frames_match_golden_digest():
+    runs = _run(_walk_argvs())
+    assert len(runs) == 4 and all(code == 0 for _, code, _, _ in runs)
+    assert _digest(runs) == GOLDEN_WALK_SHA256
 
 
 def test_young_and_verify_match_golden_digest():
