@@ -20,10 +20,9 @@ parity of the twist relative to the tautological determinant:
 The memo keeps one count per (d, m, eps), its number of GW leaves; K
 follows from the rank rule 2 K + leaves = C(d + m, d) at every node.
 A query's leaves are then walked once, top down, skipping subtrees with no
-leaves.  The walk carries each leaf as its boundary word (``young``): the
-d + m unit steps, E or N, from the bottom-left corner of the frame to the
-top-right one.  Prepending a column is prepending E and appending an
-empty row is prepending N.  Rows are decoded once per output leaf.
+leaves.  The walk carries each leaf as its row vector: a pending node
+records the full columns its shifted ancestors prepend and the empty-row
+tail its unshifted ones append, so a leaf costs its own d rows.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from math import comb
 
 from .expr import FormalSum, GWSummand, LongExactSequence
 from .twist import BaseSymbol, Delta, FlagQuotient, PicClass, lambda_parity
-from .young import Frame, YoungDiagram, rows_of_word
+from .young import Frame, YoungDiagram
 
 TRIVIAL = "trivial"
 FLAGGED = "flagged"
@@ -93,7 +92,7 @@ def _solve(d: int, m: int, eps: int) -> tuple[int, tuple[Leaf, ...]]:
 
     The memo ``_CACHE`` holds leaf counts, filled by ``_count``, and K
     follows from the query's count by the rank rule.  The leaves are walked
-    once per queried frame, as boundary words, by ``_walk`` and kept in
+    once per queried frame, as row vectors, by ``_walk`` and kept in
     ``_LEAVES`` so that a repeated query is one lookup.
     """
     key = (d, m, eps)
@@ -104,20 +103,20 @@ def _solve(d: int, m: int, eps: int) -> tuple[int, tuple[Leaf, ...]]:
 
 
 def _base_leaves(d: int, m: int, eps: int):
-    """Boundary words and rho bits of the leaves at d = 0, m = 0, d = 1 and m = 1; None elsewhere."""
+    """Rows and rho bits of the leaves at d = 0, m = 0, d = 1 and m = 1; None elsewhere."""
     if d == 0:
-        return (("E" * m, 0),)
+        return (((), 0),)
     if m == 0:
         # Gr_d of a rank-d bundle is the base; Delta_d telescopes to det V.
-        return (("N" * d, eps),)
+        return (((0,) * d, eps),)
     if d == 1:
         # P(E) for E of rank m+1: the empty row survives at eps = 0, the full
         # row (twisted by det E) at eps = m+1 mod 2, and the rest is K by rank.
-        return ((("N" + "E" * m, 0),) if eps == 0 else ()) + ((("E" * m + "N", 1),) if eps != m % 2 else ())
+        return ((((0,), 0),) if eps == 0 else ()) + ((((m,), 1),) if eps != m % 2 else ())
     if m == 1:
         # Gr_d of a rank d+1 bundle, dual to P(E): the empty column survives
         # at eps = 0, the full column at eps = d+1 mod 2 with rho 1 - eps.
-        return ((("N" * d + "E", 0),) if eps == 0 else ()) + ((("E" + "N" * d, 1 - eps),) if eps != d % 2 else ())
+        return ((((0,) * d, 0),) if eps == 0 else ()) + ((((1,) * d, 1 - eps),) if eps != d % 2 else ())
     return None
 
 
@@ -131,8 +130,8 @@ def _count(d: int, m: int, eps: int) -> int:
     if base is not None:
         n = len(base)
     else:
-        (first, _), (second, _) = split_node(d, m, eps)
-        n = _count(*first) + _count(*second)
+        shifted, unshifted, _ = split_node(d, m, eps)
+        n = _count(*shifted) + _count(*unshifted)
     _CACHE[key] = n
     return n
 
@@ -140,34 +139,37 @@ def _count(d: int, m: int, eps: int) -> int:
 def _walk(d: int, m: int, eps: int) -> list[Leaf]:
     """The GW leaves of a counted node, walked top down with an explicit stack.
 
-    A pending node stands for the query words ``head + w``, where w runs
-    over the node's own boundary words; a child prepends its step to w, and
+    A pending node ``(d, m, eps, cols, tail)`` stands for the query rows
+    ``tuple(x + cols for x in r) + tail``, where r runs over the node's own
+    leaf rows: the shifted child adds its step to ``cols``, the unshifted
+    one puts ``step`` rows of length ``cols`` in front of ``tail``, and
     leaves keep the rho bit of their base case.  Children without leaves
-    are skipped, so every word built ends in an output leaf.
+    are skipped, so every pending node ends in an output leaf.
     """
     leaves = []
-    stack = [(d, m, eps, "")]
+    stack = [(d, m, eps, 0, ())]
     while stack:
-        d, m, eps, head = stack.pop()
+        d, m, eps, cols, tail = stack.pop()
         base = _base_leaves(d, m, eps)
         if base is not None:
-            leaves.extend((rows_of_word(head + word), rho) for word, rho in base)
+            leaves.extend((tuple([x + cols for x in rows]) + tail, rho) for rows, rho in base)
         else:
-            for node, step in split_node(d, m, eps):
-                if _CACHE[node]:
-                    stack.append((*node, head + step))
+            shifted, unshifted, step = split_node(d, m, eps)
+            if _CACHE[shifted]:
+                stack.append((*shifted, cols + step, tail))
+            if _CACHE[unshifted]:
+                stack.append((*unshifted, cols, (cols,) * step + tail))
     return leaves
 
 
 def split_node(d: int, m: int, eps: int):
-    """The two children ((cd, cm, ceps), step) of an inner node, each solved at ceps = cd mod 2.
+    """The children (shifted, unshifted, step) of an inner node, each (cd, cm, ceps) with ceps = cd mod 2.
 
-    ``step`` is what a child prepends to its leaves' boundary words to give
-    the parent's: E per full column of the shifted child, N per empty row
-    appended by the unshifted one.
+    The shifted child's leaves gain ``step`` full columns, and the
+    unshifted child's leaves gain ``step`` empty rows at the bottom.
     """
     step = 1 if eps == (d - 1) % 2 else 2  # first family, else second
-    return ((d, m - step, d % 2), "E" * step), ((d - step, m, (d - step) % 2), "N" * step)
+    return (d, m - step, d % 2), (d - step, m, (d - step) % 2), step
 
 
 def _summands(leaves, frame: Frame, shift: int, twists: tuple[PicClass, PicClass], t_index: int):

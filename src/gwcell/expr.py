@@ -124,12 +124,15 @@ def direct_sum(a: FormalSum, b: FormalSum, merge: bool = False) -> FormalSum:
     """Multiset union of two formal sums.
 
     The two sums must echo the same query context unless ``merge`` is set,
-    in which case the contexts are recorded side by side.
+    in which case the contexts are recorded side by side.  A merge keeps
+    the Witt mode of two Witt sums, so it evaluates against W entries, and
+    refuses to mix a Witt sum with a non-Witt one.
     """
+    witt = {s.meta_dict().get("mode") == "witt" for s in (a, b)}
     if a.meta == b.meta:
         meta = a.meta
-    elif merge:
-        meta = (("merged", (a.meta, b.meta)),)
+    elif merge and len(witt) == 1:
+        meta = (("merged", (a.meta, b.meta)),) + ((("mode", "witt"),) if True in witt else ())
     else:
         raise ContextMismatchError(f"context mismatch: {a.meta} vs {b.meta}")
     return FormalSum(a.k + b.k, a.gw + b.gw, meta)

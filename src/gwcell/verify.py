@@ -134,6 +134,16 @@ def _check(checks, check_id, ok: bool, detail: str = "", params=None):
     )
 
 
+def _frames(d_max, m_max, step=1):
+    """The (d, m) grid of a sweep: d and m from 1 to their bounds, every ``step``-th value."""
+    return ((d, m) for d in range(1, d_max + 1, step) for m in range(1, m_max + 1, step))
+
+
+def _report(checks, check_id, bad, params, cap=None):
+    """A pass when nothing failed, else a failure listing the first ``cap`` cases (all when None)."""
+    _check(checks, check_id, not bad, f"failures: {bad[:cap]}" if bad else "", params)
+
+
 def even_diagrams(d_max, m_max):
     """The even diagrams of every frame up to the bounds and of every fixture frame.
 
@@ -141,7 +151,7 @@ def even_diagrams(d_max, m_max):
     builds it once, so each frame is enumerated once however many checks
     read it.
     """
-    frames = {(d, m) for d in range(1, d_max + 1) for m in range(1, m_max + 1)} | set(EVEN_FIXTURES)
+    frames = set(_frames(d_max, m_max)) | set(EVEN_FIXTURES)
     return {(d, m): young.enumerate_even(Frame(d, m)) for d, m in sorted(frames)}
 
 
@@ -158,28 +168,21 @@ def check_fixtures(checks, evens):
 
 
 def check_cardinality(checks, d_max, m_max, evens):
-    bad = []
-    for d in range(1, d_max + 1):
-        for m in range(1, m_max + 1):
-            if len(evens[d, m]) != young.even_cardinality(d, m):
-                bad.append((d, m))
-    _check(checks, "cardinality", not bad, f"failures: {bad}" if bad else "", {"d_max": d_max, "m_max": m_max})
+    bad = [(d, m) for d, m in _frames(d_max, m_max) if len(evens[d, m]) != young.even_cardinality(d, m)]
+    _report(checks, "cardinality", bad, {"d_max": d_max, "m_max": m_max})
 
 
 def check_pascal(checks, d_max=30, m_max=30):
-    report = young.verify_pascal(d_max, m_max)
-    bad = [r for r in report if r["status"] == "fails"]
-    _check(checks, "pascal", not bad, f"failures: {bad[:5]}" if bad else "", {"d_max": d_max, "m_max": m_max})
+    _report(checks, "pascal", young.verify_pascal(d_max, m_max), {"d_max": d_max, "m_max": m_max}, cap=5)
 
 
 def check_beta_parity_sum(checks, d_max=30, m_max=30):
     bad = [
         (d, m)
-        for d in range(1, d_max + 1)
-        for m in range(1, m_max + 1)
+        for d, m in _frames(d_max, m_max)
         if young.beta_parity(0, d, m) + young.beta_parity(1, d, m) != young.beta(d, m)
     ]
-    _check(checks, "beta_parity_sum", not bad, f"failures: {bad}" if bad else "", {"d_max": d_max, "m_max": m_max})
+    _report(checks, "beta_parity_sum", bad, {"d_max": d_max, "m_max": m_max})
 
 
 def flagged_sums(d_max, m_max):
@@ -189,7 +192,7 @@ def flagged_sums(d_max, m_max):
     m <= m_max, to the pair (even sum, odd sum).  ``run_all`` builds it
     once and hands it to each check that reads these frames.
     """
-    frames = {f for d in range(1, d_max + 1) for m in range(1, m_max + 1) for f in ((d, m), (m, d))}
+    frames = {f for d, m in _frames(d_max, m_max) for f in ((d, m), (m, d))}
     return {
         (d, m): tuple(decompose_grassmannian(GrassmannQuery(d, m, 0, t, FLAGGED)) for t in (L, L + PicClass.of(Delta(d))))
         for d, m in frames
@@ -198,45 +201,36 @@ def flagged_sums(d_max, m_max):
 
 def check_engine_vs_enumeration(checks, d_max, m_max, sums, evens):
     bad = []
-    for d in range(1, d_max + 1):
-        for m in range(1, m_max + 1):
-            leaves = [g.diagram for s in sums[d, m] for g in s.gw]
-            expected = sorted(lam.rows for lam in evens[d, m])
-            if sorted(g.rows for g in leaves) != expected:
-                bad.append((d, m, "diagrams"))
-            if any(not young.is_even(g) for g in leaves):
-                bad.append((d, m, "evenness"))
-            for s in sums[d, m]:
-                if any(g.shift != -g.diagram.boxes() for g in s.gw):
-                    bad.append((d, m, "shift-law"))
-    _check(checks, "engine_vs_enumeration", not bad, f"failures: {bad}" if bad else "", {"d_max": d_max, "m_max": m_max})
+    for d, m in _frames(d_max, m_max):
+        leaves = [g.diagram for s in sums[d, m] for g in s.gw]
+        if sorted(g.rows for g in leaves) != sorted(lam.rows for lam in evens[d, m]):
+            bad.append((d, m, "diagrams"))
+        if any(not young.is_even(g) for g in leaves):
+            bad.append((d, m, "evenness"))
+        for s in sums[d, m]:
+            if any(g.shift != -g.diagram.boxes() for g in s.gw):
+                bad.append((d, m, "shift-law"))
+    _report(checks, "engine_vs_enumeration", bad, {"d_max": d_max, "m_max": m_max})
 
 
 def check_k_counts(checks, d_max, m_max, sums):
     bad_beta, bad_rank = [], []
-    for d in range(1, d_max + 1):
-        for m in range(1, m_max + 1):
-            total_k = 0
-            for l, s in enumerate(sums[d, m]):
-                total_k += s.k
-                if s.k != young.beta_parity(l, d, m):
-                    bad_beta.append((d, m, l))
-                if 2 * s.k + len(s.gw) != comb(d + m, d):
-                    bad_rank.append((d, m, l))
-            if total_k != young.beta(d, m):
-                bad_beta.append((d, m, "total"))
-    _check(checks, "k_counts", not bad_beta, f"failures: {bad_beta}" if bad_beta else "", {"d_max": d_max, "m_max": m_max})
-    _check(checks, "rank_accounting", not bad_rank, f"failures: {bad_rank}" if bad_rank else "", {"d_max": d_max, "m_max": m_max})
+    for d, m in _frames(d_max, m_max):
+        for l, s in enumerate(sums[d, m]):
+            if s.k != young.beta_parity(l, d, m):
+                bad_beta.append((d, m, l))
+            if 2 * s.k + len(s.gw) != comb(d + m, d):
+                bad_rank.append((d, m, l))
+        if sum(s.k for s in sums[d, m]) != young.beta(d, m):
+            bad_beta.append((d, m, "total"))
+    _report(checks, "k_counts", bad_beta, {"d_max": d_max, "m_max": m_max})
+    _report(checks, "rank_accounting", bad_rank, {"d_max": d_max, "m_max": m_max})
 
 
 def check_odd_odd(checks, d_max, m_max, sums):
-    bad = []
-    for d in range(1, d_max + 1, 2):
-        for m in range(1, m_max + 1, 2):
-            s = sums[d, m][1]
-            if s.gw or s.k != comb(d + m, d) // 2:
-                bad.append((d, m))
-    _check(checks, "odd_odd_concentration", not bad, f"failures: {bad}" if bad else "", {"d_max": d_max, "m_max": m_max})
+    odd = {(d, m): sums[d, m][1] for d, m in _frames(d_max, m_max, 2)}
+    bad = [(d, m) for (d, m), s in odd.items() if s.gw or s.k != comb(d + m, d) // 2]
+    _report(checks, "odd_odd_concentration", bad, {"d_max": d_max, "m_max": m_max})
 
 
 def check_transpose(checks, d_max, m_max, sums):
@@ -249,29 +243,27 @@ def check_transpose(checks, d_max, m_max, sums):
     so neither side is computed from the other.
     """
     bad = []
-    for d in range(1, d_max + 1):
-        for m in range(1, m_max + 1):
-            for l, (a, b) in enumerate(zip(sums[d, m], sums[m, d])):
-                profile_a = sorted((g.shift, g.diagram.rows, g.rho) for g in a.gw)
-                profile_b = sorted((g.shift, g.diagram.transpose().rows, g.rho ^ l) for g in b.gw)
-                if a.k != b.k or profile_a != profile_b:
-                    bad.append((d, m))
-                    break
-    _check(checks, "transpose_equivariance", not bad, f"failures: {bad}" if bad else "", {"d_max": d_max, "m_max": m_max})
+    for d, m in _frames(d_max, m_max):
+        for l, (a, b) in enumerate(zip(sums[d, m], sums[m, d])):
+            profile_a = sorted((g.shift, g.diagram.rows, g.rho) for g in a.gw)
+            profile_b = sorted((g.shift, g.diagram.transpose().rows, g.rho ^ l) for g in b.gw)
+            if a.k != b.k or profile_a != profile_b:
+                bad.append((d, m))
+                break
+    _report(checks, "transpose_equivariance", bad, {"d_max": d_max, "m_max": m_max})
 
 
 def check_witt_counts(checks, d_max, m_max, sums):
     bad = []
-    for d in range(1, d_max + 1):
-        for m in range(1, m_max + 1):
-            for l, s in enumerate(sums[d, m]):
-                w = witt_specialize(s)
-                # the per-class count is pinned by the rank accounting identity
-                expected_count = comb(d + m, d) - 2 * young.beta_parity(l, d, m)
-                expected_shifts = sorted((-g.diagram.boxes()) % 4 for g in s.gw)
-                if w.k != 0 or len(w.gw) != expected_count or sorted(g.shift for g in w.gw) != expected_shifts:
-                    bad.append((d, m, l))
-    _check(checks, "witt_counts", not bad, f"failures: {bad}" if bad else "", {"d_max": d_max, "m_max": m_max})
+    for d, m in _frames(d_max, m_max):
+        for l, s in enumerate(sums[d, m]):
+            w = witt_specialize(s)
+            # the per-class count is pinned by the rank accounting identity
+            expected_count = comb(d + m, d) - 2 * young.beta_parity(l, d, m)
+            expected_shifts = sorted((-g.diagram.boxes()) % 4 for g in s.gw)
+            if w.k != 0 or len(w.gw) != expected_count or sorted(g.shift for g in w.gw) != expected_shifts:
+                bad.append((d, m, l))
+    _report(checks, "witt_counts", bad, {"d_max": d_max, "m_max": m_max})
 
 
 def check_determinism(checks, d_max, m_max):
@@ -318,14 +310,14 @@ def check_interface_oracle(checks, limit=6):
             for lam in young.enumerate_diagrams(Frame(d, m)):
                 if young.is_even(lam) != all(length % 2 == 0 for _, length in brute_force_interface(lam)):
                     bad.append((d, m, lam.rows))
-    _check(checks, "interface_oracle", not bad, f"failures: {bad[:5]}" if bad else "", {"limit": limit})
+    _report(checks, "interface_oracle", bad, {"limit": limit}, cap=5)
 
 
-def _rho_by_word(d, m, eps):
-    """The rho bit of each leaf of a flagged frame, keyed by the leaf's boundary word."""
+def _rho_by_rows(d, m, eps):
+    """The rho bit of each leaf of a flagged frame, keyed by the leaf's row vector."""
     t = PicClass.of(Delta(d)) if eps else PicClass()
     s = decompose_grassmannian(GrassmannQuery(d, m, 0, t, FLAGGED))
-    return {young.boundary_word(g.diagram): g.rho for g in s.gw}
+    return {g.diagram.rows: g.rho for g in s.gw}
 
 
 def check_twist_table(checks, d_max, m_max):
@@ -335,8 +327,9 @@ def check_twist_table(checks, d_max, m_max):
     defining rows must put the twist in one family, whose child twists must
     sit on the engine's child nodes, have the Delta-parity each is solved
     at, and telescope with each child leaf's det V to the det V bit of the
-    parent leaf whose boundary word is the child's step followed by the
-    child leaf's word.  Each frame's leaves are read once.
+    parent leaf it grows into: the shifted child's rows plus step full
+    columns, or the unshifted child's rows above step empty rows.  Each
+    frame's leaves are read once.
     """
     params = {"d_max": d_max, "m_max": m_max}
     if d_max < 2 or m_max < 2:
@@ -344,7 +337,7 @@ def check_twist_table(checks, d_max, m_max):
         checks.append({"id": "twist_table", "params": params, "status": "skipped", "detail": detail})
         return
     bad = []
-    rho_by_word = cache(_rho_by_word)
+    rho_by_rows = cache(_rho_by_rows)
     for d in range(2, d_max + 1):
         for m in range(2, m_max + 1):
             for eps in (0, 1):
@@ -354,23 +347,23 @@ def check_twist_table(checks, d_max, m_max):
                     continue
                 (sites,) = families.values()
                 table = {(cd, d + m - i - cd): ct for (cd, i), ct in sites.items()}
-                children = split_node(d, m, eps)
-                if set(table) != {(cd, cm) for (cd, cm, _), _ in children}:
+                shifted, unshifted, step = split_node(d, m, eps)
+                if set(table) != {shifted[:2], unshifted[:2]}:
                     bad.append((d, m, eps, "sites"))
                     continue
-                parent = rho_by_word(d, m, eps)
+                parent = rho_by_rows(d, m, eps)
                 det_v = quotient_range(1, d + m)
-                for (cd, cm, ceps), step in children:
+                for (cd, cm, ceps), cols, tail in ((shifted, step, ()), (unshifted, 0, (0,) * step)):
                     ct = table[cd, cm]
                     if lambda_parity(ct, Delta(cd)) != ceps:
                         bad.append((d, m, eps, "parity"))
                         continue
-                    for word, rho_c in rho_by_word(cd, cm, ceps).items():
-                        rho_p = parent.get(step + word)
+                    for rows, rho_c in rho_by_rows(cd, cm, ceps).items():
+                        grown = tuple(x + cols for x in rows) + tail
                         got = ct.base_part() + (quotient_range(1, cd + cm) if rho_c else PicClass())
-                        if rho_p is None or got != (det_v if rho_p else PicClass()):
-                            bad.append((d, m, eps, step + word))
-    _check(checks, "twist_table", not bad, f"failures: {bad[:5]}" if bad else "", params)
+                        if grown not in parent or got != (det_v if parent[grown] else PicClass()):
+                            bad.append((d, m, eps, grown))
+    _report(checks, "twist_table", bad, params, cap=5)
 
 
 def run_all(d_max: int, m_max: int) -> VerificationReport:

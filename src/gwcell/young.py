@@ -13,7 +13,7 @@ and filters them by that test before building any diagram.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import comb
 
 
@@ -63,28 +63,6 @@ class YoungDiagram:
     def __str__(self):
         inner = ",".join(str(r) for r in self.rows if r > 0)
         return f"({inner})" if inner else "()"
-
-
-# A diagram's boundary, walked from the bottom-left corner of its frame to
-# the top-right one, is its boundary word: d + m unit steps, "N" once per
-# row and "E" once per column.  A row's length is the number of E steps
-# before its N step.  The engine builds its leaves' words by prepending
-# steps: E for a full column, N for an empty row.
-
-
-def boundary_word(diagram: YoungDiagram) -> str:
-    """The boundary word of a diagram, bottom row first."""
-    steps, prev = [], 0
-    for r in reversed(diagram.rows):
-        steps.append("E" * (r - prev) + "N")
-        prev = r
-    steps.append("E" * (diagram.frame.m - prev))
-    return "".join(steps)
-
-
-def rows_of_word(word: str) -> tuple[int, ...]:
-    """Row lengths, top row first, of a boundary word."""
-    return tuple(accumulate(map(len, word.split("N")[:-1])))[::-1]
 
 
 def _even_rows(rows: tuple[int, ...], m: int) -> bool:
@@ -163,32 +141,25 @@ def _beta_parity_or_zero(l: int, d: int, m: int) -> int:
     return beta_parity(l, d, m)
 
 
-def verify_pascal(d_max: int, m_max: int) -> list[dict]:
-    """Check both beta recursion identities over 1 <= d <= d_max, 1 <= m <= m_max.
+def verify_pascal(d_max: int, m_max: int) -> list[tuple[int, int, int]]:
+    """The (d, m, identity) triples, 1 <= d <= d_max and 1 <= m <= m_max, where a beta identity fails.
 
     Identity 1: beta^[d+1](d, m) = beta^[d](d, m-1) + beta^[d-1](d-1, m).
     Identity 2: beta^[d](d, m)   = beta^[d](d, m-2) + C(d+m-2, m-1)
                                    + beta^[d-2](d-2, m).
-    Sub-terms with a zero index use the degenerate value 0; negative indices
-    make the identity inapplicable and are reported as skipped.
+    Sub-terms with a zero index use the degenerate value 0; identity 2 is
+    tried only where its indices are nonnegative, d, m >= 2.
     """
-    report = []
+    bad = []
     for d in range(1, d_max + 1):
         for m in range(1, m_max + 1):
-            lhs1 = beta_parity(d + 1, d, m)
-            rhs1 = _beta_parity_or_zero(d, d, m - 1) + _beta_parity_or_zero(d - 1, d - 1, m)
-            report.append({"d": d, "m": m, "identity": 1, "status": "holds" if lhs1 == rhs1 else "fails"})
-            if d - 2 < 0 or m - 2 < 0:
-                report.append({"d": d, "m": m, "identity": 2, "status": "skipped"})
-                continue
-            lhs2 = beta_parity(d, d, m)
-            rhs2 = (
-                _beta_parity_or_zero(d, d, m - 2)
-                + comb(d + m - 2, m - 1)
-                + _beta_parity_or_zero(d - 2, d - 2, m)
-            )
-            report.append({"d": d, "m": m, "identity": 2, "status": "holds" if lhs2 == rhs2 else "fails"})
-    return report
+            if beta_parity(d + 1, d, m) != _beta_parity_or_zero(d, d, m - 1) + _beta_parity_or_zero(d - 1, d - 1, m):
+                bad.append((d, m, 1))
+            if d >= 2 and m >= 2 and beta_parity(d, d, m) != (
+                _beta_parity_or_zero(d, d, m - 2) + comb(d + m - 2, m - 1) + _beta_parity_or_zero(d - 2, d - 2, m)
+            ):
+                bad.append((d, m, 2))
+    return bad
 
 
 def render_ascii(diagram: YoungDiagram) -> str:

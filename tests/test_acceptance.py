@@ -92,7 +92,7 @@ def test_c03_beta_identities():
         for d in range(1, 31)
         for m in range(1, 31)
     )
-    ok = ok and all(r["status"] != "fails" for r in young.verify_pascal(30, 30))
+    ok = ok and not young.verify_pascal(30, 30)
     ok = ok and time.monotonic() - start < 5.0
     report(3, ok)
 

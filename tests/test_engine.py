@@ -35,6 +35,7 @@ from gwcell.expr import (
 )
 from gwcell.twist import BaseSymbol, Delta, FlagQuotient, PicClass
 from gwcell.young import Frame
+from word_walk import solve_by_words
 
 L = PicClass.of(BaseSymbol("L"))
 
@@ -255,6 +256,26 @@ class TestEngineInvariants:
             assert {(d, m, eps) for d, m in frames for eps in (0, 1)} <= set(nodes)
             for (d, m, eps), n in nodes.items():
                 assert n == comb(d + m, d) - 2 * young.beta_parity(eps, d, m), (d, m, eps)
+        finally:
+            clear_cache()
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [
+            [(d, m) for d in range(13) for m in range(13)],
+            [f for m in range(1, 301) for f in ((2, m), (m, 2))],
+        ],
+        ids=["small", "thin"],
+    )
+    def test_walk_matches_word_walk_reference(self, nodes):
+        # the row-vector walk gives the boundary-word walk's K and leaf multiset
+        clear_cache()
+        try:
+            for d, m in nodes:
+                for eps in (0, 1) if d else (0,):
+                    k, leaves = engine._solve(d, m, eps)
+                    ref_k, ref_leaves = solve_by_words(d, m, eps)
+                    assert k == ref_k and sorted(leaves) == sorted(ref_leaves), (d, m, eps)
         finally:
             clear_cache()
 

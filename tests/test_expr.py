@@ -26,6 +26,7 @@ from gwcell.expr import (
     validate_json,
     witt_specialize,
 )
+from gwcell.engine import decompose_total
 from gwcell.twist import BaseSymbol, PicClass
 from gwcell.young import Frame, YoungDiagram
 
@@ -75,6 +76,24 @@ class TestDirectSum:
             direct_sum(a, b)
         merged = direct_sum(a, b, merge=True)
         assert merged.k == 2
+
+    def test_merged_witt_sums_evaluate_against_witt_entries(self):
+        # two Witt specializations of different frames merge into a Witt sum
+        a, b = (witt_specialize(decompose_total(1, m, 0, L)) for m in (1, 2))
+        entries = [{"theory": "K", "shift": 0, "twist": [], "degree": 0, "group": [0]}]
+        entries += [{"theory": "W", "shift": s, "twist": ["L"], "degree": 0, "group": [2]} for s in range(4)]
+        table = BaseTheoryTable.from_json({"name": "w", "entries": entries})
+        assert evaluate(a, table, 0) == evaluate(b, table, 0) == AbelianGroup((2, 2))
+        merged = direct_sum(a, b, merge=True)
+        assert merged.meta_dict()["mode"] == "witt"
+        assert evaluate(merged, table, 0) == AbelianGroup((2, 2, 2, 2))
+
+    def test_merge_refuses_a_witt_sum_with_a_gw_sum(self):
+        witt = witt_specialize(fsum(0, gw(0), d=2))
+        with pytest.raises(ContextMismatchError):
+            direct_sum(witt, fsum(0, gw(0), d=3), merge=True)
+        with pytest.raises(ContextMismatchError):
+            direct_sum(fsum(0, gw(0), d=3), witt, merge=True)
 
     @given(formal_sums(), formal_sums())
     def test_commutative(self, a, b):

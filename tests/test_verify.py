@@ -234,8 +234,8 @@ class TestRunAll:
             reason = "family"
         elif mutant == "child_eps":
             def wrong_eps(d, m, eps):
-                first, ((cd, cm, ceps), step) = original(d, m, eps)
-                return first, ((cd, cm, 1 - ceps), step)
+                shifted, (cd, cm, ceps), step = original(d, m, eps)
+                return shifted, (cd, cm, 1 - ceps), step
 
             monkeypatch.setattr(verify, "split_node", wrong_eps)
             reason = "parity"
@@ -274,7 +274,7 @@ class TestRunAll:
         def mutant(d, m, eps):
             base = original(d, m, eps)
             if base is not None and m == 1 and d > 1:
-                return tuple((word, rho ^ (word == "E" + "N" * d)) for word, rho in base)
+                return tuple((rows, rho ^ (rows == (1,) * d)) for rows, rho in base)
             return base
 
         engine.clear_cache()
