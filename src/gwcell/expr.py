@@ -132,7 +132,7 @@ def direct_sum(a: FormalSum, b: FormalSum, merge: bool = False) -> FormalSum:
     if a.meta == b.meta:
         meta = a.meta
     elif merge and len(witt) == 1:
-        meta = (("merged", (a.meta, b.meta)),) + ((("mode", "witt"),) if True in witt else ())
+        meta = (("merged", (a.meta, b.meta)),) + ((("mode", "witt"),) if witt == {True} else ())
     else:
         raise ContextMismatchError(f"context mismatch: {a.meta} vs {b.meta}")
     return FormalSum(a.k + b.k, a.gw + b.gw, meta)

@@ -228,8 +228,11 @@ def check_k_counts(checks, d_max, m_max, sums):
 
 
 def check_odd_odd(checks, d_max, m_max, sums):
-    odd = {(d, m): sums[d, m][1] for d, m in _frames(d_max, m_max, 2)}
-    bad = [(d, m) for (d, m), s in odd.items() if s.gw or s.k != comb(d + m, d) // 2]
+    bad = []
+    for d, m in _frames(d_max, m_max, 2):
+        s = sums[d, m][1]
+        if s.gw or s.k != comb(d + m, d) // 2:
+            bad.append((d, m))
     _report(checks, "odd_odd_concentration", bad, {"d_max": d_max, "m_max": m_max})
 
 
