@@ -9,8 +9,11 @@ does not validate.  The large sweep reaches frames of benchmark size,
 where the engine's walk runs through deep paths on both sides of the
 diagonal.  The walk sweep pins a 16 x 16 frame over both twists and
 both bundles, and the thin frames Gr_2 at m = 1500 and its transpose,
-whose leaves pass through a thousand levels of the walk.  The young sweep pins diagram enumeration and rendering, with
-and without the evenness filter, and a verify report in both formats.
+whose leaves pass through a thousand levels of the walk.  The text sweep
+pins ``--format text`` on the small sweep's grassmann calls (formal and
+witt) and split projective bundles.  The young sweep pins diagram
+enumeration and rendering, with and without the evenness filter, and a
+verify report in both formats.
 """
 
 import contextlib
@@ -28,6 +31,7 @@ GOLDEN_SHA256 = "8a652cd96a76d2e220fc0d13852a8869951438fa7eda9a88220407d2c0864b8
 GOLDEN_LARGE_SHA256 = "77eeb36a0d85e7bc51077e7b54fc49a57822330d517931b8b9b91997e1590039"
 GOLDEN_YOUNG_SHA256 = "973b9e97a5298e65767a281259f68b2ab1d269dea48e3f7945628fafe3021df6"
 GOLDEN_WALK_SHA256 = "608e36eba0a3bb0406d39abebe4a694f03501c1bda13eb45fb108a6a0acab82f"
+GOLDEN_TEXT_SHA256 = "678ded6a67b206e7769938d2ba7f4bfe2ef86397d192a9200b00dbce4a71920c"
 
 TWISTS = ("both", "even", "odd", "L,Delta,q1")
 
@@ -46,6 +50,13 @@ def _argvs():
         for parity in (0, 1):
             yield ["projbundle", "-r", str(r), "--parity", str(parity)]
             yield ["projbundle", "-r", str(r), "--parity", str(parity), "--no-split"]
+
+
+def _text_argvs():
+    """The small sweep's grassmann calls and split projective bundles, each with --format text."""
+    for argv in _argvs():
+        if "--no-split" not in argv:
+            yield [*argv, "--format", "text"]
 
 
 def _large_argvs():
@@ -116,6 +127,12 @@ def test_walked_frames_match_golden_digest():
     runs = _run(_walk_argvs())
     assert len(runs) == 4 and all(code == 0 for _, code, _, _ in runs)
     assert _digest(runs) == GOLDEN_WALK_SHA256
+
+
+def test_text_format_matches_golden_digest():
+    runs = _run(_text_argvs())
+    assert len(runs) == 744
+    assert _digest(runs) == GOLDEN_TEXT_SHA256
 
 
 def test_young_and_verify_match_golden_digest():
