@@ -30,7 +30,7 @@ from .expr import (
     MissingKeyError,
     evaluate,
     formal_sum_json_text,
-    formal_sum_to_json,
+    formal_sum_to_json,  # unused here, but perfbench/tracer.py wraps it under this name
     les_to_json,
     witt_specialize,
 )
@@ -53,7 +53,7 @@ def _emit(doc, fmt: str, text=None):
 
 def _emit_sum(s: FormalSum, fmt: str):
     """Print a formal sum: its text with --format text, else its JSON document through ``formal_sum_json_text``."""
-    print(_sum_text(s) if fmt == "text" else formal_sum_json_text(formal_sum_to_json(s)))
+    print(_sum_text(s) if fmt == "text" else formal_sum_json_text(s))
 
 
 def _twist_from_arg(spec: str, d: int) -> PicClass:
@@ -74,14 +74,16 @@ def _twist_from_arg(spec: str, d: int) -> PicClass:
 
 
 def _sum_text(s: FormalSum) -> str:
-    parts = []
-    if s.k:
-        parts.append(f"{s.k}.K")
-    for g in s.gw:
-        twist = "+".join(g.twist.serialize()) or "O"
-        diagram = str(g.diagram) if g.diagram is not None else "?"
-        parts.append(f"GW[{g.shift}]({twist}){diagram}")
+    parts = [f"{s.k}.K"] if s.k else []
+    for shift, key, rows, _, _ in s.records:
+        parts.append(f"GW[{shift}]({'+'.join(key) or 'O'}){'?' if rows is None else young.rows_text(rows)}")
     return " (+) ".join(parts) if parts else "0"
+
+
+def _les_text(seq: LongExactSequence) -> str:
+    """The cyclic sequence, a term a line with each map's name below it; the last map returns to the first term."""
+    terms = [_sum_text(t) if isinstance(t, FormalSum) else t for t in seq.terms]
+    return "".join(f"{term}\n  --{f}-->\n" for term, f in zip(terms, seq.maps)) + terms[0]
 
 
 def _cmd_grassmann(args) -> int:
@@ -108,7 +110,7 @@ def _cmd_projbundle(args) -> int:
     q = ProjBundleQuery(args.r, args.parity, args.shift, split=not args.no_split)
     result = decompose_projective_bundle(q)
     if isinstance(result, LongExactSequence):
-        _emit(les_to_json(result), args.format)
+        _emit(les_to_json(result), args.format, lambda: _les_text(result))
     else:
         _emit_sum(result, args.format)
     return EXIT_OK
@@ -131,7 +133,7 @@ def _cmd_young(args) -> int:
 
 def _cmd_les(args) -> int:
     seq = les_theorem_d(args.r, args.shift)
-    _emit(les_to_json(seq), args.format)
+    _emit(les_to_json(seq), args.format, lambda: _les_text(seq))
     return EXIT_OK
 
 

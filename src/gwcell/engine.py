@@ -22,7 +22,8 @@ follows from the rank rule 2 K + leaves = C(d + m, d) at every node.
 A query's leaves are then walked once, top down, skipping subtrees with no
 leaves.  The walk carries each leaf as its row vector: a pending node
 records the full columns its shifted ancestors prepend and the empty-row
-tail its unshifted ones append, so a leaf costs its own d rows.
+tail its unshifted ones append, so a leaf costs its own d rows.  Each
+leaf becomes one formal-sum record; no ``GWSummand`` is built for it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from math import comb
 
 from .expr import FormalSum, GWSummand, LongExactSequence
 from .twist import BaseSymbol, Delta, FlagQuotient, PicClass, lambda_parity
-from .young import Frame, YoungDiagram
+from .young import Frame
 
 TRIVIAL = "trivial"
 FLAGGED = "flagged"
@@ -172,32 +173,26 @@ def split_node(d: int, m: int, eps: int):
     return (d, m - step, d % 2), (d - step, m, (d - step) % 2), step
 
 
-def _summands(leaves, frame: Frame, shift: int, twists: tuple[PicClass, PicClass], t_index: int):
-    """GW summands of the leaves: the query shift less the box count, the twist picked by rho."""
-    return [
-        GWSummand(
-            shift=shift - sum(rows),
-            twist=twists[rho],
-            diagram=YoungDiagram(frame, rows),
-            t_index=t_index,
-            rho=rho,
-        )
-        for rows, rho in leaves
-    ]
+def _records(leaves, shift: int, twists: tuple[PicClass, PicClass], t: int) -> list:
+    """Formal-sum records of the leaves: the query shift less the box count, the twist key picked by rho."""
+    keys = (twists[0].sort_key, twists[1].sort_key)
+    return [(shift - sum(rows), keys[rho], rows, t, rho) for rows, rho in leaves]
 
 
 def decompose_point(shift: int, t: PicClass) -> FormalSum:
     """A degenerate Grassmannian: the base itself, one GW summand."""
     s = decompose_grassmannian(GrassmannQuery(0, 0, shift, t))
-    return FormalSum.with_meta(s.k, s.gw, kind="point", shift=shift)
+    return FormalSum.of_records(s.k, s.records, s.frame, s.twists, kind="point", shift=shift)
 
 
 def decompose_grassmannian(q: GrassmannQuery) -> FormalSum:
     """Decompose one Grassmannian at one twist into base K and GW summands."""
-    k, gw = _query_summands(q)
-    return FormalSum.with_meta(
+    k, records, twists = _query_records(q)
+    return FormalSum.of_records(
         k,
-        gw,
+        records,
+        Frame(q.d, q.m),
+        twists,
         kind="grassmannian",
         d=q.d,
         m=q.m,
@@ -207,8 +202,8 @@ def decompose_grassmannian(q: GrassmannQuery) -> FormalSum:
     )
 
 
-def _query_summands(q: GrassmannQuery) -> tuple[int, list[GWSummand]]:
-    """K count and unsorted GW summands of one checked query; the caller sorts them once."""
+def _query_records(q: GrassmannQuery) -> tuple[int, list, tuple[PicClass, PicClass]]:
+    """K count, unsorted records and twists by rho of one checked query; the caller sorts the records once."""
     r0 = q.d + q.m
     eps = lambda_parity(q.twist, Delta(q.d))
     base0 = q.twist.base_part()
@@ -222,18 +217,20 @@ def _query_summands(q: GrassmannQuery) -> tuple[int, list[GWSummand]]:
 
     k, leaves = _solve(q.d, q.m, eps)
     twists = (base0, base0 + PicClass.of(DET_V) if q.bundle == FLAGGED else base0)
-    return k, _summands(leaves, Frame(q.d, q.m), q.shift, twists, eps)
+    return k, _records(leaves, q.shift, twists, eps), twists
 
 
 def decompose_total(d: int, m: int, shift: int, base: PicClass, bundle: str = TRIVIAL) -> FormalSum:
     """Both twist classes of one Grassmannian, summed and sorted once."""
     if d < 1 or m < 1:
         raise ValueError(f"total decomposition needs d, m >= 1, got {d}, {m}")
-    k_even, even = _query_summands(GrassmannQuery(d, m, shift, base, bundle))
-    k_odd, odd = _query_summands(GrassmannQuery(d, m, shift, base + PicClass.of(Delta(d)), bundle))
-    return FormalSum.with_meta(
+    k_even, even, twists = _query_records(GrassmannQuery(d, m, shift, base, bundle))
+    k_odd, odd, _ = _query_records(GrassmannQuery(d, m, shift, base + PicClass.of(Delta(d)), bundle))
+    return FormalSum.of_records(
         k_even + k_odd,
         even + odd,
+        Frame(d, m),
+        twists,
         kind="grassmannian-total",
         d=d,
         m=m,
@@ -259,8 +256,9 @@ def decompose_projective_bundle(q: ProjBundleQuery) -> FormalSum | LongExactSequ
     if q.r % 2 and not q.parity and not q.split:
         return les_theorem_d(q.r, q.shift)
     k, leaves = _solve(1, q.r, q.parity)
-    gw = _summands(leaves, Frame(1, q.r), q.shift, (PicClass(), PicClass.of(DET_E)), q.parity)
-    return FormalSum.with_meta(k, gw, kind="projective-bundle", r=q.r, parity=q.parity, shift=q.shift)
+    twists = (PicClass(), PicClass.of(DET_E))
+    records = _records(leaves, q.shift, twists, q.parity)
+    return FormalSum.of_records(k, records, Frame(1, q.r), twists, kind="projective-bundle", r=q.r, parity=q.parity, shift=q.shift)
 
 
 def les_theorem_d(r: int, shift: int) -> LongExactSequence:
@@ -273,25 +271,11 @@ def les_theorem_d(r: int, shift: int) -> LongExactSequence:
         raise ValueError(f"need bundle rank >= 2, got r+1 = {r + 1}")
     if r % 2 == 0:
         raise ValueError(f"the sequence exists for odd r only, got r={r}")
-    first = FormalSum.with_meta(
-        (r - 1) // 2,
-        (GWSummand(shift=shift, twist=PicClass(), t_index=0),),
-        kind="les-term",
-        site="S",
-        r=r,
-        shift=shift,
-    )
-    middle = f"GW^[{shift}](P(E))"
-    last = FormalSum.with_meta(
-        0,
-        (GWSummand(shift=shift - r, twist=PicClass.of(DET_E), t_index=0),),
-        kind="les-term",
-        site="S",
-        r=r,
-        shift=shift,
-    )
+    meta = dict(kind="les-term", site="S", r=r, shift=shift)
+    first = FormalSum.with_meta((r - 1) // 2, (GWSummand(shift=shift, twist=PicClass(), t_index=0),), **meta)
+    last = FormalSum.with_meta(0, (GWSummand(shift=shift - r, twist=PicClass.of(DET_E), t_index=0),), **meta)
     return LongExactSequence(
-        terms=(first, middle, last),
+        terms=(first, f"GW^[{shift}](P(E))", last),
         maps=("(Theta_even, q^*)", "q_*", "(0, eta cup c(E))"),
     )
 

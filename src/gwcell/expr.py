@@ -15,10 +15,13 @@ builds are not re-validated on every call: ``verify``'s ``output_schema``
 check, the golden CLI sweep and a property test check that they conform
 to ``FORMAL_SUM_SCHEMA``.
 
-A formal-sum document has one writer, ``formal_sum_json_text``,
-specialized to its shape.  Its text is exactly ``json.dumps(doc,
-sort_keys=True, indent=2)``, without that encoder's pure-Python cost per
-value; the same ``output_schema`` check asserts the equality.
+A formal sum holds each GW-summand as one plain record, which every
+reader uses; an engine sum builds no ``GWSummand`` or ``YoungDiagram``
+until a caller reads ``gw``.  Its document has one writer,
+``formal_sum_json_text``, specialized to its shape.  Its text is exactly
+``json.dumps(formal_sum_to_json(s), sort_keys=True, indent=2)``, without
+that encoder's pure-Python cost per value; the same ``output_schema``
+check asserts the equality.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, cached_property
 
 from .twist import PicClass
 from .young import Frame, YoungDiagram
@@ -97,27 +100,50 @@ def summand_order(g: GWSummand) -> tuple:
     return (g.shift, g.twist.sort_key, rows, g.t_index or 0, g.rho or 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FormalSum:
-    """Canonical multiset of summands: a K count plus sorted GW-summands."""
+    """Canonical multiset of summands: a K count plus GW-summands in ``summand_order``.
 
-    k: int = 0
-    gw: tuple[GWSummand, ...] = ()
-    meta: tuple = ()
+    ``records`` holds one record ``(shift, twist key, rows, t, rho)`` per
+    GW-summand, in canonical order: its ``GWSummand`` fields with the twist
+    as its ``sort_key`` and the diagram as its row vector (None when
+    unlabelled).  A sum built from ``GWSummand``s keeps them as ``gw``.  A
+    sum the engine builds (``of_records``) has no None field, so plain
+    tuple order is the canonical order; its ``gw`` is built from the
+    records, its frame and its twists by rho when first read, and each
+    diagram is then validated against the frame.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "gw", tuple(sorted(self.gw, key=summand_order)))
-        object.__setattr__(self, "meta", tuple(self.meta))
+    k: int
+    records: tuple
+    meta: tuple
+
+    def __init__(self, k: int = 0, gw=(), meta=()):
+        gw = tuple(sorted(gw, key=summand_order))
+        records = tuple((g.shift, g.twist.sort_key, None if g.diagram is None else g.diagram.rows, g.t_index, g.rho) for g in gw)
+        self.__dict__.update(k=k, records=records, meta=tuple(meta), gw=gw, frame=None, twists=None)
 
     @classmethod
     def with_meta(cls, k=0, gw=(), **meta) -> "FormalSum":
         return cls(k, tuple(gw), tuple(sorted(meta.items())))
 
+    @classmethod
+    def of_records(cls, k: int, records, frame: Frame, twists: tuple[PicClass, PicClass], **meta) -> "FormalSum":
+        """An engine sum: records with every field set, their diagrams in ``frame``, ``twists[rho]`` behind each key."""
+        s = cls.__new__(cls)
+        s.__dict__.update(k=k, records=tuple(sorted(records)), meta=tuple(sorted(meta.items())), frame=frame, twists=twists)
+        return s
+
+    @cached_property
+    def gw(self) -> tuple[GWSummand, ...]:
+        frame, twists = self.frame, self.twists
+        return tuple(GWSummand(s, twists[rho], YoungDiagram(frame, rows), t, rho) for s, _, rows, t, rho in self.records)
+
     def meta_dict(self) -> dict:
         return dict(self.meta)
 
     def is_empty(self) -> bool:
-        return self.k == 0 and not self.gw
+        return self.k == 0 and not self.records
 
 
 def direct_sum(a: FormalSum, b: FormalSum, merge: bool = False) -> FormalSum:
@@ -138,30 +164,24 @@ def direct_sum(a: FormalSum, b: FormalSum, merge: bool = False) -> FormalSum:
     return FormalSum(a.k + b.k, a.gw + b.gw, meta)
 
 
-def _profile(s: FormalSum, with_diagrams: bool):
-    if with_diagrams:
-        return sorted(summand_order(g)[:3] for g in s.gw)
-    return sorted((g.shift, g.twist.sort_key) for g in s.gw)
-
-
 def equals(a: FormalSum, b: FormalSum) -> bool:
     """Equality of canonical forms, ignoring diagram labels when absent.
 
     If either side carries a GW-summand without a diagram, comparison falls
-    back to the (shift, twist) profile.
+    back to the (shift, twist) profile.  Records are in canonical order, so
+    their (shift, twist, rows) prefixes are already sorted.
     """
-    if a.k != b.k:
-        return False
-    labelled = all(g.diagram is not None for g in a.gw + b.gw)
-    return _profile(a, labelled) == _profile(b, labelled)
+    n = 3 if all(r[2] is not None for r in a.records + b.records) else 2
+    return a.k == b.k and [r[:n] for r in a.records] == [r[:n] for r in b.records]
 
 
 def witt_specialize(a: FormalSum) -> FormalSum:
     """Pass to Witt groups: K-summands vanish, shifts reduce mod 4."""
-    gw = tuple(replace(g, shift=g.shift % 4) for g in a.gw)
-    meta = dict(a.meta)
-    meta["mode"] = "witt"
-    return FormalSum(0, gw, tuple(sorted(meta.items())))
+    meta = {**dict(a.meta), "mode": "witt"}
+    if a.frame is None:
+        return FormalSum.with_meta(0, (replace(g, shift=g.shift % 4) for g in a.gw), **meta)
+    records = [(s % 4, key, rows, t, rho) for s, key, rows, t, rho in a.records]
+    return FormalSum.of_records(0, records, a.frame, a.twists, **meta)
 
 
 @dataclass(frozen=True)
@@ -202,8 +222,8 @@ def evaluate(a: FormalSum, table: BaseTheoryTable, degree: int) -> AbelianGroup:
     copies = Counter()
     if a.k:
         copies["K", 0, (), degree] = a.k
-    for g in a.gw:
-        copies[gw_theory, g.shift, g.twist.sort_key, degree] += 1
+    for shift, key, *_ in a.records:
+        copies[gw_theory, shift, key, degree] += 1
     missing = sorted(k for k in copies if k not in index)
     if missing:
         raise MissingKeyError(missing)
@@ -347,21 +367,15 @@ def formal_sum_to_json(a: FormalSum) -> dict:
     return {
         "k": a.k,
         "gw": [
-            {
-                "shift": g.shift,
-                "twist": list(g.twist.sort_key),
-                "diagram": list(g.diagram.rows) if g.diagram is not None else None,
-                "t": g.t_index,
-                "rho": g.rho,
-            }
-            for g in a.gw
+            {"shift": s, "twist": list(key), "diagram": None if rows is None else list(rows), "t": t, "rho": rho}
+            for s, key, rows, t, rho in a.records
         ],
         "meta": {k: _meta_value(v) for k, v in a.meta},
     }
 
 
-def formal_sum_json_text(doc: dict) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2)`` of a document ``formal_sum_to_json`` built.
+def formal_sum_json_text(a: FormalSum) -> str:
+    """``json.dumps(formal_sum_to_json(a), sort_keys=True, indent=2)``, written from the records.
 
     The standard encoder runs in pure Python whenever ``indent`` is set.
     This writer knows the document's shape instead: each ``gw`` entry is
@@ -373,21 +387,19 @@ def formal_sum_json_text(doc: dict) -> str:
     """
     twists = {}
     entries = []
-    for g in doc["gw"]:
-        key = tuple(g["twist"])
+    for shift, key, rows, t, rho in a.records:
         twist = twists.get(key)
         if twist is None:
             twist = twists[key] = _list_text([json.dumps(s) for s in key], 6)
-        rows, t, rho = g["diagram"], g["t"], g["rho"]
         entries.append(
             f'    {{\n      "diagram": {"null" if rows is None else _list_text(map(str, rows), 6)},'
             f'\n      "rho": {"null" if rho is None else rho},'
-            f'\n      "shift": {g["shift"]},'
+            f'\n      "shift": {shift},'
             f'\n      "t": {"null" if t is None else t},'
             f'\n      "twist": {twist}\n    }}'
         )
     gw = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
-    rest = json.dumps({"k": doc["k"], "meta": doc["meta"]}, sort_keys=True, indent=2)
+    rest = json.dumps({"k": a.k, "meta": {k: _meta_value(v) for k, v in a.meta}}, sort_keys=True, indent=2)
     return '{\n  "gw": ' + gw + "," + rest[1:]
 
 
@@ -419,10 +431,5 @@ def formal_sum_from_json(doc: dict, frame: Frame | None = None) -> FormalSum:
 
 
 def les_to_json(seq: LongExactSequence) -> dict:
-    terms = []
-    for t in seq.terms:
-        if isinstance(t, FormalSum):
-            terms.append(formal_sum_to_json(t))
-        else:
-            terms.append(t)
+    terms = [formal_sum_to_json(t) if isinstance(t, FormalSum) else t for t in seq.terms]
     return {"terms": terms, "maps": list(seq.maps)}

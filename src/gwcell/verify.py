@@ -32,12 +32,11 @@ from .expr import (
     direct_sum,
     formal_sum_json_text,
     formal_sum_to_json,
-    les_to_json,
     validate_json,
     witt_specialize,
 )
 from .twist import BaseSymbol, Delta, PicClass, lambda_parity, quotient_range
-from .young import Frame, YoungDiagram
+from .young import Frame
 
 # Even-diagram fixtures, one row vector per published figure.
 EVEN_FIXTURES = {
@@ -89,8 +88,8 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def brute_force_interface(diagram: YoungDiagram) -> tuple[tuple[str, int], ...]:
-    """Independent interface oracle: a grid scan over the filled boxes, reading rows.
+def brute_force_interface(rows: tuple[int, ...], m: int) -> tuple[tuple[str, int], ...]:
+    """Independent interface oracle: a grid scan over the filled boxes of a row vector in a frame of width m.
 
     Returns the (orientation, length) of each maximal straight segment,
     from the top-right of the frame to the bottom-left.  Tests each filled
@@ -100,7 +99,7 @@ def brute_force_interface(diagram: YoungDiagram) -> tuple[tuple[str, int], ...]:
     one).  A segment grows while the next edge keeps its orientation and
     is at the next position.  Calls no evenness rule.
     """
-    d, m, rows = diagram.frame.d, diagram.frame.m, diagram.rows
+    d = len(rows)
     if d > ORACLE_FRAME_LIMIT or m > ORACLE_FRAME_LIMIT:
         raise ValueError(f"oracle limited to {ORACLE_FRAME_LIMIT}x{ORACLE_FRAME_LIMIT} frames")
     edges = []  # (path position, orientation)
@@ -264,7 +263,7 @@ def check_witt_counts(checks, d_max, m_max, sums):
             # the per-class count is pinned by the rank accounting identity
             expected_count = comb(d + m, d) - 2 * young.beta_parity(l, d, m)
             expected_shifts = sorted((-g.diagram.boxes()) % 4 for g in s.gw)
-            if w.k != 0 or len(w.gw) != expected_count or sorted(g.shift for g in w.gw) != expected_shifts:
+            if w.k != 0 or len(w.records) != expected_count or sorted(r[0] for r in w.records) != expected_shifts:
                 bad.append((d, m, l))
     _report(checks, "witt_counts", bad, {"d_max": d_max, "m_max": m_max})
 
@@ -287,32 +286,34 @@ def check_output_schema(checks):
     (it has rho = 1 summands) and a base symbol whose name JSON escapes,
     its Witt specialization, a projective bundle, the formal-sum terms of a
     long exact sequence, and a merged direct sum (list-valued meta).  Each
-    document must also print through ``formal_sum_json_text`` exactly as
-    ``json.dumps(doc, sort_keys=True, indent=2)`` prints it.
+    sum must also print through ``formal_sum_json_text`` exactly as
+    ``json.dumps(doc, sort_keys=True, indent=2)`` prints its document.
     """
     gr = decompose_total(2, 2, 0, L + PicClass.of(BaseSymbol('"\\\u00e9\x01')), FLAGGED)
     pb = decompose_projective_bundle(ProjBundleQuery(2, 1, 0))
-    docs = [formal_sum_to_json(s) for s in (gr, witt_specialize(gr), pb, direct_sum(gr, pb, merge=True))]
-    docs += [t for t in les_to_json(les_theorem_d(3, 0))["terms"] if isinstance(t, dict)]
+    sums = [gr, witt_specialize(gr), pb, direct_sum(gr, pb, merge=True)]
+    sums += [t for t in les_theorem_d(3, 0).terms if not isinstance(t, str)]
     bad = []
-    for i, doc in enumerate(docs):
+    for i, s in enumerate(sums):
+        doc = formal_sum_to_json(s)
         try:
             validate_json(doc, FORMAL_SUM_SCHEMA)
         except SchemaMismatchError as exc:
             bad.append((i, str(exc)))
         else:
-            if formal_sum_json_text(doc) != json.dumps(doc, sort_keys=True, indent=2):
+            if formal_sum_json_text(s) != json.dumps(doc, sort_keys=True, indent=2):
                 bad.append((i, "formal_sum_json_text differs from json.dumps"))
-    _check(checks, "output_schema", not bad, f"failures: {bad}" if bad else f"{len(docs)} documents")
+    _check(checks, "output_schema", not bad, f"failures: {bad}" if bad else f"{len(sums)} documents")
 
 
 def check_interface_oracle(checks, limit=6):
+    """The evenness rule against the grid scan on every row vector of every frame up to ``limit``; builds no diagram."""
     bad = []
     for d in range(0, limit + 1):
         for m in range(0, limit + 1):
-            for lam in young.enumerate_diagrams(Frame(d, m)):
-                if young.is_even(lam) != all(length % 2 == 0 for _, length in brute_force_interface(lam)):
-                    bad.append((d, m, lam.rows))
+            for rows in young._row_vectors(Frame(d, m)):
+                if young._even_rows(rows, m) != all(length % 2 == 0 for _, length in brute_force_interface(rows, m)):
+                    bad.append((d, m, rows))
     _report(checks, "interface_oracle", bad, {"limit": limit}, cap=5)
 
 

@@ -61,8 +61,12 @@ class YoungDiagram:
         return YoungDiagram(Frame(self.frame.m, self.frame.d), new_rows)
 
     def __str__(self):
-        inner = ",".join(str(r) for r in self.rows if r > 0)
-        return f"({inner})" if inner else "()"
+        return rows_text(self.rows)
+
+
+def rows_text(rows: tuple[int, ...]) -> str:
+    """A row vector printed as its partition, the nonzero rows: ``(3,1)``, or ``()`` when empty."""
+    return "(" + ",".join(str(r) for r in rows if r > 0) + ")"
 
 
 def _even_rows(rows: tuple[int, ...], m: int) -> bool:

@@ -9,8 +9,9 @@ import pytest
 from gwcell import cli
 from gwcell.cli import main
 from gwcell.engine import decompose_total
-from gwcell.expr import FORMAL_SUM_SCHEMA, validate_json
+from gwcell.expr import FORMAL_SUM_SCHEMA, GWSummand, validate_json
 from gwcell.twist import BaseSymbol, PicClass
+from gwcell.young import YoungDiagram
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -272,6 +273,23 @@ class TestProjBundleCommand:
         doc = json.loads(out)
         assert doc["maps"] == ["(Theta_even, q^*)", "q_*", "(0, eta cup c(E))"]
 
+    def test_nonsplit_les_as_text(self, capsys):
+        code, out, _ = run(capsys, "projbundle", "-r", "3", "--no-split", "--shift", "-1", "--format", "text")
+        assert code == 0
+        assert out == LES_R3_SHIFT_MINUS_1_TEXT
+
+
+# a term a line, each map's name between its ends; the last map returns to the first term
+LES_R3_SHIFT_MINUS_1_TEXT = """\
+1.K (+) GW[-1](O)?
+  --(Theta_even, q^*)-->
+GW^[-1](P(E))
+  --q_*-->
+GW[-4](detE)?
+  --(0, eta cup c(E))-->
+1.K (+) GW[-1](O)?
+"""
+
 
 class TestLesCommand:
     def test_r1(self, capsys):
@@ -288,6 +306,11 @@ class TestLesCommand:
         code, out, _ = run(capsys, "les", "-r", "1", "--format", "json")
         assert code == 0
         assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+    def test_text_format(self, capsys):
+        code, out, _ = run(capsys, "les", "-r", "3", "--shift", "-1", "--format", "text")
+        assert code == 0
+        assert out == LES_R3_SHIFT_MINUS_1_TEXT
 
     def test_even_rank_is_domain_error(self, capsys):
         code, _, _ = run(capsys, "les", "-r", "2", "--format", "json")
@@ -331,6 +354,24 @@ class TestTextRenderedOnlyForText:
         monkeypatch.setattr(cli.verify.VerificationReport, "to_text", lambda r: pytest.fail("text rendered"))
         code, out, _ = run(capsys, "verify", "--max", "2", "--format", "json")
         assert code == 0 and json.loads(out)["ok"] is True
+
+
+class TestCliBuildsNoSummandObjects:
+    @pytest.mark.parametrize("mode", ["formal", "witt", "eval"])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("twist", ["both", "L,Delta"])
+    def test_grassmann_builds_no_gw_summand_or_young_diagram(self, capsys, monkeypatch, mode, fmt, twist):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the CLI built a GWSummand or a YoungDiagram")
+
+        monkeypatch.setattr(YoungDiagram, "__post_init__", forbidden)
+        monkeypatch.setattr(GWSummand, "__init__", forbidden)
+        if mode == "eval":  # the table covers the trivial bundle's twist L at shifts -4 to 3
+            extra = ["-d", "2", "-m", "2", "--base-table", os.path.join(ROOT, "tables", "field_w2.json")]
+        else:
+            extra = ["-d", "4", "-m", "3", "--bundle", "flagged"]
+        code, out, err = run(capsys, "grassmann", *extra, "--twist", twist, "--mode", mode, "--format", fmt)
+        assert (code, err) == (0, "") and out
 
 
 class TestEnvFormat:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from functools import cache
 from math import comb
 
@@ -24,17 +25,18 @@ from gwcell.engine import (
 from gwcell.expr import (
     FORMAL_SUM_SCHEMA,
     FormalSum,
+    GWSummand,
     LongExactSequence,
     direct_sum,
     formal_sum_from_json,
     formal_sum_json_text,
     formal_sum_to_json,
-    les_to_json,
+    summand_order,
     validate_json,
     witt_specialize,
 )
 from gwcell.twist import BaseSymbol, Delta, FlagQuotient, PicClass
-from gwcell.young import Frame
+from gwcell.young import Frame, YoungDiagram
 from word_walk import solve_by_words
 
 L = PicClass.of(BaseSymbol("L"))
@@ -305,18 +307,20 @@ class TestEngineInvariants:
         assert walks == [(6, 3, 0)]
         assert leaf_profile(again) == [(shift + 2, rows, t, rho) for shift, rows, t, rho in leaf_profile(first)]
 
-    def test_total_sorts_each_summand_once(self, monkeypatch):
-        calls = []
-        order = expr.summand_order
+    def test_total_sorts_its_records_once_with_no_key(self, monkeypatch):
+        # both twist classes' records are sorted together, once, in plain tuple order
+        sorts = []
 
-        def counted(g):
-            calls.append(g)
-            return order(g)
+        def counted(items, **kwargs):
+            items = list(items)
+            sorts.append((len(items), kwargs))
+            return sorted(items, **kwargs)
 
-        monkeypatch.setattr(expr, "summand_order", counted)
+        monkeypatch.setattr(expr, "sorted", counted, raising=False)
         s = decompose_total(8, 8, 0, L)
-        assert len(s.gw) == 140
-        assert len(calls) == len(s.gw)
+        formal_sum_json_text(s)
+        assert len(s.records) == 140
+        assert [kwargs for n, kwargs in sorts if n == 140] == [{}]
 
     def test_twist_keys_sorted_per_twist_not_per_summand(self, monkeypatch):
         def sorts_for(n):
@@ -423,6 +427,40 @@ def test_engine_against_oracles(case):
         assert len(set(rows)) == len(rows) == young.even_cardinality(d, m)
 
 
+@settings(max_examples=100, deadline=None)
+@given(grassmann_cases(square_frames(8) | thin_frames))
+def test_gw_read_from_records_is_the_summands_built_per_leaf(case):
+    # reference: one GWSummand with a validated diagram per walked leaf, sorted by summand_order
+    d, m, shift, bundle, base = case
+    twists = (base, base + PicClass.of(DET_V) if bundle == FLAGGED else base)
+    both = []
+    for l in (0, 1):
+        s = decompose_grassmannian(GrassmannQuery(d, m, shift, base + (PicClass.of(Delta(d)) if l else PicClass()), bundle))
+        leaves = engine._solve(d, m, l)[1]
+        want = [GWSummand(shift - sum(rows), twists[rho], YoungDiagram(Frame(d, m), rows), l, rho) for rows, rho in leaves]
+        assert s.gw == tuple(sorted(want, key=summand_order))
+        assert formal_sum_json_text(s) == json.dumps(formal_sum_to_json(s), sort_keys=True, indent=2)
+        both += want
+    total = decompose_total(d, m, shift, base, bundle)
+    assert total.gw == tuple(sorted(both, key=summand_order))
+    assert witt_specialize(total).gw == tuple(sorted((replace(g, shift=g.shift % 4) for g in both), key=summand_order))
+
+
+def test_gw_is_built_once_on_first_read_with_validated_diagrams(monkeypatch):
+    validated = []
+    check = YoungDiagram.__post_init__
+
+    def counted(lam):
+        validated.append(lam.rows)
+        check(lam)
+
+    monkeypatch.setattr(YoungDiagram, "__post_init__", counted)
+    s = decompose_total(6, 5, 0, L, FLAGGED)
+    assert validated == []
+    assert [g.diagram.rows for g in s.gw] == validated == [r[2] for r in s.records]
+    assert s.gw is s.gw and len(validated) == len(s.records) == young.even_cardinality(6, 5)
+
+
 @settings(max_examples=80, deadline=None)
 @given(grassmann_cases(square_frames(6)), st.sampled_from([0, 1]), st.sampled_from(["formal", "witt"]))
 def test_json_round_trip_and_witt_shifts(case, l, mode):
@@ -446,8 +484,8 @@ ESCAPED_NAMES = ('"x', "back\\slash", "\u00e9", "ctl\x01")
 
 
 @st.composite
-def formal_sum_documents(draw):
-    """A formal-sum document from any source the CLI or ``verify`` prints, over base symbols JSON may escape."""
+def printed_sums(draw):
+    """A formal sum from any source the CLI or ``verify`` prints, over base symbols JSON may escape."""
     d, m, shift, bundle, _ = draw(grassmann_cases(square_frames(6) | thin_frames))
     base = PicClass.of(*map(BaseSymbol, draw(st.lists(st.sampled_from(("L", "M") + ESCAPED_NAMES), max_size=3))))
     odd = base + PicClass.of(Delta(d))
@@ -464,11 +502,11 @@ def formal_sum_documents(draw):
     }
     kind = draw(st.sampled_from(sorted(sources) + ["les term"]))
     if kind == "les term":
-        return draw(st.sampled_from([t for t in les_to_json(les_theorem_d(r | 1, shift))["terms"] if isinstance(t, dict)]))
-    return formal_sum_to_json(sources[kind]())
+        return draw(st.sampled_from([t for t in les_theorem_d(r | 1, shift).terms if isinstance(t, FormalSum)]))
+    return sources[kind]()
 
 
 @settings(max_examples=150, deadline=None)
-@given(formal_sum_documents())
-def test_json_text_is_json_dumps(doc):
-    assert formal_sum_json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+@given(printed_sums())
+def test_json_text_is_json_dumps(s):
+    assert formal_sum_json_text(s) == json.dumps(formal_sum_to_json(s), sort_keys=True, indent=2)

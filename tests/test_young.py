@@ -95,17 +95,17 @@ class TestInterfaceSegments:
     # the grid-scan segments of a diagram, and is_even's row-length verdict on the same diagram
     def test_hook(self):
         lam = diagram(2, 2, 2, 1)
-        assert brute_force_interface(lam) == (("horizontal", 1), ("vertical", 1))
+        assert brute_force_interface(lam.rows, lam.frame.m) == (("horizontal", 1), ("vertical", 1))
         assert not is_even(lam)
 
     def test_staircase_order_top_right_first(self):
         lam = diagram(3, 3, 3, 1, 1)
-        assert brute_force_interface(lam) == (("horizontal", 2), ("vertical", 2))
+        assert brute_force_interface(lam.rows, lam.frame.m) == (("horizontal", 2), ("vertical", 2))
         assert is_even(lam)
 
     def test_full_frame_has_no_interface(self):
         lam = diagram(3, 3, 3, 3, 3)
-        assert brute_force_interface(lam) == ()
+        assert brute_force_interface(lam.rows, lam.frame.m) == ()
         assert is_even(lam)
 
 
