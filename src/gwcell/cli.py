@@ -220,7 +220,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_DOMAIN
     except RecursionError:
-        print(json.dumps({"error": "frame too deep for the recursion, or an input file nested too deeply (Python's recursion limit reached)"}), file=sys.stderr)
+        print(json.dumps({"error": "input file nested too deeply (Python's recursion limit reached)"}), file=sys.stderr)
         return EXIT_DOMAIN
 
 

@@ -17,13 +17,13 @@ parity of the twist relative to the tautological determinant:
   subbundle shifted by 2d (two prepended columns) and Gr_{d-2} of it
   unshifted (two appended empty rows).
 
-The memo keeps one count per (d, m, eps), its number of GW leaves; K
-follows from the rank rule 2 K + leaves = C(d + m, d) at every node.
-A query's leaves are then walked once, top down, skipping subtrees with no
-leaves.  The walk carries each leaf as its row vector: a pending node
-records the full columns its shifted ancestors prepend and the empty-row
-tail its unshifted ones append, so a leaf costs its own d rows.  Each
-leaf becomes one formal-sum record; no ``GWSummand`` is built for it.
+A query's leaves are walked once, top down, with an explicit stack and no
+count per node: a node has no GW leaf exactly when eps = 1 and d, m are
+both odd, and K follows from the leaves walked by the rank rule
+2 K + leaves = C(d + m, d).  The walk carries each leaf as its row vector:
+a pending node records the full columns its shifted ancestors prepend and
+the empty-row tail its unshifted ones append, so a leaf costs its own d
+rows.  Each leaf becomes one formal-sum record; no ``GWSummand`` is built.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ class ProjBundleQuery:
 
 Leaf = tuple[tuple[int, ...], int]  # (rows, rho): the shift drops by the box count, rho picks the twist
 
-_CACHE: dict[tuple[int, int, int], int] = {}  # number of GW leaves per node
 _LEAVES: dict[tuple[int, int, int], tuple[int, tuple[Leaf, ...]]] = {}  # walked leaves of queried frames
 
 
@@ -88,64 +87,55 @@ def _solve(d: int, m: int, eps: int) -> tuple[int, tuple[Leaf, ...]]:
     leaf and 1 - eps to its full one, and an inner node passes each child's
     bit through unchanged.  ``verify.check_twist_table`` checks these rules
     against the paper's line bundle table.  An arbitrary base twist rides
-    along additively, so this is the only shape that needs memoizing.
+    along additively, so this is the only shape that needs solving.
     Callers reject d = 0 with eps set, so d = 0 means eps = 0.
 
-    The memo ``_CACHE`` holds leaf counts, filled by ``_count``, and K
-    follows from the query's count by the rank rule.  The leaves are walked
-    once per queried frame, as row vectors, by ``_walk`` and kept in
-    ``_LEAVES`` so that a repeated query is one lookup.
+    The leaves are walked once per queried frame, as row vectors, by
+    ``_walk`` and kept in ``_LEAVES`` so that a repeated query is one
+    lookup; K follows from the number walked by the rank rule.
     """
     key = (d, m, eps)
     hit = _LEAVES.get(key)
     if hit is None:
-        hit = _LEAVES[key] = ((comb(d + m, d) - _count(d, m, eps)) // 2, tuple(_walk(d, m, eps)))
+        leaves = tuple(_walk(d, m, eps))
+        hit = _LEAVES[key] = ((comb(d + m, d) - len(leaves)) // 2, leaves)
     return hit
 
 
 def _base_leaves(d: int, m: int, eps: int):
-    """Rows and rho bits of the leaves at d = 0, m = 0, d = 1 and m = 1; None elsewhere."""
+    """The leaves at d = 0, m = 0, d = 1 and m = 1, each a constant row vector (row count, row length, rho); None elsewhere."""
     if d == 0:
-        return (((), 0),)
+        return ((0, 0, 0),)
     if m == 0:
         # Gr_d of a rank-d bundle is the base; Delta_d telescopes to det V.
-        return (((0,) * d, eps),)
+        return ((d, 0, eps),)
     if d == 1:
         # P(E) for E of rank m+1: the empty row survives at eps = 0, the full
         # row (twisted by det E) at eps = m+1 mod 2, and the rest is K by rank.
-        return ((((0,), 0),) if eps == 0 else ()) + ((((m,), 1),) if eps != m % 2 else ())
+        return (((1, 0, 0),) if eps == 0 else ()) + (((1, m, 1),) if eps != m % 2 else ())
     if m == 1:
         # Gr_d of a rank d+1 bundle, dual to P(E): the empty column survives
         # at eps = 0, the full column at eps = d+1 mod 2 with rho 1 - eps.
-        return ((((0,) * d, 0),) if eps == 0 else ()) + ((((1,) * d, 1 - eps),) if eps != d % 2 else ())
+        return (((d, 0, 0),) if eps == 0 else ()) + (((d, 1, 1 - eps),) if eps != d % 2 else ())
     return None
 
 
-def _count(d: int, m: int, eps: int) -> int:
-    """Number of GW leaves of one node, memoized in ``_CACHE``."""
-    key = (d, m, eps)
-    hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
-    base = _base_leaves(d, m, eps)
-    if base is not None:
-        n = len(base)
-    else:
-        shifted, unshifted, _ = split_node(d, m, eps)
-        n = _count(*shifted) + _count(*unshifted)
-    _CACHE[key] = n
-    return n
+def _has_leaves(d: int, m: int, eps: int) -> bool:
+    """False exactly when eps = 1 and d, m are both odd: that twist class of the frame is all K."""
+    return not (eps and d % 2 and m % 2)
 
 
 def _walk(d: int, m: int, eps: int) -> list[Leaf]:
-    """The GW leaves of a counted node, walked top down with an explicit stack.
+    """The GW leaves of a node, walked top down with an explicit stack.
 
     A pending node ``(d, m, eps, cols, tail)`` stands for the query rows
     ``tuple(x + cols for x in r) + tail``, where r runs over the node's own
     leaf rows: the shifted child adds its step to ``cols``, the unshifted
     one puts ``step`` rows of length ``cols`` in front of ``tail``, and
-    leaves keep the rho bit of their base case.  Children without leaves
-    are skipped, so every pending node ends in an output leaf.
+    leaves keep the rho bit of their base case.  A base leaf is ``count``
+    rows of one length, so it becomes ``(length + cols,) * count + tail``.
+    Every child is solved at eps = d mod 2, so ``_has_leaves`` skips each
+    child without leaves and every pending node ends in an output leaf.
     """
     leaves = []
     stack = [(d, m, eps, 0, ())]
@@ -153,12 +143,13 @@ def _walk(d: int, m: int, eps: int) -> list[Leaf]:
         d, m, eps, cols, tail = stack.pop()
         base = _base_leaves(d, m, eps)
         if base is not None:
-            leaves.extend((tuple([x + cols for x in rows]) + tail, rho) for rows, rho in base)
+            for count, length, rho in base:
+                leaves.append(((length + cols,) * count + tail, rho))
         else:
             shifted, unshifted, step = split_node(d, m, eps)
-            if _CACHE[shifted]:
+            if _has_leaves(*shifted):
                 stack.append((*shifted, cols + step, tail))
-            if _CACHE[unshifted]:
+            if _has_leaves(*unshifted):
                 stack.append((*unshifted, cols, (cols,) * step + tail))
     return leaves
 
@@ -281,5 +272,4 @@ def les_theorem_d(r: int, shift: int) -> LongExactSequence:
 
 
 def clear_cache():
-    _CACHE.clear()
     _LEAVES.clear()

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 from .twist import PicClass
 from .young import Frame, YoungDiagram
@@ -379,28 +379,35 @@ def formal_sum_json_text(a: FormalSum) -> str:
 
     The standard encoder runs in pure Python whenever ``indent`` is set.
     This writer knows the document's shape instead: each ``gw`` entry is
-    one template with its five keys in sorted order, ints written with
-    ``str`` and ``None`` as ``null``; each distinct twist list is rendered
-    once, its strings by ``json.dumps``; ``k`` and ``meta`` are rendered by
+    filled into the cached ``%`` template of its record shape (twist key,
+    row count or None, t, rho); the rows and the shift fill its ``%s``
+    slots, as ``str`` writes them.  ``k`` and ``meta`` are rendered by
     ``json.dumps`` and spliced in after ``gw``, which sorts first.
     ``verify.check_output_schema`` checks the text against ``json.dumps``.
     """
-    twists = {}
-    entries = []
-    for shift, key, rows, t, rho in a.records:
-        twist = twists.get(key)
-        if twist is None:
-            twist = twists[key] = _list_text([json.dumps(s) for s in key], 6)
-        entries.append(
-            f'    {{\n      "diagram": {"null" if rows is None else _list_text(map(str, rows), 6)},'
-            f'\n      "rho": {"null" if rho is None else rho},'
-            f'\n      "shift": {shift},'
-            f'\n      "t": {"null" if t is None else t},'
-            f'\n      "twist": {twist}\n    }}'
-        )
+    entries = [
+        _entry_template(key, None if rows is None else len(rows), t, rho) % ((shift,) if rows is None else (*rows, shift))
+        for shift, key, rows, t, rho in a.records
+    ]
     gw = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
     rest = json.dumps({"k": a.k, "meta": {k: _meta_value(v) for k, v in a.meta}}, sort_keys=True, indent=2)
     return '{\n  "gw": ' + gw + "," + rest[1:]
+
+
+@lru_cache(maxsize=256, typed=True)
+def _entry_template(key: tuple, n: int | None, t: int | None, rho: int | None) -> str:
+    """The text of one ``gw`` entry, keys sorted, with ``%s`` slots for its n rows, then its shift.
+
+    The twist strings are rendered by ``json.dumps``, with ``%`` escaped,
+    and ``None`` as ``null``.  The cache tells argument types apart: 1,
+    1.0 and True are one key, but ``json.dumps`` writes them apart.
+    """
+    diagram = "null" if n is None else _list_text(["%s"] * n, 6)
+    twist = _list_text([json.dumps(s).replace("%", "%%") for s in key], 6)
+    return (
+        f'    {{\n      "diagram": {diagram},\n      "rho": {json.dumps(rho)},\n      "shift": %s,'
+        f'\n      "t": {json.dumps(t)},\n      "twist": {twist}\n    }}'
+    )
 
 
 def _list_text(items, indent: int) -> str:

@@ -283,13 +283,14 @@ def check_output_schema(checks):
 
     ``formal_sum_to_json`` does not validate what it builds, so this is
     where its output meets the schema: a flagged Gr(2, 2) over both twists
-    (it has rho = 1 summands) and a base symbol whose name JSON escapes,
-    its Witt specialization, a projective bundle, the formal-sum terms of a
-    long exact sequence, and a merged direct sum (list-valued meta).  Each
-    sum must also print through ``formal_sum_json_text`` exactly as
-    ``json.dumps(doc, sort_keys=True, indent=2)`` prints its document.
+    (it has rho = 1 summands) and a base symbol whose name JSON escapes
+    and holds a ``%``, its Witt specialization, a projective bundle, the
+    formal-sum terms of a long exact sequence, and a merged direct sum
+    (list-valued meta).  Each sum must also print through
+    ``formal_sum_json_text`` exactly as ``json.dumps(doc, sort_keys=True,
+    indent=2)`` prints its document.
     """
-    gr = decompose_total(2, 2, 0, L + PicClass.of(BaseSymbol('"\\\u00e9\x01')), FLAGGED)
+    gr = decompose_total(2, 2, 0, L + PicClass.of(BaseSymbol('"\\\u00e9\x01%')), FLAGGED)
     pb = decompose_projective_bundle(ProjBundleQuery(2, 1, 0))
     sums = [gr, witt_specialize(gr), pb, direct_sum(gr, pb, merge=True)]
     sums += [t for t in les_theorem_d(3, 0).terms if not isinstance(t, str)]

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from gwcell import cli
+from gwcell import cli, young
 from gwcell.cli import main
 from gwcell.engine import decompose_total
 from gwcell.expr import FORMAL_SUM_SCHEMA, GWSummand, validate_json
@@ -126,18 +126,17 @@ class TestGrassmannCommand:
         assert proc.returncode == 1 and proc.stdout == ""
         assert "error" in json.loads(proc.stderr)
 
-    def test_frame_too_deep_is_domain_error(self):
-        # Gr_2 recurses about m/2 levels deep: past Python's limit it must still exit 1 with JSON
+    def test_frame_past_the_old_recursion_limit_solves(self):
+        # Gr_2 splits about m/2 levels deep, past Python's recursion limit: the walk keeps its own stack
         proc = subprocess.run(
             [sys.executable, "-m", "gwcell.cli", "grassmann", "-d", "2", "-m", "3000", "--twist", "even"],
             capture_output=True, text=True, env=_child_env(),
         )
-        assert proc.returncode == 1 and proc.stdout == ""
-        assert "Traceback" not in proc.stderr
-        assert "recursion" in json.loads(proc.stderr.splitlines()[-1])["error"]
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["k"] == young.beta_parity(0, 2, 3000)
 
     def test_deeply_nested_base_table_is_domain_error(self, tmp_path):
-        # json.load, not the frame, hits the recursion limit: the message names both causes
+        # json.load hits the recursion limit: the message names the nested input
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)
         proc = subprocess.run(
@@ -152,7 +151,7 @@ class TestGrassmannCommand:
 
     @pytest.mark.parametrize("d, m", [(2, 1975), (1975, 2)])
     def test_thin_frame_near_the_limit_solves(self, d, m):
-        # both orientations of a deep thin frame fit in the default recursion limit
+        # both orientations of a deep thin frame solve
         proc = subprocess.run(
             [sys.executable, "-m", "gwcell.cli", "grassmann", "-d", str(d), "-m", str(m)],
             capture_output=True, text=True, env=_child_env(),

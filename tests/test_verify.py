@@ -274,7 +274,7 @@ class TestRunAll:
         def mutant(d, m, eps):
             base = original(d, m, eps)
             if base is not None and m == 1 and d > 1:
-                return tuple((rows, rho ^ (rows == (1,) * d)) for rows, rho in base)
+                return tuple((count, length, rho ^ (length == 1)) for count, length, rho in base)
             return base
 
         engine.clear_cache()
