@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from . import verify, young
+from . import young
 from .engine import (
     FLAGGED,
     TRIVIAL,
@@ -138,6 +138,8 @@ def _cmd_les(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify  # loaded by this command only, to keep every other command's start-up short
+
     report = verify.run_all(args.d_max, args.m_max)
     _emit(report.to_json(), args.format, report.to_text)
     return EXIT_OK if report.passed() else EXIT_VERIFY

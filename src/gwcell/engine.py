@@ -28,7 +28,6 @@ rows.  Each leaf becomes one formal-sum record; no ``GWSummand`` is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .expr import FormalSum, GWSummand, LongExactSequence
@@ -42,13 +41,16 @@ DET_E = BaseSymbol("detE")
 DET_V = BaseSymbol("detV")
 
 
-@dataclass(frozen=True)
 class GrassmannQuery:
-    d: int
-    m: int
-    shift: int
-    twist: PicClass
-    bundle: str = TRIVIAL
+    __slots__ = ("d", "m", "shift", "twist", "bundle")
+
+    def __init__(self, d: int, m: int, shift: int, twist: PicClass, bundle: str = TRIVIAL):
+        self.d = d
+        self.m = m
+        self.shift = shift
+        self.twist = twist
+        self.bundle = bundle
+        self.__post_init__()
 
     def __post_init__(self):
         if self.d < 0 or self.m < 0:
@@ -56,21 +58,46 @@ class GrassmannQuery:
         if self.bundle not in (TRIVIAL, FLAGGED):
             raise ValueError(f"unknown bundle kind {self.bundle!r}")
 
+    def _values(self) -> tuple:
+        return (self.d, self.m, self.shift, self.twist, self.bundle)
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+
 class ProjBundleQuery:
     """P(E) for a rank r+1 bundle E; the twist enters only through its parity."""
 
-    r: int
-    parity: int
-    shift: int
-    split: bool = True
+    __slots__ = ("r", "parity", "shift", "split")
+
+    def __init__(self, r: int, parity: int, shift: int, split: bool = True):
+        self.r = r
+        self.parity = parity
+        self.shift = shift
+        self.split = split
+        self.__post_init__()
 
     def __post_init__(self):
         if self.r < 1:
             raise ValueError(f"need bundle rank >= 2, got r+1 = {self.r + 1}")
         if self.parity not in (0, 1):
             raise ValueError("twist parity must be 0 or 1")
+
+    def _values(self) -> tuple:
+        return (self.r, self.parity, self.shift, self.split)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 Leaf = tuple[tuple[int, ...], int]  # (rows, rho): the shift drops by the box count, rho picks the twist

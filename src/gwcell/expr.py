@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import cache, cached_property, lru_cache
 
 from .twist import PicClass
@@ -51,20 +50,31 @@ class SchemaMismatchError(ValueError):
     """Raised when a JSON document (a base table, a formal sum) fails its schema."""
 
 
-@dataclass(frozen=True)
 class AbelianGroup:
     """Finitely generated abelian group as a multiset of cyclic orders.
 
     Order 0 denotes an infinite cyclic factor; order-1 factors are dropped.
     """
 
-    orders: tuple[int, ...] = ()
+    __slots__ = ("orders",)
+
+    def __init__(self, orders: tuple[int, ...] = ()):
+        self.orders = orders
+        self.__post_init__()
 
     def __post_init__(self):
         cleaned = tuple(sorted(o for o in self.orders if o != 1))
         if any(o < 0 for o in cleaned):
             raise ValueError(f"cyclic orders must be nonnegative, got {self.orders}")
-        object.__setattr__(self, "orders", cleaned)
+        self.orders = cleaned
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.orders == other.orders
+
+    def __hash__(self):
+        return hash((self.orders,))
 
     def __add__(self, other: "AbelianGroup") -> "AbelianGroup":
         return AbelianGroup(self.orders + other.orders)
@@ -78,7 +88,6 @@ class AbelianGroup:
         return " x ".join("Z" if o == 0 else f"Z/{o}" for o in self.orders)
 
 
-@dataclass(frozen=True)
 class GWSummand:
     """One shifted, twisted GW-summand of the base.
 
@@ -87,11 +96,32 @@ class GWSummand:
     provenance.
     """
 
-    shift: int
-    twist: PicClass
-    diagram: YoungDiagram | None = None
-    t_index: int | None = None
-    rho: int | None = None
+    __slots__ = ("shift", "twist", "diagram", "t_index", "rho")
+
+    def __init__(
+        self,
+        shift: int,
+        twist: PicClass,
+        diagram: YoungDiagram | None = None,
+        t_index: int | None = None,
+        rho: int | None = None,
+    ):
+        self.shift = shift
+        self.twist = twist
+        self.diagram = diagram
+        self.t_index = t_index
+        self.rho = rho
+
+    def _values(self) -> tuple:
+        return (self.shift, self.twist, self.diagram, self.t_index, self.rho)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 def summand_order(g: GWSummand) -> tuple:
@@ -100,7 +130,6 @@ def summand_order(g: GWSummand) -> tuple:
     return (g.shift, g.twist.sort_key, rows, g.t_index or 0, g.rho or 0)
 
 
-@dataclass(frozen=True, init=False)
 class FormalSum:
     """Canonical multiset of summands: a K count plus GW-summands in ``summand_order``.
 
@@ -113,10 +142,6 @@ class FormalSum:
     records, its frame and its twists by rho when first read, and each
     diagram is then validated against the frame.
     """
-
-    k: int
-    records: tuple
-    meta: tuple
 
     def __init__(self, k: int = 0, gw=(), meta=()):
         gw = tuple(sorted(gw, key=summand_order))
@@ -138,6 +163,14 @@ class FormalSum:
     def gw(self) -> tuple[GWSummand, ...]:
         frame, twists = self.frame, self.twists
         return tuple(GWSummand(s, twists[rho], YoungDiagram(frame, rows), t, rho) for s, _, rows, t, rho in self.records)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.k, self.records, self.meta) == (other.k, other.records, other.meta)
+
+    def __hash__(self):
+        return hash((self.k, self.records, self.meta))
 
     def meta_dict(self) -> dict:
         return dict(self.meta)
@@ -179,17 +212,27 @@ def witt_specialize(a: FormalSum) -> FormalSum:
     """Pass to Witt groups: K-summands vanish, shifts reduce mod 4."""
     meta = {**dict(a.meta), "mode": "witt"}
     if a.frame is None:
-        return FormalSum.with_meta(0, (replace(g, shift=g.shift % 4) for g in a.gw), **meta)
+        return FormalSum.with_meta(0, (GWSummand(g.shift % 4, g.twist, g.diagram, g.t_index, g.rho) for g in a.gw), **meta)
     records = [(s % 4, key, rows, t, rho) for s, key, rows, t, rho in a.records]
     return FormalSum.of_records(0, records, a.frame, a.twists, **meta)
 
 
-@dataclass(frozen=True)
 class BaseTheoryTable:
     """User-supplied evaluation data: (theory, shift, twist, degree) -> group."""
 
-    name: str
-    entries: tuple = ()
+    __slots__ = ("name", "entries")
+
+    def __init__(self, name: str, entries: tuple = ()):
+        self.name = name
+        self.entries = entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name and self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.name, self.entries))
 
     def _index(self) -> dict:
         return {key: grp for key, grp in self.entries}
@@ -230,7 +273,6 @@ def evaluate(a: FormalSum, table: BaseTheoryTable, degree: int) -> AbelianGroup:
     return AbelianGroup(tuple(o for k, n in copies.items() for o in index[k].orders * n))
 
 
-@dataclass(frozen=True)
 class LongExactSequence:
     """A cyclic list of labeled terms with the connecting maps between them.
 
@@ -238,12 +280,24 @@ class LongExactSequence:
     morphisms between consecutive terms, never evaluated.
     """
 
-    terms: tuple
-    maps: tuple[str, ...]
+    __slots__ = ("terms", "maps")
+
+    def __init__(self, terms: tuple, maps: tuple[str, ...]):
+        self.terms = terms
+        self.maps = maps
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.terms) != len(self.maps):
             raise ValueError("a cyclic sequence needs one map per consecutive term pair")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.terms == other.terms and self.maps == other.maps
+
+    def __hash__(self):
+        return hash((self.terms, self.maps))
 
 
 # --- JSON serialization -------------------------------------------------

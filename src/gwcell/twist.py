@@ -14,36 +14,65 @@ family a twist is in, and so which child twists it has.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from functools import cached_property
-from typing import Iterable
 
 
-@dataclass(frozen=True, order=True)
 class BaseSymbol:
     """A line bundle class pulled back from the base scheme."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self):
+        return hash((self.name,))
 
     def key(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, order=True)
 class FlagQuotient:
     """The class of V_j / V_{j-1} for the fixed complete flag of V."""
 
-    index: int
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.index == other.index
+
+    def __hash__(self):
+        return hash((self.index,))
 
     def key(self) -> str:
         return f"q{self.index}"
 
 
-@dataclass(frozen=True, order=True)
 class Delta:
     """det of the tautological rank-e subbundle of the current Grassmannian."""
 
-    rank: int
+    __slots__ = ("rank",)
+
+    def __init__(self, rank: int):
+        self.rank = rank
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rank == other.rank
+
+    def __hash__(self):
+        return hash((self.rank,))
 
     def key(self) -> str:
         return f"Delta:{self.rank}"
@@ -60,14 +89,19 @@ def _parse_generator(token: str) -> Generator:
     return BaseSymbol(token)
 
 
-@dataclass(frozen=True)
 class PicClass:
     """An element of Pic modulo squares: a finite set of generators, mod 2."""
 
-    generators: frozenset = field(default_factory=frozenset)
+    def __init__(self, generators=frozenset()):
+        self.generators = frozenset(generators)
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", frozenset(self.generators))
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.generators == other.generators
+
+    def __hash__(self):
+        return hash((self.generators,))
 
     @classmethod
     def of(cls, *gens: Generator) -> "PicClass":
@@ -126,7 +160,6 @@ H_TILDE = "H-tilde"
 H = "H"
 
 
-@dataclass(frozen=True)
 class LineBundleTableEntry:
     """One row of the fixed twist table.
 
@@ -135,11 +168,25 @@ class LineBundleTableEntry:
     function of the ambient rank r.
     """
 
-    family: str
-    name: str
-    site: tuple[int, int]
-    value_d_odd: str
-    value_d_even: str
+    __slots__ = ("family", "name", "site", "value_d_odd", "value_d_even")
+
+    def __init__(self, family: str, name: str, site: tuple[int, int], value_d_odd: str, value_d_even: str):
+        self.family = family
+        self.name = name
+        self.site = site
+        self.value_d_odd = value_d_odd
+        self.value_d_even = value_d_even
+
+    def _values(self) -> tuple:
+        return (self.family, self.name, self.site, self.value_d_odd, self.value_d_even)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 # The defining table of the two twist families and their child twists.

@@ -12,24 +12,33 @@ and filters them by that test before building any diagram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 
 
-@dataclass(frozen=True)
 class Frame:
     """A d x m rectangle: d rows, m columns."""
 
-    d: int
-    m: int
+    __slots__ = ("d", "m")
+
+    def __init__(self, d: int, m: int):
+        self.d = d
+        self.m = m
+        self.__post_init__()
 
     def __post_init__(self):
         if self.d < 0 or self.m < 0:
             raise ValueError(f"frame dimensions must be nonnegative, got {self.d}x{self.m}")
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.d == other.d and self.m == other.m
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return hash((self.d, self.m))
+
+
 class YoungDiagram:
     """A partition fitting inside a frame, stored as all d row lengths.
 
@@ -38,12 +47,15 @@ class YoungDiagram:
     row vectors of equal length.
     """
 
-    frame: Frame
-    rows: tuple[int, ...]
+    __slots__ = ("frame", "rows")
+
+    def __init__(self, frame: Frame, rows: tuple[int, ...]):
+        self.frame = frame
+        self.rows = rows
+        self.__post_init__()
 
     def __post_init__(self):
-        rows = tuple(self.rows)
-        object.__setattr__(self, "rows", rows)
+        rows = self.rows = tuple(self.rows)
         if len(rows) != self.frame.d:
             raise ValueError(f"expected {self.frame.d} rows, got {len(rows)}")
         prev = self.frame.m
@@ -51,6 +63,14 @@ class YoungDiagram:
             if not 0 <= r <= prev:
                 raise ValueError(f"rows {rows} are not weakly decreasing within width {self.frame.m}")
             prev = r
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.frame == other.frame and self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.frame, self.rows))
 
     def boxes(self) -> int:
         return sum(self.rows)

@@ -11,6 +11,7 @@ from gwcell.cli import main
 from gwcell.engine import decompose_total
 from gwcell.expr import FORMAL_SUM_SCHEMA, GWSummand, validate_json
 from gwcell.twist import BaseSymbol, PicClass
+from gwcell.verify import VerificationReport
 from gwcell.young import YoungDiagram
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -187,6 +188,22 @@ class TestLazySchemaImport:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[-1] == "False"
 
+    def test_cli_import_adds_no_heavy_module(self):
+        # the value classes are plain classes, and only the verify command imports gwcell.verify
+        listed = "import sys; print(' '.join(sorted(sys.modules)))"
+        bare, fresh = (
+            subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), check=True)
+            for code in (listed, f"import gwcell.cli; {listed}")
+        )
+        added = set(fresh.stdout.split()) - set(bare.stdout.split())
+        assert "gwcell.cli" in added
+        assert not added & {"dataclasses", "inspect", "typing", "gwcell.verify", "jsonschema"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "gwcell.cli", "verify", "--max", "2"], capture_output=True, text=True, env=_child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["ok"] is True
+
     def test_well_formed_base_table_read_without_jsonschema(self, tmp_path):
         # a table passing the plain structural check never reaches jsonschema
         entries = [{"theory": "K", "shift": 0, "twist": [], "degree": 0, "group": [0]}]
@@ -350,7 +367,7 @@ class TestTextRenderedOnlyForText:
         assert code == 0 and json.loads(out)["gw"]
 
     def test_verify_json_renders_no_text(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli.verify.VerificationReport, "to_text", lambda r: pytest.fail("text rendered"))
+        monkeypatch.setattr(VerificationReport, "to_text", lambda r: pytest.fail("text rendered"))
         code, out, _ = run(capsys, "verify", "--max", "2", "--format", "json")
         assert code == 0 and json.loads(out)["ok"] is True
 

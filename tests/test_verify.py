@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from itertools import groupby
 
 import pytest
@@ -182,7 +181,8 @@ class TestRunAll:
     def test_corrupted_twist_table_fails(self, monkeypatch):
         # drop detV/V1 from Htilde^(1)_d: the engine's bit rules no longer follow from the table
         table = tuple(
-            replace(e, value_d_odd="L,Delta") if e.name == "Htilde^(1)_d" else e for e in twist.LINE_BUNDLE_TABLE
+            twist.LineBundleTableEntry(e.family, e.name, e.site, "L,Delta", e.value_d_even) if e.name == "Htilde^(1)_d" else e
+            for e in twist.LINE_BUNDLE_TABLE
         )
         monkeypatch.setattr(twist, "LINE_BUNDLE_TABLE", table)
         checks = []
@@ -229,7 +229,10 @@ class TestRunAll:
         original = verify.split_node
         if mutant == "defining_row":
             # Htilde then shares H's parity at even d: no family, or both
-            table = tuple(replace(e, value_d_even="L") if e.name == "Htilde" else e for e in twist.LINE_BUNDLE_TABLE)
+            table = tuple(
+                twist.LineBundleTableEntry(e.family, e.name, e.site, e.value_d_odd, "L") if e.name == "Htilde" else e
+                for e in twist.LINE_BUNDLE_TABLE
+            )
             monkeypatch.setattr(twist, "LINE_BUNDLE_TABLE", table)
             reason = "family"
         elif mutant == "child_eps":
@@ -241,7 +244,11 @@ class TestRunAll:
             reason = "parity"
         elif mutant == "family_rows":
             flip = {twist.H: twist.H_TILDE, twist.H_TILDE: twist.H}
-            table = tuple(replace(e, family=flip[e.family]) if e.site == (0, 0) else e for e in twist.LINE_BUNDLE_TABLE)
+            table = tuple(
+                twist.LineBundleTableEntry(flip[e.family], e.name, e.site, e.value_d_odd, e.value_d_even)
+                if e.site == (0, 0) else e
+                for e in twist.LINE_BUNDLE_TABLE
+            )
             monkeypatch.setattr(twist, "LINE_BUNDLE_TABLE", table)
             reason = "sites"
         else:
