@@ -5,11 +5,8 @@ projective bundles and flag bundles over a regular base as formal direct
 sums of base K-theory and base GW-theory summands, indexed by even Young
 diagrams.
 
-The value classes are plain classes, not dataclasses, so that importing
-the package stays cheap.  Each compares equal only to an instance of its
-own class with equal fields and hashes as the tuple of its fields; an
-``__init__`` that validates stores the fields and then calls
-``__post_init__``, looked up on the class, which checks them.
+The value classes share one equality and hash, defined by
+``gwcell.value.Value``.
 """
 
 from .engine import (

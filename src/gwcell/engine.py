@@ -32,6 +32,7 @@ from math import comb
 
 from .expr import FormalSum, GWSummand, LongExactSequence
 from .twist import BaseSymbol, Delta, FlagQuotient, PicClass, lambda_parity
+from .value import Value
 from .young import Frame
 
 TRIVIAL = "trivial"
@@ -41,7 +42,7 @@ DET_E = BaseSymbol("detE")
 DET_V = BaseSymbol("detV")
 
 
-class GrassmannQuery:
+class GrassmannQuery(Value):
     __slots__ = ("d", "m", "shift", "twist", "bundle")
 
     def __init__(self, d: int, m: int, shift: int, twist: PicClass, bundle: str = TRIVIAL):
@@ -61,16 +62,8 @@ class GrassmannQuery:
     def _values(self) -> tuple:
         return (self.d, self.m, self.shift, self.twist, self.bundle)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
 
-    def __hash__(self):
-        return hash(self._values())
-
-
-class ProjBundleQuery:
+class ProjBundleQuery(Value):
     """P(E) for a rank r+1 bundle E; the twist enters only through its parity."""
 
     __slots__ = ("r", "parity", "shift", "split")
@@ -90,14 +83,6 @@ class ProjBundleQuery:
 
     def _values(self) -> tuple:
         return (self.r, self.parity, self.shift, self.split)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
 
 
 Leaf = tuple[tuple[int, ...], int]  # (rows, rho): the shift drops by the box count, rho picks the twist

@@ -31,6 +31,7 @@ from collections import Counter
 from functools import cache, cached_property, lru_cache
 
 from .twist import PicClass
+from .value import Value
 from .young import Frame, YoungDiagram
 
 
@@ -50,7 +51,7 @@ class SchemaMismatchError(ValueError):
     """Raised when a JSON document (a base table, a formal sum) fails its schema."""
 
 
-class AbelianGroup:
+class AbelianGroup(Value):
     """Finitely generated abelian group as a multiset of cyclic orders.
 
     Order 0 denotes an infinite cyclic factor; order-1 factors are dropped.
@@ -68,13 +69,8 @@ class AbelianGroup:
             raise ValueError(f"cyclic orders must be nonnegative, got {self.orders}")
         self.orders = cleaned
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.orders == other.orders
-
-    def __hash__(self):
-        return hash((self.orders,))
+    def _values(self) -> tuple:
+        return (self.orders,)
 
     def __add__(self, other: "AbelianGroup") -> "AbelianGroup":
         return AbelianGroup(self.orders + other.orders)
@@ -88,7 +84,7 @@ class AbelianGroup:
         return " x ".join("Z" if o == 0 else f"Z/{o}" for o in self.orders)
 
 
-class GWSummand:
+class GWSummand(Value):
     """One shifted, twisted GW-summand of the base.
 
     ``t_index`` is the twist class the summand lives in and ``rho`` the
@@ -115,14 +111,6 @@ class GWSummand:
     def _values(self) -> tuple:
         return (self.shift, self.twist, self.diagram, self.t_index, self.rho)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
 
 def summand_order(g: GWSummand) -> tuple:
     """The canonical order of GW summands: shift, twist key, diagram rows, then twist class and rho (unknown as 0)."""
@@ -130,7 +118,7 @@ def summand_order(g: GWSummand) -> tuple:
     return (g.shift, g.twist.sort_key, rows, g.t_index or 0, g.rho or 0)
 
 
-class FormalSum:
+class FormalSum(Value):
     """Canonical multiset of summands: a K count plus GW-summands in ``summand_order``.
 
     ``records`` holds one record ``(shift, twist key, rows, t, rho)`` per
@@ -164,13 +152,8 @@ class FormalSum:
         frame, twists = self.frame, self.twists
         return tuple(GWSummand(s, twists[rho], YoungDiagram(frame, rows), t, rho) for s, _, rows, t, rho in self.records)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.k, self.records, self.meta) == (other.k, other.records, other.meta)
-
-    def __hash__(self):
-        return hash((self.k, self.records, self.meta))
+    def _values(self) -> tuple:
+        return (self.k, self.records, self.meta)
 
     def meta_dict(self) -> dict:
         return dict(self.meta)
@@ -217,7 +200,7 @@ def witt_specialize(a: FormalSum) -> FormalSum:
     return FormalSum.of_records(0, records, a.frame, a.twists, **meta)
 
 
-class BaseTheoryTable:
+class BaseTheoryTable(Value):
     """User-supplied evaluation data: (theory, shift, twist, degree) -> group."""
 
     __slots__ = ("name", "entries")
@@ -226,25 +209,25 @@ class BaseTheoryTable:
         self.name = name
         self.entries = entries
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.name, self.entries))
+    def _values(self) -> tuple:
+        return (self.name, self.entries)
 
     def _index(self) -> dict:
         return {key: grp for key, grp in self.entries}
 
     @classmethod
     def from_json(cls, doc: dict) -> "BaseTheoryTable":
+        """The table of a ``BASE_TABLE_SCHEMA`` document, integral floats read as ints; a key given two groups is a ``ValueError``."""
         if not _plainly_valid_table(doc):
             validate_json(doc, BASE_TABLE_SCHEMA)
-        entries = []
+        entries, groups = [], {}
         for e in doc["entries"]:
-            key = (e["theory"], e["shift"], tuple(sorted(e["twist"])), e["degree"])
-            entries.append((key, AbelianGroup(tuple(e["group"]))))
+            key = (e["theory"], int(e["shift"]), tuple(sorted(e["twist"])), int(e["degree"]))
+            group = AbelianGroup(tuple(map(int, e["group"])))
+            first = groups.setdefault(key, group)
+            if first is not group and first != group:
+                raise ValueError(f"base table gives key {key} two groups: {first} and {group}")
+            entries.append((key, group))
         return cls(doc["name"], tuple(entries))
 
     @classmethod
@@ -273,7 +256,7 @@ def evaluate(a: FormalSum, table: BaseTheoryTable, degree: int) -> AbelianGroup:
     return AbelianGroup(tuple(o for k, n in copies.items() for o in index[k].orders * n))
 
 
-class LongExactSequence:
+class LongExactSequence(Value):
     """A cyclic list of labeled terms with the connecting maps between them.
 
     Terms are formal sums or named group symbols; maps are the names of the
@@ -291,13 +274,8 @@ class LongExactSequence:
         if len(self.terms) != len(self.maps):
             raise ValueError("a cyclic sequence needs one map per consecutive term pair")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.terms == other.terms and self.maps == other.maps
-
-    def __hash__(self):
-        return hash((self.terms, self.maps))
+    def _values(self) -> tuple:
+        return (self.terms, self.maps)
 
 
 # --- JSON serialization -------------------------------------------------

@@ -17,8 +17,10 @@ from __future__ import annotations
 from collections.abc import Iterable
 from functools import cached_property
 
+from .value import Value
 
-class BaseSymbol:
+
+class BaseSymbol(Value):
     """A line bundle class pulled back from the base scheme."""
 
     __slots__ = ("name",)
@@ -26,19 +28,14 @@ class BaseSymbol:
     def __init__(self, name: str):
         self.name = name
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self):
-        return hash((self.name,))
+    def _values(self) -> tuple:
+        return (self.name,)
 
     def key(self) -> str:
         return self.name
 
 
-class FlagQuotient:
+class FlagQuotient(Value):
     """The class of V_j / V_{j-1} for the fixed complete flag of V."""
 
     __slots__ = ("index",)
@@ -46,19 +43,14 @@ class FlagQuotient:
     def __init__(self, index: int):
         self.index = index
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.index == other.index
-
-    def __hash__(self):
-        return hash((self.index,))
+    def _values(self) -> tuple:
+        return (self.index,)
 
     def key(self) -> str:
         return f"q{self.index}"
 
 
-class Delta:
+class Delta(Value):
     """det of the tautological rank-e subbundle of the current Grassmannian."""
 
     __slots__ = ("rank",)
@@ -66,13 +58,8 @@ class Delta:
     def __init__(self, rank: int):
         self.rank = rank
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rank == other.rank
-
-    def __hash__(self):
-        return hash((self.rank,))
+    def _values(self) -> tuple:
+        return (self.rank,)
 
     def key(self) -> str:
         return f"Delta:{self.rank}"
@@ -89,19 +76,14 @@ def _parse_generator(token: str) -> Generator:
     return BaseSymbol(token)
 
 
-class PicClass:
+class PicClass(Value):
     """An element of Pic modulo squares: a finite set of generators, mod 2."""
 
     def __init__(self, generators=frozenset()):
         self.generators = frozenset(generators)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.generators == other.generators
-
-    def __hash__(self):
-        return hash((self.generators,))
+    def _values(self) -> tuple:
+        return (self.generators,)
 
     @classmethod
     def of(cls, *gens: Generator) -> "PicClass":
@@ -160,7 +142,7 @@ H_TILDE = "H-tilde"
 H = "H"
 
 
-class LineBundleTableEntry:
+class LineBundleTableEntry(Value):
     """One row of the fixed twist table.
 
     ``site`` is (subbundle rank e, upper flag index i) for the Grassmannian
@@ -179,14 +161,6 @@ class LineBundleTableEntry:
 
     def _values(self) -> tuple:
         return (self.family, self.name, self.site, self.value_d_odd, self.value_d_even)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
 
 
 # The defining table of the two twist families and their child twists.

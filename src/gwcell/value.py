@@ -1,0 +1,23 @@
+"""The equality contract shared by gwcell's value classes."""
+
+
+class Value:
+    """Base of the value classes: equality and hash by class and fields.
+
+    A value compares equal only to an instance of its own class whose
+    ``_values()`` tuple is equal, and hashes as that tuple.  Each class
+    names the fields its equality reads once, in ``_values``.  The classes
+    are plain classes, not dataclasses, so that importing the package
+    stays cheap; an ``__init__`` that validates stores the fields and then
+    calls ``__post_init__``, looked up on the class, which checks them.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())

@@ -35,6 +35,7 @@ from .expr import (
     witt_specialize,
 )
 from .twist import BaseSymbol, Delta, PicClass, lambda_parity, quotient_range
+from .value import Value
 from .young import Frame
 
 # Even-diagram fixtures, one row vector per published figure.
@@ -62,19 +63,14 @@ ORACLE_FRAME_LIMIT = 12
 L = PicClass.of(BaseSymbol("L"))
 
 
-class VerificationReport:
+class VerificationReport(Value):
     __slots__ = ("checks",)
 
     def __init__(self, checks: tuple[dict, ...]):
         self.checks = checks
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.checks == other.checks
-
-    def __hash__(self):
-        return hash((self.checks,))
+    def _values(self) -> tuple:
+        return (self.checks,)
 
     def passed(self) -> bool:
         return all(c["status"] != "fail" for c in self.checks)

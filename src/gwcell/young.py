@@ -15,8 +15,10 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from math import comb
 
+from .value import Value
 
-class Frame:
+
+class Frame(Value):
     """A d x m rectangle: d rows, m columns."""
 
     __slots__ = ("d", "m")
@@ -30,16 +32,11 @@ class Frame:
         if self.d < 0 or self.m < 0:
             raise ValueError(f"frame dimensions must be nonnegative, got {self.d}x{self.m}")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.d == other.d and self.m == other.m
-
-    def __hash__(self):
-        return hash((self.d, self.m))
+    def _values(self) -> tuple:
+        return (self.d, self.m)
 
 
-class YoungDiagram:
+class YoungDiagram(Value):
     """A partition fitting inside a frame, stored as all d row lengths.
 
     Rows are weakly decreasing and bounded by the frame width; trailing
@@ -64,13 +61,8 @@ class YoungDiagram:
                 raise ValueError(f"rows {rows} are not weakly decreasing within width {self.frame.m}")
             prev = r
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.frame == other.frame and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.frame, self.rows))
+    def _values(self) -> tuple:
+        return (self.frame, self.rows)
 
     def boxes(self) -> int:
         return sum(self.rows)

@@ -170,6 +170,19 @@ class TestGrassmannCommand:
         assert code == 1 and out == ""
         assert "group[0]" in json.loads(err)["error"]
 
+    def test_base_table_giving_one_key_two_groups_exit_1(self, capsys, tmp_path):
+        # an identical repeat is accepted; a second group for the same key is a domain error
+        entry = {"theory": "GW", "shift": 0, "twist": ["L"], "degree": 0, "group": [2]}
+        path = tmp_path / "table.json"
+        argv = ("grassmann", "-d", "2", "-m", "2", "--twist", "L", "--mode", "eval", "--base-table", str(path))
+        path.write_text(json.dumps({"name": "twice", "entries": [entry, dict(entry, group=[1, 2])]}))
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and "missing-keys" in err
+        path.write_text(json.dumps({"name": "clash", "entries": [entry, dict(entry, group=[0])]}))
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "('GW', 0, ('L',), 0)" in json.loads(err)["error"] and len(err.splitlines()) == 1
+
 
 class TestLazySchemaImport:
     # jsonschema is imported only to read a document from outside; the CLI's own output is not re-validated

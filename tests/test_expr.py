@@ -330,9 +330,11 @@ class TestJson:
 
     def test_integral_float_table_goes_to_the_schema(self):
         # the schema takes 1.0 as an integer; the plain check leaves it to jsonschema
-        doc = {"name": "t", "entries": [{"theory": "K", "shift": 0, "twist": [], "degree": 1.0, "group": [0]}]}
+        doc = {"name": "t", "entries": [{"theory": "K", "shift": 0, "twist": [], "degree": 1.0, "group": [0, 2.0]}]}
         assert not _plainly_valid_table(doc)
-        assert BaseTheoryTable.from_json(doc).entries[0][0] == ("K", 0, (), 1)
+        key, group = BaseTheoryTable.from_json(doc).entries[0]
+        assert key == ("K", 0, (), 1) and type(key[3]) is int
+        assert group.orders == (0, 2) and all(type(o) is int for o in group.orders)
 
 
 class TestLongExactSequence:

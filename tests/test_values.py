@@ -7,6 +7,7 @@ import pytest
 from gwcell.engine import FLAGGED, GrassmannQuery, ProjBundleQuery
 from gwcell.expr import AbelianGroup, BaseTheoryTable, FormalSum, GWSummand, LongExactSequence
 from gwcell.twist import BaseSymbol, Delta, FlagQuotient, LineBundleTableEntry, PicClass
+from gwcell.value import Value
 from gwcell.verify import VerificationReport
 from gwcell.young import Frame, YoungDiagram
 
@@ -49,6 +50,8 @@ def test_equal_fields_give_equal_values(name):
     a, b = make(), make()
     assert type(a).__name__ == name
     assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    assert hash(a) == hash(a._values())
+    assert type(a).__eq__ is Value.__eq__ and type(a).__hash__ is Value.__hash__
     assert a != make_other() and not a == make_other()
 
 
