@@ -218,7 +218,7 @@ def main(argv=None) -> int:
     except MissingKeyError as exc:
         print(json.dumps({"error": "missing-keys", "keys": [list(map(str, k)) for k in exc.keys]}), file=sys.stderr)
         return EXIT_MISSING_KEYS
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ImportError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_DOMAIN
     except RecursionError:

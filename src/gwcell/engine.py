@@ -46,18 +46,15 @@ class GrassmannQuery(Value):
     __slots__ = ("d", "m", "shift", "twist", "bundle")
 
     def __init__(self, d: int, m: int, shift: int, twist: PicClass, bundle: str = TRIVIAL):
+        if d < 0 or m < 0:
+            raise ValueError(f"need d, m >= 0, got d={d}, m={m}")
+        if bundle not in (TRIVIAL, FLAGGED):
+            raise ValueError(f"unknown bundle kind {bundle!r}")
         self.d = d
         self.m = m
         self.shift = shift
         self.twist = twist
         self.bundle = bundle
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.d < 0 or self.m < 0:
-            raise ValueError(f"need d, m >= 0, got d={self.d}, m={self.m}")
-        if self.bundle not in (TRIVIAL, FLAGGED):
-            raise ValueError(f"unknown bundle kind {self.bundle!r}")
 
     def _values(self) -> tuple:
         return (self.d, self.m, self.shift, self.twist, self.bundle)
@@ -69,17 +66,14 @@ class ProjBundleQuery(Value):
     __slots__ = ("r", "parity", "shift", "split")
 
     def __init__(self, r: int, parity: int, shift: int, split: bool = True):
+        if r < 1:
+            raise ValueError(f"need bundle rank >= 2, got r+1 = {r + 1}")
+        if parity not in (0, 1):
+            raise ValueError("twist parity must be 0 or 1")
         self.r = r
         self.parity = parity
         self.shift = shift
         self.split = split
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise ValueError(f"need bundle rank >= 2, got r+1 = {self.r + 1}")
-        if self.parity not in (0, 1):
-            raise ValueError("twist parity must be 0 or 1")
 
     def _values(self) -> tuple:
         return (self.r, self.parity, self.shift, self.split)

@@ -60,13 +60,9 @@ class AbelianGroup(Value):
     __slots__ = ("orders",)
 
     def __init__(self, orders: tuple[int, ...] = ()):
-        self.orders = orders
-        self.__post_init__()
-
-    def __post_init__(self):
-        cleaned = tuple(sorted(o for o in self.orders if o != 1))
+        cleaned = tuple(sorted(o for o in orders if o != 1))
         if any(o < 0 for o in cleaned):
-            raise ValueError(f"cyclic orders must be nonnegative, got {self.orders}")
+            raise ValueError(f"cyclic orders must be nonnegative, got {orders}")
         self.orders = cleaned
 
     def _values(self) -> tuple:
@@ -113,9 +109,9 @@ class GWSummand(Value):
 
 
 def summand_order(g: GWSummand) -> tuple:
-    """The canonical order of GW summands: shift, twist key, diagram rows, then twist class and rho (unknown as 0)."""
-    rows = g.diagram.rows if g.diagram is not None else ()
-    return (g.shift, g.twist.sort_key, rows, g.t_index or 0, g.rho or 0)
+    """The canonical order of GW summands: shift, twist key, diagram rows, twist class, rho; unknowns sort apart as (-1,) or -1."""
+    rows = g.diagram.rows if g.diagram is not None else (-1,)
+    return (g.shift, g.twist.sort_key, rows, -1 if g.t_index is None else g.t_index, -1 if g.rho is None else g.rho)
 
 
 class FormalSum(Value):
@@ -201,33 +197,35 @@ def witt_specialize(a: FormalSum) -> FormalSum:
 
 
 class BaseTheoryTable(Value):
-    """User-supplied evaluation data: (theory, shift, twist, degree) -> group."""
+    """User-supplied evaluation data: (theory, shift, twist, degree) -> group.
 
-    __slots__ = ("name", "entries")
+    ``groups`` maps each key of ``entries`` to its group; a key given two groups is a ``ValueError``.
+    """
+
+    __slots__ = ("name", "entries", "groups")
 
     def __init__(self, name: str, entries: tuple = ()):
+        groups = {}
+        for key, group in entries:
+            first = groups.setdefault(key, group)
+            if first is not group and first != group:
+                raise ValueError(f"base table gives key {key} two groups: {first} and {group}")
         self.name = name
         self.entries = entries
+        self.groups = groups
 
     def _values(self) -> tuple:
         return (self.name, self.entries)
 
-    def _index(self) -> dict:
-        return {key: grp for key, grp in self.entries}
-
     @classmethod
     def from_json(cls, doc: dict) -> "BaseTheoryTable":
-        """The table of a ``BASE_TABLE_SCHEMA`` document, integral floats read as ints; a key given two groups is a ``ValueError``."""
+        """The table of a ``BASE_TABLE_SCHEMA`` document, integral floats read as ints."""
         if not _plainly_valid_table(doc):
             validate_json(doc, BASE_TABLE_SCHEMA)
-        entries, groups = [], {}
+        entries = []
         for e in doc["entries"]:
             key = (e["theory"], int(e["shift"]), tuple(sorted(e["twist"])), int(e["degree"]))
-            group = AbelianGroup(tuple(map(int, e["group"])))
-            first = groups.setdefault(key, group)
-            if first is not group and first != group:
-                raise ValueError(f"base table gives key {key} two groups: {first} and {group}")
-            entries.append((key, group))
+            entries.append((key, AbelianGroup(tuple(map(int, e["group"])))))
         return cls(doc["name"], tuple(entries))
 
     @classmethod
@@ -244,16 +242,16 @@ def evaluate(a: FormalSum, table: BaseTheoryTable, degree: int) -> AbelianGroup:
     """
     mode = a.meta_dict().get("mode")
     gw_theory = "W" if mode == "witt" else "GW"
-    index = table._index()
+    groups = table.groups
     copies = Counter()
     if a.k:
         copies["K", 0, (), degree] = a.k
     for shift, key, *_ in a.records:
         copies[gw_theory, shift, key, degree] += 1
-    missing = sorted(k for k in copies if k not in index)
+    missing = sorted(k for k in copies if k not in groups)
     if missing:
         raise MissingKeyError(missing)
-    return AbelianGroup(tuple(o for k, n in copies.items() for o in index[k].orders * n))
+    return AbelianGroup(tuple(o for k, n in copies.items() for o in groups[k].orders * n))
 
 
 class LongExactSequence(Value):
@@ -266,13 +264,10 @@ class LongExactSequence(Value):
     __slots__ = ("terms", "maps")
 
     def __init__(self, terms: tuple, maps: tuple[str, ...]):
+        if len(terms) != len(maps):
+            raise ValueError("a cyclic sequence needs one map per consecutive term pair")
         self.terms = terms
         self.maps = maps
-        self.__post_init__()
-
-    def __post_init__(self):
-        if len(self.terms) != len(self.maps):
-            raise ValueError("a cyclic sequence needs one map per consecutive term pair")
 
     def _values(self) -> tuple:
         return (self.terms, self.maps)
@@ -450,6 +445,7 @@ def _list_text(items, indent: int) -> str:
 
 
 def formal_sum_from_json(doc: dict, frame: Frame | None = None) -> FormalSum:
+    """The sum of a ``FORMAL_SUM_SCHEMA`` document; without ``frame`` its summands read back unlabelled (``"diagram": null``)."""
     validate_json(doc, FORMAL_SUM_SCHEMA)
     gw = []
     for g in doc["gw"]:

@@ -165,9 +165,9 @@ class LineBundleTableEntry(Value):
 
 # The defining table of the two twist families and their child twists.
 # Token meanings: "L" stands for the base part of the incoming twist,
-# "detV/V1" and "detV/V2" for the top one or two flag quotients, "V1/V2"
-# for the second-from-top quotient, "Delta" for the child site's Delta.
-# Each family's row at site (0, 0) defines it.
+# "detV/V1" and "detV/V2" for the top one or two flag quotients, "Delta"
+# for the child site's Delta.  Each family's row at site (0, 0) defines
+# it, and its rows at other sites give its two child twists.
 LINE_BUNDLE_TABLE = (
     LineBundleTableEntry(H_TILDE, "Htilde", (0, 0), "L", "L,Delta"),
     LineBundleTableEntry(H_TILDE, "Htilde^(1)_d", (0, 1), "L,detV/V1,Delta", "L"),
@@ -175,13 +175,7 @@ LINE_BUNDLE_TABLE = (
     LineBundleTableEntry(H, "H", (0, 0), "L,Delta", "L"),
     LineBundleTableEntry(H, "H^(2)_d", (0, 2), "L,detV/V2,Delta", "L"),
     LineBundleTableEntry(H, "H^(2)_d-2", (-2, 2), "L,detV/V2,Delta", "L"),
-    LineBundleTableEntry(H, "H^(1)_d", (0, 1), "L,detV/V1", "L,Delta"),
-    LineBundleTableEntry(H, "H^(1)_d-1", (-1, 1), "L,detV/V1,Delta", "L"),
-    LineBundleTableEntry(H, "H^(2)_d-1", (-1, 2), "L,detV/V1", "L,V1/V2,Delta"),
 )
-
-# The rows that give each family's two child twists.
-CHILD_ROWS = {H_TILDE: ("Htilde^(1)_d", "Htilde^(1)_d-1"), H: ("H^(2)_d", "H^(2)_d-2")}
 
 
 def instantiate_row(entry: LineBundleTableEntry, d: int, r: int, base: PicClass) -> PicClass:
@@ -195,8 +189,6 @@ def instantiate_row(entry: LineBundleTableEntry, d: int, r: int, base: PicClass)
             out = out + PicClass.of(FlagQuotient(r))
         elif tok == "detV/V2":
             out = out + PicClass.of(FlagQuotient(r), FlagQuotient(r - 1))
-        elif tok == "V1/V2":
-            out = out + PicClass.of(FlagQuotient(r - 1))
         elif tok == "Delta":
             out = out + PicClass.of(Delta(d + entry.site[0]))
         else:
@@ -209,8 +201,8 @@ def child_twists(d: int, t: PicClass, ambient_rank: int) -> dict:
 
     t lives on Gr_d(V) with V of rank ``ambient_rank``; a sound table puts it
     in exactly one family.  Maps each such family to a map from child site
-    (child subbundle rank, child upper flag index) to child twist; the
-    second family's K-theory site carries no twist and is omitted.
+    (child subbundle rank, child upper flag index) to the child twist of the
+    family's row there, off site (0, 0); its K-theory site has no row.
     """
     eps = lambda_parity(t, Delta(d))
     base = t.base_part()
@@ -223,7 +215,7 @@ def child_twists(d: int, t: PicClass, ambient_rank: int) -> dict:
         family: {
             (d + e.site[0], e.site[1]): instantiate_row(e, d, ambient_rank, base)
             for e in LINE_BUNDLE_TABLE
-            if e.name in CHILD_ROWS[family]
+            if e.family == family and e.site != (0, 0)
         }
         for family in families
     }

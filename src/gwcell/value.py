@@ -8,8 +8,7 @@ class Value:
     ``_values()`` tuple is equal, and hashes as that tuple.  Each class
     names the fields its equality reads once, in ``_values``.  The classes
     are plain classes, not dataclasses, so that importing the package
-    stays cheap; an ``__init__`` that validates stores the fields and then
-    calls ``__post_init__``, looked up on the class, which checks them.
+    stays cheap.
     """
 
     __slots__ = ()

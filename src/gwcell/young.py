@@ -24,13 +24,10 @@ class Frame(Value):
     __slots__ = ("d", "m")
 
     def __init__(self, d: int, m: int):
+        if d < 0 or m < 0:
+            raise ValueError(f"frame dimensions must be nonnegative, got {d}x{m}")
         self.d = d
         self.m = m
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.d < 0 or self.m < 0:
-            raise ValueError(f"frame dimensions must be nonnegative, got {self.d}x{self.m}")
 
     def _values(self) -> tuple:
         return (self.d, self.m)
@@ -47,19 +44,16 @@ class YoungDiagram(Value):
     __slots__ = ("frame", "rows")
 
     def __init__(self, frame: Frame, rows: tuple[int, ...]):
-        self.frame = frame
-        self.rows = rows
-        self.__post_init__()
-
-    def __post_init__(self):
-        rows = self.rows = tuple(self.rows)
-        if len(rows) != self.frame.d:
-            raise ValueError(f"expected {self.frame.d} rows, got {len(rows)}")
-        prev = self.frame.m
+        rows = tuple(rows)
+        if len(rows) != frame.d:
+            raise ValueError(f"expected {frame.d} rows, got {len(rows)}")
+        prev = frame.m
         for r in rows:
             if not 0 <= r <= prev:
-                raise ValueError(f"rows {rows} are not weakly decreasing within width {self.frame.m}")
+                raise ValueError(f"rows {rows} are not weakly decreasing within width {frame.m}")
             prev = r
+        self.frame = frame
+        self.rows = rows
 
     def _values(self) -> tuple:
         return (self.frame, self.rows)

@@ -244,6 +244,20 @@ class TestLazySchemaImport:
         assert "Traceback" not in proc.stderr
         assert "does not match its schema" in json.loads(proc.stderr)["error"]
 
+    def test_missing_jsonschema_is_a_json_error(self, capsys, monkeypatch, tmp_path):
+        # the commands that need jsonschema exit 1 without it, with one JSON line on stderr
+        entry = {"theory": "K", "shift": 0, "twist": [], "degree": 0, "group": [2.0]}  # the plain check leaves 2.0 to jsonschema
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"name": "t", "entries": [entry]}))
+        monkeypatch.setitem(sys.modules, "jsonschema", None)
+        monkeypatch.setitem(sys.modules, "jsonschema.exceptions", None)
+        eval_argv = ["grassmann", "-d", "2", "-m", "2", "--mode", "eval", "--base-table", str(path)]
+        for argv in (["verify", "--max", "2"], eval_argv):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            (line,) = err.splitlines()
+            assert "jsonschema" in json.loads(line)["error"]
+
 
 class TestYoungCommand:
     def test_even_ascii_gr33(self, capsys):
@@ -393,7 +407,7 @@ class TestCliBuildsNoSummandObjects:
         def forbidden(*args, **kwargs):
             raise AssertionError("the CLI built a GWSummand or a YoungDiagram")
 
-        monkeypatch.setattr(YoungDiagram, "__post_init__", forbidden)
+        monkeypatch.setattr(YoungDiagram, "__init__", forbidden)
         monkeypatch.setattr(GWSummand, "__init__", forbidden)
         if mode == "eval":  # the table covers the trivial bundle's twist L at shifts -4 to 3
             extra = ["-d", "2", "-m", "2", "--base-table", os.path.join(ROOT, "tables", "field_w2.json")]

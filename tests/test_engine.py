@@ -464,13 +464,13 @@ def test_gw_read_from_records_is_the_summands_built_per_leaf(case):
 
 def test_gw_is_built_once_on_first_read_with_validated_diagrams(monkeypatch):
     validated = []
-    check = YoungDiagram.__post_init__
+    check = YoungDiagram.__init__
 
-    def counted(lam):
-        validated.append(lam.rows)
-        check(lam)
+    def counted(lam, frame, rows):
+        validated.append(rows)
+        check(lam, frame, rows)
 
-    monkeypatch.setattr(YoungDiagram, "__post_init__", counted)
+    monkeypatch.setattr(YoungDiagram, "__init__", counted)
     s = decompose_total(6, 5, 0, L, FLAGGED)
     assert validated == []
     assert [g.diagram.rows for g in s.gw] == validated == [r[2] for r in s.records]

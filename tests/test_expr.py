@@ -4,7 +4,7 @@ import operator
 from functools import reduce
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gwcell.expr import (
     BASE_TABLE_SCHEMA,
@@ -21,6 +21,7 @@ from gwcell.expr import (
     equals,
     evaluate,
     formal_sum_from_json,
+    formal_sum_json_text,
     formal_sum_to_json,
     summand_order,
     validate_json,
@@ -108,7 +109,26 @@ class TestSummandOrder:
     def test_sort_index_then_class_then_rho(self):
         a, b, c, d = gw(-2, rows=(1, 1), t=1, rho=1), gw(-2, rows=(1, 1), t=1), gw(-2, rows=(1, 1), t=0, rho=1), gw(-4, rows=(2, 2))
         assert fsum(0, a, b, c, d).gw == (d, c, b, a)
-        assert summand_order(b) == (-2, b.twist.sort_key, (1, 1), 1, 0)
+        assert summand_order(b) == (-2, b.twist.sort_key, (1, 1), 1, -1)
+
+    @example(([gw(0), gw(0, t=0, rho=0)], [gw(0, t=0, rho=0), gw(0)]))
+    @given(
+        st.lists(
+            st.builds(
+                gw,
+                st.integers(-1, 0),
+                st.sampled_from([L, PicClass()]),
+                st.sampled_from([None, (), (2,)]),
+                t=st.sampled_from([None, 0, 1]),
+                rho=st.sampled_from([None, 0, 1]),
+            ),
+            max_size=5,
+        ).flatmap(lambda s: st.tuples(st.just(s), st.permutations(s)))
+    )
+    def test_canonical_in_any_given_order(self, orders):
+        # unknown fields sort apart from known ones, so the order given never shows
+        a, b = (fsum(0, *s) for s in orders)
+        assert a == b and formal_sum_json_text(a) == formal_sum_json_text(b)
 
 
 class TestEquals:
@@ -252,7 +272,7 @@ class TestEvaluate:
         keys = [("K", 0, ())] + [(th, shift, tw) for th in ("GW", "W") for shift in range(-6, 4) for tw in (("L",), ())]
         entries = [{"theory": th, "shift": sh, "twist": list(tw), "degree": 0, "group": g} for (th, sh, tw), g in zip(keys, groups)]
         table = BaseTheoryTable.from_json({"name": "t", "entries": entries})
-        index = table._index()
+        index = table.groups
         theory = "W" if witt else "GW"
         looked_up = [("K", 0, (), 0)] * a.k + [(theory, g.shift, tuple(g.twist.serialize()), 0) for g in a.gw]
         assert evaluate(a, table, 0) == reduce(operator.add, (index[k] for k in looked_up), AbelianGroup())
@@ -261,13 +281,13 @@ class TestEvaluate:
         table = simple_table()
         a = fsum(5, *[gw(0), gw(-2)] * 20)
         built = []
-        post_init = AbelianGroup.__post_init__
+        init = AbelianGroup.__init__
 
-        def counted(group):
-            built.append(group.orders)
-            post_init(group)
+        def counted(group, orders=()):
+            built.append(orders)
+            init(group, orders)
 
-        monkeypatch.setattr(AbelianGroup, "__post_init__", counted)
+        monkeypatch.setattr(AbelianGroup, "__init__", counted)
         assert evaluate(a, table, 0).orders == (0,) * 25 + (2,) * 40
         assert len(built) <= 2
 
@@ -335,6 +355,13 @@ class TestJson:
         key, group = BaseTheoryTable.from_json(doc).entries[0]
         assert key == ("K", 0, (), 1) and type(key[3]) is int
         assert group.orders == (0, 2) and all(type(o) is int for o in group.orders)
+
+    def test_table_built_directly_gives_each_key_one_group(self):
+        key = ("K", 0, (), 0)
+        with pytest.raises(ValueError, match="two groups"):
+            BaseTheoryTable("t", ((key, AbelianGroup((0,))), (key, AbelianGroup((2,)))))
+        table = BaseTheoryTable("t", ((key, AbelianGroup((2,))), (key, AbelianGroup((2,)))))
+        assert table.groups == {key: AbelianGroup((2,))}
 
 
 class TestLongExactSequence:

@@ -117,9 +117,6 @@ class TestTable:
             "H",
             "H^(2)_d",
             "H^(2)_d-2",
-            "H^(1)_d",
-            "H^(1)_d-1",
-            "H^(2)_d-1",
         }
 
     def test_defining_rows(self):
@@ -128,8 +125,3 @@ class TestTable:
         assert instantiate_row(by_name["Htilde"], 4, 6, L) == L + PicClass.of(Delta(4))
         assert instantiate_row(by_name["H"], 3, 6, L) == L + PicClass.of(Delta(3))
         assert instantiate_row(by_name["H"], 4, 6, L) == L
-
-    def test_second_from_top_quotient_row(self):
-        by_name = {e.name: e for e in LINE_BUNDLE_TABLE}
-        got = instantiate_row(by_name["H^(2)_d-1"], 4, 6, L)
-        assert got == L + PicClass.of(FlagQuotient(5), Delta(3))

@@ -72,13 +72,13 @@ class TestEnumeration:
 
     def test_enumerate_even_builds_only_the_diagrams_it_returns(self, monkeypatch):
         built = []
-        original = YoungDiagram.__post_init__
+        original = YoungDiagram.__init__
 
-        def counted(self):
-            built.append(self.rows)
-            original(self)
+        def counted(self, frame, rows):
+            built.append(rows)
+            original(self, frame, rows)
 
-        monkeypatch.setattr(YoungDiagram, "__post_init__", counted)
+        monkeypatch.setattr(YoungDiagram, "__init__", counted)
         evens = enumerate_even(Frame(6, 6))
         assert len(evens) == len(built) == 40
 
