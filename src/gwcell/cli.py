@@ -155,6 +155,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="gwcell", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # command word -> its parser, which main parses with directly
 
     def add_format(p):
         # None means "not given": main reads GWCELL_FORMAT at each call
@@ -204,11 +205,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _PARSER = build_parser()
+_COMMANDS = _PARSER.commands
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The namespace of ``_PARSER.parse_args(argv)``, from one parse.
+
+    ``_PARSER`` would scan the whole line, then hand the words after the
+    command word to that command's parser, which scans them again; here the
+    command's parser reads them once.  An empty argv, help and an unknown
+    command word go through ``_PARSER``, which words their help and errors,
+    and so does a leftover word.
+    """
+    sub = _COMMANDS.get(argv[0]) if argv else None
+    if sub is None:
+        return _PARSER.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         if getattr(args, "format", "json") is None:
             args.format = os.environ.get("GWCELL_FORMAT", "json")
         if args.command == "verify":

@@ -205,6 +205,7 @@ class BaseTheoryTable(Value):
     __slots__ = ("name", "entries", "groups")
 
     def __init__(self, name: str, entries: tuple = ()):
+        entries = tuple(entries)
         groups = {}
         for key, group in entries:
             first = groups.setdefault(key, group)

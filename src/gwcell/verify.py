@@ -204,15 +204,16 @@ def flagged_sums(d_max, m_max):
 
 
 def check_engine_vs_enumeration(checks, d_max, m_max, sums, evens):
+    """The engine's leaves are the enumerated even diagrams, each even and shifted by minus its box count; reads records."""
     bad = []
     for d, m in _frames(d_max, m_max):
-        leaves = [g.diagram for s in sums[d, m] for g in s.gw]
-        if sorted(g.rows for g in leaves) != sorted(lam.rows for lam in evens[d, m]):
+        leaves = [rows for s in sums[d, m] for _, _, rows, _, _ in s.records]
+        if sorted(leaves) != sorted(lam.rows for lam in evens[d, m]):
             bad.append((d, m, "diagrams"))
-        if any(not young.is_even(g) for g in leaves):
+        if not all(young._even_rows(rows, m) for rows in leaves):
             bad.append((d, m, "evenness"))
         for s in sums[d, m]:
-            if any(g.shift != -g.diagram.boxes() for g in s.gw):
+            if any(shift != -sum(rows) for shift, _, rows, _, _ in s.records):
                 bad.append((d, m, "shift-law"))
     _report(checks, "engine_vs_enumeration", bad, {"d_max": d_max, "m_max": m_max})
 
@@ -223,7 +224,7 @@ def check_k_counts(checks, d_max, m_max, sums):
         for l, s in enumerate(sums[d, m]):
             if s.k != young.beta_parity(l, d, m):
                 bad_beta.append((d, m, l))
-            if 2 * s.k + len(s.gw) != comb(d + m, d):
+            if 2 * s.k + len(s.records) != comb(d + m, d):
                 bad_rank.append((d, m, l))
         if sum(s.k for s in sums[d, m]) != young.beta(d, m):
             bad_beta.append((d, m, "total"))
@@ -235,7 +236,7 @@ def check_odd_odd(checks, d_max, m_max, sums):
     bad = []
     for d, m in _frames(d_max, m_max, 2):
         s = sums[d, m][1]
-        if s.gw or s.k != comb(d + m, d) // 2:
+        if s.records or s.k != comb(d + m, d) // 2:
             bad.append((d, m))
     _report(checks, "odd_odd_concentration", bad, {"d_max": d_max, "m_max": m_max})
 
@@ -267,7 +268,7 @@ def check_witt_counts(checks, d_max, m_max, sums):
             w = witt_specialize(s)
             # the per-class count is pinned by the rank accounting identity
             expected_count = comb(d + m, d) - 2 * young.beta_parity(l, d, m)
-            expected_shifts = sorted((-g.diagram.boxes()) % 4 for g in s.gw)
+            expected_shifts = sorted(-sum(rows) % 4 for _, _, rows, _, _ in s.records)
             if w.k != 0 or len(w.records) != expected_count or sorted(r[0] for r in w.records) != expected_shifts:
                 bad.append((d, m, l))
     _report(checks, "witt_counts", bad, {"d_max": d_max, "m_max": m_max})
@@ -327,7 +328,7 @@ def _rho_by_rows(d, m, eps):
     """The rho bit of each leaf of a flagged frame, keyed by the leaf's row vector."""
     t = PicClass.of(Delta(d)) if eps else PicClass()
     s = decompose_grassmannian(GrassmannQuery(d, m, 0, t, FLAGGED))
-    return {g.diagram.rows: g.rho for g in s.gw}
+    return {rows: rho for _, _, rows, _, rho in s.records}
 
 
 def check_twist_table(checks, d_max, m_max):
@@ -362,16 +363,17 @@ def check_twist_table(checks, d_max, m_max):
                     bad.append((d, m, eps, "sites"))
                     continue
                 parent = rho_by_rows(d, m, eps)
-                det_v = quotient_range(1, d + m)
+                det_v = (PicClass(), quotient_range(1, d + m))  # a parent leaf's det V bit, by its rho
                 for (cd, cm, ceps), cols, tail in ((shifted, step, ()), (unshifted, 0, (0,) * step)):
                     ct = table[cd, cm]
                     if lambda_parity(ct, Delta(cd)) != ceps:
                         bad.append((d, m, eps, "parity"))
                         continue
+                    base = ct.base_part()
+                    got = (base, base + quotient_range(1, cd + cm))  # by the child leaf's rho
                     for rows, rho_c in rho_by_rows(cd, cm, ceps).items():
                         grown = tuple(x + cols for x in rows) + tail
-                        got = ct.base_part() + (quotient_range(1, cd + cm) if rho_c else PicClass())
-                        if grown not in parent or got != (det_v if parent[grown] else PicClass()):
+                        if grown not in parent or got[rho_c] != det_v[parent[grown]]:
                             bad.append((d, m, eps, grown))
     _report(checks, "twist_table", bad, params, cap=5)
 

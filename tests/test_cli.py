@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shlex
@@ -5,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from test_golden import _argvs
 
 from gwcell import cli, young
 from gwcell.cli import main
@@ -279,28 +281,61 @@ class TestYoungCommand:
         assert len(json.loads(out)["diagrams"]) == 1501
 
 
+# the error each bad command line gets, word for word
+USAGE_ERRORS = {
+    "verify --max x": "gwcell verify: argument --max: invalid int value: 'x'",
+    "grassmann -d 2": "gwcell grassmann: the following arguments are required: -m",
+    "grassmann -d x -m 2": "gwcell grassmann: argument -d: invalid int value: 'x'",
+    "grassmann -d 2 -m 2 --mode nope":
+        "gwcell grassmann: argument --mode: invalid choice: 'nope' (choose from 'formal', 'witt', 'eval')",
+    "nope": "gwcell: argument command: invalid choice: 'nope' "
+            "(choose from 'grassmann', 'projbundle', 'young', 'les', 'verify')",
+    "": "gwcell: the following arguments are required: command",
+    # a leftover word is reported by the top-level parser, as when it parsed the whole line
+    "grassmann -d 2 -m 2 zz": "gwcell: unrecognized arguments: zz",
+    "young -d 2 -m 2 --even=1": "gwcell young: argument --even: ignored explicit argument '1'",
+}
+
+
 class TestUsageErrors:
     # argparse's own exit 2 would read as a failed verification
-    @pytest.mark.parametrize("argv", [
-        "verify --max x",
-        "grassmann -d 2",
-        "grassmann -d x -m 2",
-        "grassmann -d 2 -m 2 --mode nope",
-        "nope",
-        "",
-    ])
+    @pytest.mark.parametrize("argv", list(USAGE_ERRORS))
     def test_bad_arguments_are_domain_errors(self, capsys, argv):
-        code, out, err = run(capsys, *shlex.split(argv))
-        assert code == 1 and out == ""
-        assert len(err.splitlines()) == 1 and json.loads(err)["error"].startswith("gwcell")
+        assert run(capsys, *shlex.split(argv)) == (1, "", json.dumps({"error": USAGE_ERRORS[argv]}) + "\n")
 
-    @pytest.mark.parametrize("argv", [["--help"], ["grassmann", "--help"]])
+    @pytest.mark.parametrize("argv", [["--help"], ["grassmann", "--help"], ["grassmann", "-d", "2", "-m", "2", "--he"]])
     def test_help_prints_usage_and_exits_zero(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         out, err = capsys.readouterr()
         assert exc.value.code == 0 and err == ""
-        assert out.startswith("usage: gwcell")
+        prog = "gwcell" if argv[0].startswith("-") else f"gwcell {argv[0]}"
+        assert out.startswith(f"usage: {prog} ")
+
+
+class TestOneParsePerCall:
+    def test_namespace_is_the_top_level_parsers(self):
+        for argv in _argvs():
+            assert vars(cli._parse(argv)) == vars(cli._PARSER.parse_args(argv)), argv
+
+    @pytest.mark.parametrize("argv", [
+        ["grassmann", "-d", "2", "-m", "2", "--twist", "odd"],
+        ["projbundle", "-r", "3", "--no-split"],
+        ["young", "-d", "2", "-m", "2", "--even"],
+        ["les", "-r", "1"],
+        ["verify", "--max", "1"],
+    ])
+    def test_main_parses_once_with_the_commands_parser(self, capsys, monkeypatch, argv):
+        parsers = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counted(parser, *args, **kwargs):
+            parsers.append(parser.prog)
+            return parse_known_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        assert run(capsys, *argv)[0] == 0
+        assert parsers == [f"gwcell {argv[0]}"]
 
 
 class TestProjBundleCommand:

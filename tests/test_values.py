@@ -83,3 +83,11 @@ def test_generators_of_each_kind_are_distinct():
 def test_bad_fields_raise_value_error(build):
     with pytest.raises(ValueError):
         build()
+
+
+def test_base_table_from_a_list_is_the_table_from_a_tuple():
+    entry = (("K", 0, (), 0), AbelianGroup((0,)))
+    from_list, from_tuple = BaseTheoryTable("t", [entry]), BaseTheoryTable("t", (entry,))
+    assert from_list.entries == (entry,)
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+    assert BaseTheoryTable("t", iter([entry])) == from_tuple
