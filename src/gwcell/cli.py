@@ -14,8 +14,6 @@ import sys
 
 from . import young
 from .engine import (
-    FLAGGED,
-    TRIVIAL,
     GrassmannQuery,
     ProjBundleQuery,
     decompose_grassmannian,
@@ -87,12 +85,11 @@ def _les_text(seq: LongExactSequence) -> str:
 
 
 def _cmd_grassmann(args) -> int:
-    bundle = FLAGGED if args.bundle == "flagged" else TRIVIAL
     if args.twist == "both":
-        result = decompose_total(args.d, args.m, args.shift, PicClass.of(BaseSymbol("L")), bundle)
+        result = decompose_total(args.d, args.m, args.shift, PicClass.of(BaseSymbol("L")), args.bundle)
     else:
         t = _twist_from_arg(args.twist, args.d)
-        result = decompose_grassmannian(GrassmannQuery(args.d, args.m, args.shift, t, bundle))
+        result = decompose_grassmannian(GrassmannQuery(args.d, args.m, args.shift, t, args.bundle))
     if args.mode == "witt":
         result = witt_specialize(result)
     elif args.mode == "eval":
@@ -140,7 +137,9 @@ def _cmd_les(args) -> int:
 def _cmd_verify(args) -> int:
     from . import verify  # loaded by this command only, to keep every other command's start-up short
 
-    report = verify.run_all(args.d_max, args.m_max)
+    d_max = args.d_max if args.d_max is not None else args.both_max
+    m_max = args.m_max if args.m_max is not None else args.both_max
+    report = verify.run_all(d_max, m_max)
     _emit(report.to_json(), args.format, report.to_text)
     return EXIT_OK if report.passed() else EXIT_VERIFY
 
@@ -232,9 +231,6 @@ def main(argv=None) -> int:
         args = _parse(sys.argv[1:] if argv is None else argv)
         if getattr(args, "format", "json") is None:
             args.format = os.environ.get("GWCELL_FORMAT", "json")
-        if args.command == "verify":
-            args.d_max = args.d_max if args.d_max is not None else args.both_max
-            args.m_max = args.m_max if args.m_max is not None else args.both_max
         return args.func(args)
     except MissingKeyError as exc:
         print(json.dumps({"error": "missing-keys", "keys": [list(map(str, k)) for k in exc.keys]}), file=sys.stderr)

@@ -43,18 +43,31 @@ DET_V = BaseSymbol("detV")
 
 
 class GrassmannQuery(Value):
-    __slots__ = ("d", "m", "shift", "twist", "bundle")
+    """Gr_d of a rank d+m bundle at a twist checked to live on it; ``eps`` is its Delta_d parity, ``twists`` its twist by rho."""
+
+    __slots__ = ("d", "m", "shift", "twist", "bundle", "eps", "twists")
 
     def __init__(self, d: int, m: int, shift: int, twist: PicClass, bundle: str = TRIVIAL):
         if d < 0 or m < 0:
             raise ValueError(f"need d, m >= 0, got d={d}, m={m}")
         if bundle not in (TRIVIAL, FLAGGED):
             raise ValueError(f"unknown bundle kind {bundle!r}")
+        base = twist.base_part()
+        for g in base.generators:
+            if isinstance(g, FlagQuotient) and not 1 <= g.index <= d + m:
+                raise ValueError(f"twist generator {g.key()} outside the rank-{d + m} flag")
+        if twist.delta_part() not in (PicClass(), PicClass.of(Delta(d))):
+            raise ValueError(f"twist {twist} is not expressed over the query's Delta_{d}")
+        eps = lambda_parity(twist, Delta(d))
+        if d == 0 and eps:
+            raise ValueError("Gr_0 has a trivial tautological determinant: the twist cannot carry Delta:0")
         self.d = d
         self.m = m
         self.shift = shift
         self.twist = twist
         self.bundle = bundle
+        self.eps = eps
+        self.twists = (base, base + PicClass.of(DET_V) if bundle == FLAGGED else base)
 
     def _values(self) -> tuple:
         return (self.d, self.m, self.shift, self.twist, self.bundle)
@@ -94,7 +107,7 @@ def _solve(d: int, m: int, eps: int) -> tuple[int, tuple[Leaf, ...]]:
     bit through unchanged.  ``verify.check_twist_table`` checks these rules
     against the paper's line bundle table.  An arbitrary base twist rides
     along additively, so this is the only shape that needs solving.
-    Callers reject d = 0 with eps set, so d = 0 means eps = 0.
+    ``GrassmannQuery`` rejects d = 0 with eps set, so d = 0 means eps = 0.
 
     The leaves are walked once per queried frame, as row vectors, by
     ``_walk`` and kept in ``_LEAVES`` so that a repeated query is one
@@ -170,71 +183,43 @@ def split_node(d: int, m: int, eps: int):
     return (d, m - step, d % 2), (d - step, m, (d - step) % 2), step
 
 
-def _records(leaves, shift: int, twists: tuple[PicClass, PicClass], t: int) -> list:
-    """Formal-sum records of the leaves: the query shift less the box count, the twist key picked by rho."""
+def _engine_sum(d: int, m: int, shift: int, classes, twists: tuple[PicClass, PicClass], meta: dict) -> FormalSum:
+    """The formal sum of Gr_d (ambient rank d+m) over the twist classes ``classes``, sorted once.
+
+    Each leaf becomes one record: the shift less its box count, the twist
+    key picked by rho, its rows, the class solved and rho.  ``meta`` is a
+    dict because its keys include ``d``, ``m`` and ``shift``.
+    """
     keys = (twists[0].sort_key, twists[1].sort_key)
-    return [(shift - sum(rows), keys[rho], rows, t, rho) for rows, rho in leaves]
+    k, records = 0, []
+    for eps in classes:
+        k_eps, leaves = _solve(d, m, eps)
+        k += k_eps
+        records += [(shift - sum(rows), keys[rho], rows, eps, rho) for rows, rho in leaves]
+    return FormalSum.of_records(k, records, Frame(d, m), twists, **meta)
 
 
 def decompose_point(shift: int, t: PicClass) -> FormalSum:
     """A degenerate Grassmannian: the base itself, one GW summand."""
-    s = decompose_grassmannian(GrassmannQuery(0, 0, shift, t))
-    return FormalSum.of_records(s.k, s.records, s.frame, s.twists, kind="point", shift=shift)
+    q = GrassmannQuery(0, 0, shift, t)
+    return _engine_sum(0, 0, shift, (q.eps,), q.twists, {"kind": "point", "shift": shift})
 
 
 def decompose_grassmannian(q: GrassmannQuery) -> FormalSum:
     """Decompose one Grassmannian at one twist into base K and GW summands."""
-    k, records, twists = _query_records(q)
-    return FormalSum.of_records(
-        k,
-        records,
-        Frame(q.d, q.m),
-        twists,
-        kind="grassmannian",
-        d=q.d,
-        m=q.m,
-        shift=q.shift,
-        twist="+".join(q.twist.serialize()),
-        bundle=q.bundle,
-    )
-
-
-def _query_records(q: GrassmannQuery) -> tuple[int, list, tuple[PicClass, PicClass]]:
-    """K count, unsorted records and twists by rho of one checked query; the caller sorts the records once."""
-    r0 = q.d + q.m
-    eps = lambda_parity(q.twist, Delta(q.d))
-    base0 = q.twist.base_part()
-    for g in base0.generators:
-        if isinstance(g, FlagQuotient) and not 1 <= g.index <= r0:
-            raise ValueError(f"twist generator {g.key()} outside the rank-{r0} flag")
-    if q.twist.delta_part() not in (PicClass(), PicClass.of(Delta(q.d))):
-        raise ValueError(f"twist {q.twist} is not expressed over the query's Delta_{q.d}")
-    if q.d == 0 and eps:
-        raise ValueError("Gr_0 has a trivial tautological determinant: the twist cannot carry Delta:0")
-
-    k, leaves = _solve(q.d, q.m, eps)
-    twists = (base0, base0 + PicClass.of(DET_V) if q.bundle == FLAGGED else base0)
-    return k, _records(leaves, q.shift, twists, eps), twists
+    twist = "+".join(q.twist.serialize())
+    meta = {"kind": "grassmannian", "d": q.d, "m": q.m, "shift": q.shift, "twist": twist, "bundle": q.bundle}
+    return _engine_sum(q.d, q.m, q.shift, (q.eps,), q.twists, meta)
 
 
 def decompose_total(d: int, m: int, shift: int, base: PicClass, bundle: str = TRIVIAL) -> FormalSum:
     """Both twist classes of one Grassmannian, summed and sorted once."""
     if d < 1 or m < 1:
         raise ValueError(f"total decomposition needs d, m >= 1, got {d}, {m}")
-    k_even, even, twists = _query_records(GrassmannQuery(d, m, shift, base, bundle))
-    k_odd, odd, _ = _query_records(GrassmannQuery(d, m, shift, base + PicClass.of(Delta(d)), bundle))
-    return FormalSum.of_records(
-        k_even + k_odd,
-        even + odd,
-        Frame(d, m),
-        twists,
-        kind="grassmannian-total",
-        d=d,
-        m=m,
-        shift=shift,
-        twist="+".join(base.serialize()),
-        bundle=bundle,
-    )
+    q = GrassmannQuery(d, m, shift, base, bundle)
+    twist = "+".join(base.serialize())
+    meta = {"kind": "grassmannian-total", "d": d, "m": m, "shift": shift, "twist": twist, "bundle": bundle}
+    return _engine_sum(d, m, shift, (0, 1), q.twists, meta)
 
 
 def flag_closed_form(d: int, m: int, l: int, shift: int, base: PicClass = PicClass()) -> FormalSum:
@@ -252,10 +237,8 @@ def decompose_projective_bundle(q: ProjBundleQuery) -> FormalSum | LongExactSequ
     """
     if q.r % 2 and not q.parity and not q.split:
         return les_theorem_d(q.r, q.shift)
-    k, leaves = _solve(1, q.r, q.parity)
-    twists = (PicClass(), PicClass.of(DET_E))
-    records = _records(leaves, q.shift, twists, q.parity)
-    return FormalSum.of_records(k, records, Frame(1, q.r), twists, kind="projective-bundle", r=q.r, parity=q.parity, shift=q.shift)
+    meta = {"kind": "projective-bundle", "r": q.r, "parity": q.parity, "shift": q.shift}
+    return _engine_sum(1, q.r, q.shift, (q.parity,), (PicClass(), PicClass.of(DET_E)), meta)
 
 
 def les_theorem_d(r: int, shift: int) -> LongExactSequence:

@@ -275,12 +275,13 @@ def check_witt_counts(checks, d_max, m_max, sums):
 
 
 def check_determinism(checks, d_max, m_max):
+    """A fresh walk and the cached repeat of one total give the same document."""
     d, m = min(d_max, 3), min(m_max, 3)
 
     def run():
-        clear_cache()
         return json.dumps(formal_sum_to_json(decompose_total(d, m, 0, L)), sort_keys=True)
 
+    clear_cache()
     _check(checks, "determinism", run() == run(), "", {"d": d, "m": m})
 
 

@@ -457,6 +457,8 @@ def test_gw_read_from_records_is_the_summands_built_per_leaf(case):
         both += want
     total = decompose_total(d, m, shift, base, bundle)
     assert total.gw == tuple(sorted(both, key=summand_order))
+    twisted = decompose_total(d, m, shift, base + PicClass.of(Delta(d)), bundle)
+    assert (twisted.k, twisted.records) == (total.k, total.records)
     assert witt_specialize(total).gw == tuple(
         sorted((GWSummand(g.shift % 4, g.twist, g.diagram, g.t_index, g.rho) for g in both), key=summand_order)
     )

@@ -76,6 +76,9 @@ def test_generators_of_each_kind_are_distinct():
         lambda: LongExactSequence(("A", "B", "C"), ("f", "g")),
         lambda: GrassmannQuery(2, -1, 0, L),
         lambda: GrassmannQuery(2, 2, 0, L, "twisted"),
+        lambda: GrassmannQuery(2, 2, 0, PicClass.parse(["q9"])),
+        lambda: GrassmannQuery(2, 2, 0, PicClass.of(Delta(3))),
+        lambda: GrassmannQuery(0, 0, 0, PicClass.of(Delta(0))),
         lambda: ProjBundleQuery(0, 0, 0),
         lambda: ProjBundleQuery(2, 2, 0),
     ],

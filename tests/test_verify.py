@@ -11,6 +11,7 @@ from gwcell.verify import (
     ORACLE_FRAME_LIMIT,
     VerificationReport,
     brute_force_interface,
+    check_determinism,
     check_interface_oracle,
     check_output_schema,
     check_twist_table,
@@ -291,6 +292,18 @@ class TestRunAll:
         finally:
             engine.clear_cache()
         assert by_id["transpose_equivariance"]["status"] == "fail"
+
+    def test_determinism_compares_a_cached_result_with_a_fresh_walk(self, monkeypatch):
+        # a cache that loses a leaf on every hit: the fresh walk is right, only its repeat is not
+        class LossyCache(dict):
+            def get(self, key, default=None):
+                hit = super().get(key, default)
+                return hit if hit is None else (hit[0], hit[1][1:])
+
+        monkeypatch.setattr(engine, "_LEAVES", LossyCache())
+        checks = []
+        check_determinism(checks, 3, 3)
+        assert checks == [{"id": "determinism", "params": {"d": 3, "m": 3}, "status": "fail", "detail": ""}]
 
     def test_output_schema_catches_bad_document(self, monkeypatch):
         original = verify.formal_sum_to_json
