@@ -93,29 +93,38 @@ class VerificationReport(Value):
         return "\n".join(lines)
 
 
+def _row_edges(i: int, r: int, below: int, m: int) -> list[tuple[int, str]]:
+    """The sorted (path position, orientation) edges of row i, of length r, above a row of length ``below``, width m.
+
+    Keeps each edge between a filled box and its unfilled in-frame right neighbour or box below;
+    below the frame counts as filled (``below=m``).  Row i's last edge and row i + 1's first can
+    share position i - below as (horizontal, vertical), so sorted rows keep staircase order.
+    """
+    edges = []
+    for j in range(1, r + 1):
+        if j < m and j + 1 > r:
+            edges.append((i - 1 - j, "vertical"))
+        if j > below:
+            edges.append((i - j + 1, "horizontal"))
+    return sorted(edges)
+
+
 def brute_force_interface(rows: tuple[int, ...], m: int) -> tuple[tuple[str, int], ...]:
     """Independent interface oracle: a grid scan over the filled boxes of a row vector in a frame of width m.
 
     Returns the (orientation, length) of each maximal straight segment,
-    from the top-right of the frame to the bottom-left.  Tests each filled
-    box's right neighbour and the box below it against the row lengths,
-    collects the edges between a filled and an unfilled in-frame box, and
-    orders them along the staircase (both unit steps increase y - x by
-    one).  A segment grows while the next edge keeps its orientation and
-    is at the next position.  Calls no evenness rule.
+    from the top-right of the frame to the bottom-left.  Collects every
+    row's edges (``_row_edges``) and sorts them all along the staircase
+    (both unit steps increase y - x by one), which assumes nothing about
+    the order the rows give them in.  A segment grows while the next edge
+    keeps its orientation and is at the next position.  Calls no evenness rule.
     """
     d = len(rows)
     if d > ORACLE_FRAME_LIMIT or m > ORACLE_FRAME_LIMIT:
         raise ValueError(f"oracle limited to {ORACLE_FRAME_LIMIT}x{ORACLE_FRAME_LIMIT} frames")
     edges = []  # (path position, orientation)
     for i in range(1, d + 1):
-        r = rows[i - 1]
-        below = rows[i] if i < d else m  # below the frame counts as filled: its border is no edge
-        for j in range(1, r + 1):
-            if j < m and j + 1 > r:
-                edges.append((i - 1 - j, "vertical"))
-            if j > below:
-                edges.append((i - j + 1, "horizontal"))
+        edges += _row_edges(i, rows[i - 1], rows[i] if i < d else m, m)
     orients, lengths, next_pos = [], [], None
     for pos, orient in sorted(edges):
         if pos == next_pos and orient == orients[-1]:
@@ -315,13 +324,44 @@ def check_output_schema(checks):
 
 
 def check_interface_oracle(checks, limit=6):
-    """The evenness rule against the grid scan on every row vector of every frame up to ``limit``; builds no diagram."""
-    bad = []
+    """The evenness rule against the grid scan on every row vector of every frame up to ``limit``; builds no diagram.
+
+    Takes each frame's vectors in ``young._row_vectors`` order (depth-first,
+    top row first), keeping the scan state after each row: a vector sharing
+    its first k rows with the last one reuses the state after row k - 1 (row
+    k's edges depend on row k + 1), so each vector is still fed every edge of
+    its ``brute_force_interface`` scan, each row's edges scanned once a call.
+    Fed row by row, they merge in staircase order only if each row keeps it:
+    an edge sorting before the last one fed fails its vector as ``"order"``.
+    """
+    if limit > ORACLE_FRAME_LIMIT:
+        raise ValueError(f"oracle limited to {ORACLE_FRAME_LIMIT}x{ORACLE_FRAME_LIMIT} frames")
+    bad, row_edges = [], cache(_row_edges)  # lives for this call only
     for d in range(0, limit + 1):
         for m in range(0, limit + 1):
+            # states[k]: after the edges of rows 1..k, (closed segments all even, last edge, open length, in order)
+            states, prev = [(True, (float("-inf"), ""), 0, True)], ()
             for rows in young._row_vectors(Frame(d, m)):
-                if young._even_rows(rows, m) != all(length % 2 == 0 for _, length in brute_force_interface(rows, m)):
+                k = 0
+                while k < len(prev) and rows[k] == prev[k]:
+                    k += 1
+                del states[max(k, 1) :]
+                for i in range(len(states), d + 1):
+                    even, last, length, ordered = states[-1]
+                    for edge in row_edges(i, rows[i - 1], rows[i] if i < d else m, m):
+                        ordered = ordered and last <= edge
+                        if edge == (last[0] + 1, last[1]):  # same orientation, next position
+                            length += 1
+                        else:
+                            even, length = even and length % 2 == 0, 1
+                        last = edge
+                    states.append((even, last, length, ordered))
+                even, _, length, ordered = states[d]
+                if not ordered:
+                    bad.append((d, m, rows, "order"))
+                elif young._even_rows(rows, m) != (even and length % 2 == 0):
                     bad.append((d, m, rows))
+                prev = rows
     _report(checks, "interface_oracle", bad, {"limit": limit}, cap=5)
 
 

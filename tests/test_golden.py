@@ -13,7 +13,9 @@ whose leaves pass through a thousand levels of the walk.  The text sweep
 pins ``--format text`` on the small sweep's grassmann calls (formal and
 witt) and split projective bundles.  The young sweep pins diagram
 enumeration and rendering, with and without the evenness filter, and a
-verify report in both formats.
+verify report in both formats.  The verify sweep pins ``verify --max 7``
+in both formats: its interface oracle runs at its full limit of 6 and
+the other checks reach one frame past it.
 """
 
 import contextlib
@@ -32,6 +34,7 @@ GOLDEN_LARGE_SHA256 = "77eeb36a0d85e7bc51077e7b54fc49a57822330d517931b8b9b91997e
 GOLDEN_YOUNG_SHA256 = "973b9e97a5298e65767a281259f68b2ab1d269dea48e3f7945628fafe3021df6"
 GOLDEN_WALK_SHA256 = "608e36eba0a3bb0406d39abebe4a694f03501c1bda13eb45fb108a6a0acab82f"
 GOLDEN_TEXT_SHA256 = "678ded6a67b206e7769938d2ba7f4bfe2ef86397d192a9200b00dbce4a71920c"
+GOLDEN_VERIFY_SHA256 = "538b0d780c7a8d80a553f4719a4b3ace7462ed9b8ba9289da1cfdec4167290e5"
 
 TWISTS = ("both", "even", "odd", "L,Delta,q1")
 
@@ -139,6 +142,12 @@ def test_young_and_verify_match_golden_digest():
     runs = _run(_young_argvs())
     assert len(runs) == 198 and all(code == 0 for _, code, _, _ in runs)
     assert _digest(runs) == GOLDEN_YOUNG_SHA256
+
+
+def test_full_oracle_verify_matches_golden_digest():
+    runs = _run([["verify", "--max", "7", "--format", fmt] for fmt in ("text", "json")])
+    assert all(code == 0 for _, code, _, _ in runs)
+    assert _digest(runs) == GOLDEN_VERIFY_SHA256
 
 
 def test_cli_sweep_documents_match_schema(sweep):

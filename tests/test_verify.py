@@ -1,8 +1,11 @@
 import json
+import subprocess
+import sys
 from itertools import groupby
 
 import pytest
 from hypothesis import given
+from test_cli import _child_env
 from test_young import framed_diagrams
 
 from gwcell import engine, twist, verify, young
@@ -109,6 +112,8 @@ class TestBruteForceInterface:
     def test_rejects_oversize_frame(self):
         with pytest.raises(ValueError):
             brute_force_interface((0,) * 13, 13)
+        with pytest.raises(ValueError):
+            check_interface_oracle([], ORACLE_FRAME_LIMIT + 1)
 
 
 class TestScanMatchesReference:
@@ -129,6 +134,74 @@ class TestScanMatchesReference:
         monkeypatch.setattr(young, "_even_rows", forbidden)
         monkeypatch.setattr(young, "is_even", forbidden)
         assert brute_force_interface((3, 1, 1), 3) == (("horizontal", 2), ("vertical", 2))
+
+
+# the order mutant in a fresh interpreter; prints the check's status and detail
+_ORDER_MUTANT = """
+from gwcell import verify
+row_edges = verify._row_edges
+verify._row_edges = lambda i, r, below, m: row_edges(i, r, below, m)[::-1]
+checks = []
+verify.check_interface_oracle(checks, 3)
+print(checks[0]["status"], checks[0]["detail"])
+"""
+
+
+class TestInterfaceWalk:
+    """check_interface_oracle shares row scans and prefixes but must still check each vector in full."""
+
+    def test_asks_about_every_vector_once_in_enumeration_order(self, monkeypatch):
+        asked, even_rows = [], young._even_rows
+
+        def recorder(rows, m):
+            asked.append((rows, m))
+            return even_rows(rows, m)
+
+        monkeypatch.setattr(young, "_even_rows", recorder)
+        checks = []
+        check_interface_oracle(checks, 6)
+        expected = [(rows, m) for d in range(7) for m in range(7) for rows in list(young._row_vectors(Frame(d, m)))]
+        assert len(expected) == 3431
+        assert asked == expected
+        assert checks[0]["status"] == "pass"
+
+    def test_verdict_is_the_global_sort_verdict(self, monkeypatch):
+        # passes only where the incremental merge agrees with brute_force_interface's sort-and-merge
+        def scan_verdict(rows, m):
+            return all(n % 2 == 0 for _, n in brute_force_interface(rows, m))
+
+        monkeypatch.setattr(young, "_even_rows", scan_verdict)
+        checks = []
+        check_interface_oracle(checks, 7)
+        assert checks[0] == {"id": "interface_oracle", "params": {"limit": 7}, "status": "pass", "detail": ""}
+
+    def test_dropped_vertical_edge_fails(self, monkeypatch):
+        row_edges = verify._row_edges
+
+        def no_vertical(i, r, below, m):
+            return [edge for edge in row_edges(i, r, below, m) if edge[1] != "vertical"]
+
+        monkeypatch.setattr(verify, "_row_edges", no_vertical)
+        checks = []
+        check_interface_oracle(checks, 3)
+        assert checks[0]["status"] == "fail"
+        assert checks[0]["detail"].startswith("failures: [(1, 2, (1,)), ")
+
+    def test_reversed_row_edges_fail_as_order(self, monkeypatch):
+        # the first row with two edges: (2, 0) in the 2x2 frame, horizontal at positions 0 and 1
+        row_edges = verify._row_edges
+        monkeypatch.setattr(verify, "_row_edges", lambda i, r, below, m: row_edges(i, r, below, m)[::-1])
+        checks = []
+        check_interface_oracle(checks, 3)
+        assert checks[0]["status"] == "fail"
+        assert checks[0]["detail"].startswith("failures: [(2, 2, (2, 0), 'order'), ")
+
+    def test_reversed_row_edges_fail_as_order_under_optimize(self):
+        # the order test must not be an assert, which python -O strips
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _ORDER_MUTANT], capture_output=True, text=True, env=_child_env(), check=True
+        )
+        assert proc.stdout.startswith("fail failures: [(2, 2, (2, 0), 'order'), ")
 
 
 class TestFixtures:
