@@ -71,9 +71,6 @@ class AbelianGroup(Value):
     def __add__(self, other: "AbelianGroup") -> "AbelianGroup":
         return AbelianGroup(self.orders + other.orders)
 
-    def free_rank(self) -> int:
-        return sum(1 for o in self.orders if o == 0)
-
     def __str__(self):
         if not self.orders:
             return "0"
@@ -153,9 +150,6 @@ class FormalSum(Value):
 
     def meta_dict(self) -> dict:
         return dict(self.meta)
-
-    def is_empty(self) -> bool:
-        return self.k == 0 and not self.records
 
 
 def direct_sum(a: FormalSum, b: FormalSum, merge: bool = False) -> FormalSum:

@@ -1,9 +1,11 @@
 """Cross-check suite: every identity and fixture the calculator rests on.
 
-Each check is independent and pure; ``run_all`` assembles a deterministic
-report.  The figure fixtures are literal row vectors transcribed from the
-published pictures of the even diagrams for the 2x2, 3x3 and 4x4 frames
-and are the only external ground truth for the evenness rule.
+Each check is pure.  ``run_all`` builds the data several checks read once,
+the even diagrams (``even_diagrams``) and the flagged sums
+(``flagged_sums``), and assembles a deterministic report.  The figure
+fixtures are literal row vectors transcribed from the published pictures
+of the even diagrams for the 2x2, 3x3 and 4x4 frames and are the only
+external ground truth for the evenness rule.
 """
 
 from __future__ import annotations
@@ -203,7 +205,9 @@ def flagged_sums(d_max, m_max):
 
     Maps (d, m) and its transpose (m, d), for every d <= d_max and
     m <= m_max, to the pair (even sum, odd sum).  ``run_all`` builds it
-    once and hands it to each check that reads these frames.
+    once and hands it to each check that reads these frames:
+    engine_vs_enumeration, k_counts, odd_odd, transpose, witt_counts and
+    twist_table.
     """
     frames = {f for d, m in _frames(d_max, m_max) for f in ((d, m), (m, d))}
     return {
@@ -257,13 +261,13 @@ def check_transpose(checks, d_max, m_max, sums):
     same K count, and transposing the diagrams of Gr(m, d) and flipping
     their rho when l is set gives the (shift, rows, rho) of Gr(d, m).  The
     engine splits the two frames by the same rules along different paths,
-    so neither side is computed from the other.
+    so neither side is computed from the other.  Reads records.
     """
     bad = []
     for d, m in _frames(d_max, m_max):
         for l, (a, b) in enumerate(zip(sums[d, m], sums[m, d])):
-            profile_a = sorted((g.shift, g.diagram.rows, g.rho) for g in a.gw)
-            profile_b = sorted((g.shift, g.diagram.transpose().rows, g.rho ^ l) for g in b.gw)
+            profile_a = sorted((shift, rows, rho) for shift, _, rows, _, rho in a.records)
+            profile_b = sorted((shift, young.transpose_rows(rows, d), rho ^ l) for shift, _, rows, _, rho in b.records)
             if a.k != b.k or profile_a != profile_b:
                 bad.append((d, m))
                 break
@@ -326,53 +330,46 @@ def check_output_schema(checks):
 def check_interface_oracle(checks, limit=6):
     """The evenness rule against the grid scan on every row vector of every frame up to ``limit``; builds no diagram.
 
-    Takes each frame's vectors in ``young._row_vectors`` order (depth-first,
-    top row first), keeping the scan state after each row: a vector sharing
-    its first k rows with the last one reuses the state after row k - 1 (row
-    k's edges depend on row k + 1), so each vector is still fed every edge of
-    its ``brute_force_interface`` scan, each row's edges scanned once a call.
-    Fed row by row, they merge in staircase order only if each row keeps it:
-    an edge sorting before the last one fed fails its vector as ``"order"``.
+    Walks each frame's vectors depth first, top row first and each row's
+    values descending, which is ``young._row_vectors`` order.  Row i's edges
+    depend on row i + 1, so they are fed to the scan state (closed segments
+    all even, last edge, open length, in order) when row i + 1 is chosen, and
+    row d's above the frame's bottom: each vector is fed every edge of its
+    ``brute_force_interface`` scan, a prefix's edges once for every vector
+    extending it, and each row's edges are scanned once a call.  Fed row by
+    row, they merge in staircase order only if each row keeps it: an edge
+    sorting before the last one fed fails its vector as ``"order"``.
     """
     if limit > ORACLE_FRAME_LIMIT:
         raise ValueError(f"oracle limited to {ORACLE_FRAME_LIMIT}x{ORACLE_FRAME_LIMIT} frames")
     bad, row_edges = [], cache(_row_edges)  # lives for this call only
+
+    def walk(d, m, rows, state):
+        """Check every vector extending ``rows``, from the scan state after the edges of all its rows but the last."""
+        i = len(rows)
+        for r in range(rows[-1] if rows else m, -1, -1) if i < d else (m,):  # below row d, the frame: a full row
+            even, last, length, ordered = state
+            for edge in row_edges(i, rows[-1], r, m) if i else ():
+                ordered = ordered and last <= edge
+                if edge == (last[0] + 1, last[1]):  # same orientation, next position
+                    length += 1
+                else:
+                    even, length = even and length % 2 == 0, 1
+                last = edge
+            if i < d:
+                walk(d, m, rows + (r,), (even, last, length, ordered))
+            elif not ordered:
+                bad.append((d, m, rows, "order"))
+            elif young._even_rows(rows, m) != (even and length % 2 == 0):
+                bad.append((d, m, rows))
+
     for d in range(0, limit + 1):
         for m in range(0, limit + 1):
-            # states[k]: after the edges of rows 1..k, (closed segments all even, last edge, open length, in order)
-            states, prev = [(True, (float("-inf"), ""), 0, True)], ()
-            for rows in young._row_vectors(Frame(d, m)):
-                k = 0
-                while k < len(prev) and rows[k] == prev[k]:
-                    k += 1
-                del states[max(k, 1) :]
-                for i in range(len(states), d + 1):
-                    even, last, length, ordered = states[-1]
-                    for edge in row_edges(i, rows[i - 1], rows[i] if i < d else m, m):
-                        ordered = ordered and last <= edge
-                        if edge == (last[0] + 1, last[1]):  # same orientation, next position
-                            length += 1
-                        else:
-                            even, length = even and length % 2 == 0, 1
-                        last = edge
-                    states.append((even, last, length, ordered))
-                even, _, length, ordered = states[d]
-                if not ordered:
-                    bad.append((d, m, rows, "order"))
-                elif young._even_rows(rows, m) != (even and length % 2 == 0):
-                    bad.append((d, m, rows))
-                prev = rows
+            walk(d, m, (), (True, (float("-inf"), ""), 0, True))
     _report(checks, "interface_oracle", bad, {"limit": limit}, cap=5)
 
 
-def _rho_by_rows(d, m, eps):
-    """The rho bit of each leaf of a flagged frame, keyed by the leaf's row vector."""
-    t = PicClass.of(Delta(d)) if eps else PicClass()
-    s = decompose_grassmannian(GrassmannQuery(d, m, 0, t, FLAGGED))
-    return {rows: rho for _, _, rows, _, rho in s.records}
-
-
-def check_twist_table(checks, d_max, m_max):
+def check_twist_table(checks, d_max, m_max, sums):
     """The paper's line bundle table as an oracle for the engine's one-bit twist.
 
     At every inner node (d, m >= 2) and twist parity eps, the table's
@@ -380,8 +377,11 @@ def check_twist_table(checks, d_max, m_max):
     sit on the engine's child nodes, have the Delta-parity each is solved
     at, and telescope with each child leaf's det V to the det V bit of the
     parent leaf it grows into: the shifted child's rows plus step full
-    columns, or the unshifted child's rows above step empty rows.  Each
-    frame's leaves are read once.
+    columns, or the unshifted child's rows above step empty rows.  rho does
+    not depend on the base twist, so each frame's leaves are read once from
+    the records of ``flagged_sums`` (built at base L); only the child frames
+    it does not hold, with d = 0 or m = 0, are decomposed here.  The twist
+    classes are compared once per (child rho, parent rho) pair.
     """
     params = {"d_max": d_max, "m_max": m_max}
     if d_max < 2 or m_max < 2:
@@ -389,7 +389,15 @@ def check_twist_table(checks, d_max, m_max):
         checks.append({"id": "twist_table", "params": params, "status": "skipped", "detail": detail})
         return
     bad = []
-    rho_by_rows = cache(_rho_by_rows)
+
+    @cache  # lives for this call only
+    def rho_by_rows(d, m, eps):
+        """The rho bit of each leaf of a flagged frame by its rows: read from ``sums``, else decomposed."""
+        t = PicClass.of(Delta(d)) if eps else PicClass()
+        s = sums[d, m][eps] if (d, m) in sums else decompose_grassmannian(GrassmannQuery(d, m, 0, t, FLAGGED))
+        return {rows: rho for _, _, rows, _, rho in s.records}
+
+    det_v = cache(lambda n: (PicClass(), quotient_range(1, n)))  # a leaf's det V at rank n, by its rho
     for d in range(2, d_max + 1):
         for m in range(2, m_max + 1):
             for eps in (0, 1):
@@ -404,17 +412,17 @@ def check_twist_table(checks, d_max, m_max):
                     bad.append((d, m, eps, "sites"))
                     continue
                 parent = rho_by_rows(d, m, eps)
-                det_v = (PicClass(), quotient_range(1, d + m))  # a parent leaf's det V bit, by its rho
                 for (cd, cm, ceps), cols, tail in ((shifted, step, ()), (unshifted, 0, (0,) * step)):
                     ct = table[cd, cm]
                     if lambda_parity(ct, Delta(cd)) != ceps:
                         bad.append((d, m, eps, "parity"))
                         continue
                     base = ct.base_part()
-                    got = (base, base + quotient_range(1, cd + cm))  # by the child leaf's rho
+                    got = (base, base + det_v(cd + cm)[1])  # by the child leaf's rho
+                    agree = {(a, b) for a in (0, 1) for b in (0, 1) if got[a] == det_v(d + m)[b]}  # (child rho, parent rho)
                     for rows, rho_c in rho_by_rows(cd, cm, ceps).items():
                         grown = tuple(x + cols for x in rows) + tail
-                        if grown not in parent or got[rho_c] != det_v[parent[grown]]:
+                        if grown not in parent or (rho_c, parent[grown]) not in agree:
                             bad.append((d, m, eps, grown))
     _report(checks, "twist_table", bad, params, cap=5)
 
@@ -438,6 +446,6 @@ def run_all(d_max: int, m_max: int) -> VerificationReport:
     check_determinism(checks, d_max, m_max)
     check_output_schema(checks)
     check_interface_oracle(checks, min(max(d_max, m_max), 6))
-    check_twist_table(checks, min(d_max, 6), min(m_max, 6))
+    check_twist_table(checks, min(d_max, 6), min(m_max, 6), sums)
     checks.sort(key=lambda c: c["id"])
     return VerificationReport(tuple(checks))

@@ -63,11 +63,19 @@ class YoungDiagram(Value):
 
     def transpose(self) -> "YoungDiagram":
         """Conjugate partition in the transposed frame."""
-        new_rows = tuple(sum(1 for r in self.rows if r > j) for j in range(self.frame.m))
-        return YoungDiagram(Frame(self.frame.m, self.frame.d), new_rows)
+        return YoungDiagram(Frame(self.frame.m, self.frame.d), transpose_rows(self.rows, self.frame.m))
 
     def __str__(self):
         return rows_text(self.rows)
+
+
+def transpose_rows(rows: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """The conjugate of a row vector in a frame of width m: box (i, j) of the rows counts toward column j."""
+    cols = [0] * m
+    for r in rows:
+        for j in range(r):
+            cols[j] += 1
+    return tuple(cols)
 
 
 def rows_text(rows: tuple[int, ...]) -> str:

@@ -18,6 +18,7 @@ from gwcell.verify import (
     check_interface_oracle,
     check_output_schema,
     check_twist_table,
+    flagged_sums,
     run_all,
 )
 from gwcell.young import Frame, YoungDiagram
@@ -260,12 +261,12 @@ class TestRunAll:
         )
         monkeypatch.setattr(twist, "LINE_BUNDLE_TABLE", table)
         checks = []
-        check_twist_table(checks, 6, 6)
+        check_twist_table(checks, 6, 6, flagged_sums(6, 6))
         assert checks[0]["status"] == "fail"
 
     def test_flagged_frames_decomposed_once(self, monkeypatch):
-        # engine_vs_enumeration, k_counts, odd_odd, transpose and witt_counts
-        # share one decomposition per query, both orientations of a frame
+        # engine_vs_enumeration, k_counts, odd_odd, transpose, witt_counts and
+        # twist_table share one decomposition per query, both orientations of a frame
         calls = []
         original = verify.decompose_grassmannian
 
@@ -329,23 +330,35 @@ class TestRunAll:
             monkeypatch.setattr(verify, "split_node", lambda d, m, eps: original(d, m, 1 - eps))
             reason = "sites"
         checks = []
-        check_twist_table(checks, 6, 6)
+        check_twist_table(checks, 6, 6, flagged_sums(6, 6))
         assert checks[0]["status"] == "fail"
         assert repr(reason) in checks[0]["detail"]
 
-    def test_twist_table_reads_each_frame_once(self, monkeypatch):
-        calls = []
-        original = verify.decompose_grassmannian
+    def test_twist_table_decomposes_only_frames_the_sums_lack(self, monkeypatch):
+        # twist_table reads the leaves flagged_sums built; it decomposes only
+        # the child frames with d = 0 or m = 0, and no query is decomposed twice
+        calls, in_table = [], []
+        decompose, check = verify.decompose_grassmannian, verify.check_twist_table
 
         def counted(q):
-            calls.append(q)
-            return original(q)
+            calls.append((q, bool(in_table)))
+            return decompose(q)
+
+        def table_check(*args):
+            in_table.append(True)
+            try:
+                return check(*args)
+            finally:
+                in_table.clear()
 
         monkeypatch.setattr(verify, "decompose_grassmannian", counted)
-        checks = []
-        check_twist_table(checks, 6, 6)
-        assert checks[0]["status"] == "pass"
-        assert len(calls) == len(set(calls)) == 70
+        monkeypatch.setattr(verify, "check_twist_table", table_check)
+        by_id = {c["id"]: c for c in run_all(6, 6).checks}
+        assert by_id["twist_table"]["status"] == "pass"
+        queries = [q for q, _ in calls]
+        assert len(queries) == len(set(queries)) == 36 * 2 + 10  # flagged_sums' frames at two twists, and 10 more
+        own = sorted((q.d, q.m) for q, in_check in calls if in_check)
+        assert own == sorted({(0, m) for m in range(2, 7)} | {(d, 0) for d in range(2, 7)})
 
     def test_transpose_catches_dual_base_case_rho(self, monkeypatch):
         # flip rho of the full leaf of Gr_d of a rank d+1 bundle: rows, K and

@@ -178,6 +178,15 @@ class TestTranspose:
     def test_empty(self):
         assert diagram(2, 3).transpose() == diagram(3, 2)
 
+    @given(framed_diagrams(max_side=12))
+    def test_transpose_rows_is_the_box_set_transpose(self, lam):
+        rows, m = lam.rows, lam.frame.m
+        t = young.transpose_rows(rows, m)
+        boxes = {(i, j) for i, r in enumerate(rows) for j in range(r)}
+        assert {(i, j) for i, c in enumerate(t) for j in range(c)} == {(j, i) for i, j in boxes}
+        assert young.transpose_rows(t, lam.frame.d) == rows
+        assert sum(t) == sum(rows) == len(boxes)
+
 
 class TestBetaNumbers:
     @pytest.mark.parametrize(
