@@ -1,11 +1,13 @@
 """Cross-check suite: every identity and fixture the calculator rests on.
 
 Each check is pure.  ``run_all`` builds the data several checks read once,
-the even diagrams (``even_diagrams``) and the flagged sums
-(``flagged_sums``), and assembles a deterministic report.  The figure
+the even diagrams (``even_diagrams``), the beta parities
+(``young.beta_parity_table``) and the flagged sums (``flagged_sums``), and
+assembles a deterministic report.  The figure
 fixtures are literal row vectors transcribed from the published pictures
 of the even diagrams for the 2x2, 3x3 and 4x4 frames and are the only
-external ground truth for the evenness rule.
+external ground truth for both the evenness rule and the generator of
+even diagrams.
 """
 
 from __future__ import annotations
@@ -171,12 +173,14 @@ def even_diagrams(d_max, m_max):
 
 
 def check_fixtures(checks, evens):
+    """Each figure's even set against the enumerated diagrams and against the rows the evenness rule accepts."""
     for (d, m), expected in sorted(EVEN_FIXTURES.items()):
         got = {lam.rows for lam in evens[d, m]}
+        ruled = {rows for rows in young._row_vectors(Frame(d, m)) if young._even_rows(rows, m)}
         _check(
             checks,
             f"fixtures_{d}x{m}",
-            got == expected,
+            got == expected == ruled,
             f"{len(got)} diagrams",
             {"d": d, "m": m},
         )
@@ -187,16 +191,12 @@ def check_cardinality(checks, d_max, m_max, evens):
     _report(checks, "cardinality", bad, {"d_max": d_max, "m_max": m_max})
 
 
-def check_pascal(checks, d_max=30, m_max=30):
-    _report(checks, "pascal", young.verify_pascal(d_max, m_max), {"d_max": d_max, "m_max": m_max}, cap=5)
+def check_pascal(checks, betas, d_max=30, m_max=30):
+    _report(checks, "pascal", young.verify_pascal(d_max, m_max, betas), {"d_max": d_max, "m_max": m_max}, cap=5)
 
 
-def check_beta_parity_sum(checks, d_max=30, m_max=30):
-    bad = [
-        (d, m)
-        for d, m in _frames(d_max, m_max)
-        if young.beta_parity(0, d, m) + young.beta_parity(1, d, m) != young.beta(d, m)
-    ]
+def check_beta_parity_sum(checks, betas, d_max=30, m_max=30):
+    bad = [(d, m) for d, m in _frames(d_max, m_max) if betas[0][d][m] + betas[1][d][m] != young.beta(d, m)]
     _report(checks, "beta_parity_sum", bad, {"d_max": d_max, "m_max": m_max})
 
 
@@ -328,44 +328,62 @@ def check_output_schema(checks):
 
 
 def check_interface_oracle(checks, limit=6):
-    """The evenness rule against the grid scan on every row vector of every frame up to ``limit``; builds no diagram.
+    """The evenness rule and the even-vector generator against the grid scan, on every frame up to ``limit``; builds no diagram.
 
-    Walks each frame's vectors depth first, top row first and each row's
-    values descending, which is ``young._row_vectors`` order.  Row i's edges
-    depend on row i + 1, so they are fed to the scan state (closed segments
-    all even, last edge, open length, in order) when row i + 1 is chosen, and
-    row d's above the frame's bottom: each vector is fed every edge of its
-    ``brute_force_interface`` scan, a prefix's edges once for every vector
-    extending it, and each row's edges are scanned once a call.  Fed row by
-    row, they merge in staircase order only if each row keeps it: an edge
-    sorting before the last one fed fails its vector as ``"order"``.
+    Walks each width m once, depth first, top row first and each row's
+    values descending, so the vectors of each frame (i, m) come in
+    ``young._row_vectors`` order.  Row i's edges depend on row i + 1, so they
+    are fed to the scan state (closed segments all even, last edge, open
+    length, in order) when row i + 1 is chosen.  At depth i the prefix also
+    closes frame (i, m): row i's edges above a full row, the frame's bottom,
+    end its scan; when row i is itself full that feed also extends the walk.
+    So each vector is fed every edge of its ``brute_force_interface`` scan, a
+    prefix's edges once for every vector extending it, and each row's edges
+    are scanned once a call.  Fed row by row, they merge in staircase order
+    only if each row keeps it: an edge sorting before the last one fed fails
+    its vector as ``"order"``.  The vectors the scan calls even must be
+    exactly ``young._even_row_vectors(i, m)``, in order, else the frame fails
+    as ``"generator"``.  Failures are listed by frame, d then m.
     """
     if limit > ORACLE_FRAME_LIMIT:
         raise ValueError(f"oracle limited to {ORACLE_FRAME_LIMIT}x{ORACLE_FRAME_LIMIT} frames")
     bad, row_edges = [], cache(_row_edges)  # lives for this call only
 
-    def walk(d, m, rows, state):
-        """Check every vector extending ``rows``, from the scan state after the edges of all its rows but the last."""
-        i = len(rows)
-        for r in range(rows[-1] if rows else m, -1, -1) if i < d else (m,):  # below row d, the frame: a full row
-            even, last, length, ordered = state
-            for edge in row_edges(i, rows[-1], r, m) if i else ():
-                ordered = ordered and last <= edge
-                if edge == (last[0] + 1, last[1]):  # same orientation, next position
-                    length += 1
-                else:
-                    even, length = even and length % 2 == 0, 1
-                last = edge
-            if i < d:
-                walk(d, m, rows + (r,), (even, last, length, ordered))
-            elif not ordered:
-                bad.append((d, m, rows, "order"))
-            elif young._even_rows(rows, m) != (even and length % 2 == 0):
-                bad.append((d, m, rows))
+    def feed(state, edges):
+        even, last, length, ordered = state
+        for edge in edges:
+            ordered = ordered and last <= edge
+            if edge == (last[0] + 1, last[1]):  # same orientation, next position
+                length += 1
+            else:
+                even, length = even and length % 2 == 0, 1
+            last = edge
+        return even, last, length, ordered
 
-    for d in range(0, limit + 1):
-        for m in range(0, limit + 1):
-            walk(d, m, (), (True, (float("-inf"), ""), 0, True))
+    def walk(m, rows, state, scanned_even):
+        """Close frame (len(rows), m) on ``rows`` and walk on, from the scan state after the edges of all its rows but the last."""
+        i = len(rows)
+        closed = feed(state, row_edges(i, rows[-1], m, m)) if i else state
+        even, _, length, ordered = closed
+        even = even and length % 2 == 0
+        if not ordered:
+            bad.append((i, m, rows, "order"))
+        else:
+            if young._even_rows(rows, m) != even:
+                bad.append((i, m, rows))
+            if even:
+                scanned_even[i].append(rows)
+        if i < limit:
+            for r in range(rows[-1] if i else m, -1, -1):
+                # a full row i + 1 (so row i is full too) gets the close feed; with no row i there is none
+                child = closed if r == m or not i else feed(state, row_edges(i, rows[-1], r, m))
+                walk(m, rows + (r,), child, scanned_even)
+
+    for m in range(0, limit + 1):
+        scanned_even = [[] for _ in range(limit + 1)]
+        walk(m, (), (True, (float("-inf"), ""), 0, True), scanned_even)
+        bad += [(d, m, "generator") for d, rows in enumerate(scanned_even) if rows != list(young._even_row_vectors(d, m))]
+    bad.sort(key=lambda b: b[:2])  # stable: each frame's vectors stay in enumeration order
     _report(checks, "interface_oracle", bad, {"limit": limit}, cap=5)
 
 
@@ -434,9 +452,10 @@ def run_all(d_max: int, m_max: int) -> VerificationReport:
     checks = []
     evens = even_diagrams(d_max, m_max)
     check_fixtures(checks, evens)
-    check_cardinality(checks, min(d_max, 8), min(m_max, 8), evens)
-    check_pascal(checks)
-    check_beta_parity_sum(checks)
+    check_cardinality(checks, d_max, m_max, evens)
+    betas = young.beta_parity_table(30, 30)
+    check_pascal(checks, betas)
+    check_beta_parity_sum(checks, betas)
     sums = flagged_sums(d_max, m_max)
     check_engine_vs_enumeration(checks, d_max, m_max, sums, evens)
     check_k_counts(checks, d_max, m_max, sums)

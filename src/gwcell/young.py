@@ -6,8 +6,9 @@ segments index the rank-one summands of the decompositions computed by
 the engine; the beta numbers below count the remaining K-theory summands.
 Each such segment is a drop between consecutive rows or a run of equal
 rows inside the frame, so evenness is a test on the row lengths.
-Enumeration walks the row vectors with ``itertools``, with no recursion,
-and filters them by that test before building any diagram.
+``enumerate_diagrams`` walks the row vectors with ``itertools``;
+``enumerate_even`` generates only the even ones, run by run from the same
+rule, with an explicit stack and no recursion.
 """
 
 from __future__ import annotations
@@ -117,9 +118,43 @@ def enumerate_diagrams(frame: Frame) -> list[YoungDiagram]:
     return [YoungDiagram(frame, rows) for rows in _row_vectors(frame)]
 
 
+def _even_row_vectors(d: int, m: int):
+    """The row vectors ``_even_rows`` accepts in a d x m frame, in ``_row_vectors`` order, built run by run.
+
+    A run of equal rows may have any length on the frame border (value 0 or
+    m) and only an even length inside it; the next run starts an even drop
+    lower, so a run that leaves rows to fill has value 2 or more.  Each
+    stack entry is a prefix and the generator of its next-run choices,
+    larger values first, then longer runs: the depth-first walk emits the
+    vectors lexicographically descending, on a stack as deep as the runs.
+    """
+
+    def runs(top, step, left):
+        for v in range(top, -1, -step):
+            for n in range(left, 0, -1) if v in (0, m) else range(left - left % 2, 0, -2):
+                if n == left or v >= 2:
+                    yield v, n
+
+    if d == 0:
+        yield ()
+        return
+    stack = [((), runs(m, 1, d))]
+    while stack:
+        prefix, choices = stack[-1]
+        for v, n in choices:
+            rows = prefix + (v,) * n
+            if len(rows) == d:
+                yield rows
+            else:
+                stack.append((rows, runs(v - 2, 2, d - len(rows))))
+                break
+        else:
+            stack.pop()
+
+
 def enumerate_even(frame: Frame) -> list[YoungDiagram]:
     """The even diagrams of the frame, in canonical enumeration order; only these are built."""
-    return [YoungDiagram(frame, rows) for rows in _row_vectors(frame) if _even_rows(rows, frame.m)]
+    return [YoungDiagram(frame, rows) for rows in _even_row_vectors(frame.d, frame.m)]
 
 
 def even_cardinality(d: int, m: int) -> int:
@@ -159,23 +194,31 @@ def _beta_parity_or_zero(l: int, d: int, m: int) -> int:
     return beta_parity(l, d, m)
 
 
-def verify_pascal(d_max: int, m_max: int) -> list[tuple[int, int, int]]:
+def beta_parity_table(d_max: int, m_max: int) -> tuple:
+    """``_beta_parity_or_zero(l, d, m)`` as ``table[l][d][m]``, for l in (0, 1), 0 <= d <= d_max and 0 <= m <= m_max."""
+    return tuple(tuple(tuple(_beta_parity_or_zero(l, d, m) for m in range(m_max + 1)) for d in range(d_max + 1)) for l in (0, 1))
+
+
+def verify_pascal(d_max: int, m_max: int, table=None) -> list[tuple[int, int, int]]:
     """The (d, m, identity) triples, 1 <= d <= d_max and 1 <= m <= m_max, where a beta identity fails.
 
     Identity 1: beta^[d+1](d, m) = beta^[d](d, m-1) + beta^[d-1](d-1, m).
     Identity 2: beta^[d](d, m)   = beta^[d](d, m-2) + C(d+m-2, m-1)
                                    + beta^[d-2](d-2, m).
     Sub-terms with a zero index use the degenerate value 0; identity 2 is
-    tried only where its indices are nonnegative, d, m >= 2.
+    tried only where its indices are nonnegative, d, m >= 2.  The left
+    sides call ``beta_parity``; the sub-terms are read from ``table``, a
+    ``beta_parity_table`` covering the bounds, built here when not given.
     """
+    if table is None:
+        table = beta_parity_table(d_max, m_max)
     bad = []
     for d in range(1, d_max + 1):
+        same, other = table[d % 2], table[(d - 1) % 2]
         for m in range(1, m_max + 1):
-            if beta_parity(d + 1, d, m) != _beta_parity_or_zero(d, d, m - 1) + _beta_parity_or_zero(d - 1, d - 1, m):
+            if beta_parity(d + 1, d, m) != same[d][m - 1] + other[d - 1][m]:
                 bad.append((d, m, 1))
-            if d >= 2 and m >= 2 and beta_parity(d, d, m) != (
-                _beta_parity_or_zero(d, d, m - 2) + comb(d + m - 2, m - 1) + _beta_parity_or_zero(d - 2, d - 2, m)
-            ):
+            if d >= 2 and m >= 2 and beta_parity(d, d, m) != same[d][m - 2] + comb(d + m - 2, m - 1) + same[d - 2][m]:
                 bad.append((d, m, 2))
     return bad
 

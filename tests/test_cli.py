@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+from itertools import combinations_with_replacement
 
 import pytest
 from test_golden import _argvs
@@ -274,6 +275,16 @@ class TestYoungCommand:
         assert code == 0
         doc = json.loads(out)
         assert len(doc["diagrams"]) == 6
+
+    def test_even_14x14_is_the_filter(self, capsys):
+        # the filter over the vectors whose rows share a parity, merged descending: any other has an odd drop
+        code, out, _ = run(capsys, "young", "-d", "14", "-m", "14", "--even")
+        assert code == 0
+        got = [tuple(rows) for rows in json.loads(out)["diagrams"]]
+        same_parity = (combinations_with_replacement(range(p, -1, -2), 14) for p in (14, 13))
+        want = sorted((rows for vectors in same_parity for rows in vectors if young._even_rows(rows, 14)), reverse=True)
+        assert len(got) == 6864
+        assert got == want
 
     def test_frame_deeper_than_the_recursion_limit(self, capsys):
         code, out, _ = run(capsys, "young", "-d", "1500", "-m", "1")

@@ -101,7 +101,7 @@ class TestBruteForceInterface:
         assert checks[0]["detail"].startswith("failures: [(1, 2, (1,)), ")
 
     def test_oracle_covers_the_rule_enumeration_uses(self, monkeypatch):
-        # is_even and enumerate_even share one row rule: the grid scan catches a mutant of it
+        # a mutant of the row rule: the grid scan catches it, and so do the published figures
         def drops_only(rows, m):
             return all((a - b) % 2 == 0 for a, b in zip(rows, rows[1:]))
 
@@ -152,6 +152,7 @@ class TestInterfaceWalk:
     """check_interface_oracle shares row scans and prefixes but must still check each vector in full."""
 
     def test_asks_about_every_vector_once_in_enumeration_order(self, monkeypatch):
+        # the walk goes width by width, so frames interleave; within a frame the order is _row_vectors'
         asked, even_rows = [], young._even_rows
 
         def recorder(rows, m):
@@ -163,8 +164,27 @@ class TestInterfaceWalk:
         check_interface_oracle(checks, 6)
         expected = [(rows, m) for d in range(7) for m in range(7) for rows in list(young._row_vectors(Frame(d, m)))]
         assert len(expected) == 3431
-        assert asked == expected
+        assert sorted(asked) == sorted(expected)
+        for d in range(7):
+            for m in range(7):
+                in_frame = [rows for rows, width in asked if width == m and len(rows) == d]
+                assert in_frame == list(young._row_vectors(Frame(d, m)))
         assert checks[0]["status"] == "pass"
+
+    def test_generator_mutant_fails_as_generator(self, monkeypatch):
+        # a generator that lets an odd inner run through: the scan disagrees, and so do the engine's leaves
+        def odd_runs_too(d, m):
+            rule = lambda rows: all((a - b) % 2 == 0 for a, b in zip(rows, rows[1:]))
+            return (rows for rows in young._row_vectors(Frame(d, m)) if rule(rows))
+
+        monkeypatch.setattr(young, "_even_row_vectors", odd_runs_too)
+        checks = []
+        check_interface_oracle(checks, 3)
+        assert checks[0]["status"] == "fail"
+        assert checks[0]["detail"].startswith("failures: [(1, 2, 'generator'), ")
+        by_id = {c["id"]: c for c in run_all(4, 4).checks}
+        assert by_id["engine_vs_enumeration"]["status"] == "fail"
+        assert by_id["interface_oracle"]["status"] == "fail"
 
     def test_verdict_is_the_global_sort_verdict(self, monkeypatch):
         # passes only where the incremental merge agrees with brute_force_interface's sort-and-merge
@@ -281,6 +301,14 @@ class TestRunAll:
             run_all(*bounds)
             shared = [q for q in calls if q.twist.base_part() == verify.L]
             assert len(shared) == len(set(shared)) == frames * 2
+
+    def test_cardinality_reaches_the_sweep_bounds(self, monkeypatch):
+        # even_cardinality off by one only past 8 rows: the check must sweep to the bounds, not stop at 8
+        original = young.even_cardinality
+        monkeypatch.setattr(young, "even_cardinality", lambda d, m: original(d, m) + (d > 8))
+        by_id = {c["id"]: c for c in run_all(9, 2).checks}
+        assert by_id["cardinality"]["params"] == {"d_max": 9, "m_max": 2}
+        assert by_id["cardinality"]["detail"] == "failures: [(9, 1), (9, 2)]"
 
     def test_each_frame_enumerated_once(self, monkeypatch):
         # fixtures, cardinality and engine_vs_enumeration read one table

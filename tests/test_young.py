@@ -70,6 +70,12 @@ class TestEnumeration:
                 assert all(a > b for a, b in zip(rows, rows[1:]))
                 assert enumerate_even(frame) == [lam for lam in diagrams if is_even(lam)]
 
+    def test_generator_is_the_filter(self):
+        # thin frames too: the generator keeps its own stack, so no recursion limit is raised for 3000 rows
+        for d, m in [(d, m) for d in range(11) for m in range(11)] + [(3000, 1), (1, 3000), (2, 300), (300, 2)]:
+            want = [rows for rows in young._row_vectors(Frame(d, m)) if _even_rows(rows, m)]
+            assert list(young._even_row_vectors(d, m)) == want, (d, m)
+
     def test_enumerate_even_builds_only_the_diagrams_it_returns(self, monkeypatch):
         built = []
         original = YoungDiagram.__init__
