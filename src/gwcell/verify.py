@@ -97,20 +97,18 @@ class VerificationReport(Value):
         return "\n".join(lines)
 
 
-def _row_edges(i: int, r: int, below: int, m: int) -> list[tuple[int, str]]:
-    """The sorted (path position, orientation) edges of row i, of length r, above a row of length ``below``, width m.
+def _row_edges(i: int, r: int, above: int, m: int) -> list[tuple[int, str]]:
+    """The (path position, orientation) edges that row i, of length r, adds below a row of length ``above``, width m.
 
-    Keeps each edge between a filled box and its unfilled in-frame right neighbour or box below;
-    below the frame counts as filled (``below=m``).  Row i's last edge and row i + 1's first can
-    share position i - below as (horizontal, vertical), so sorted rows keep staircase order.
+    A horizontal edge under each column j in (r, above], at position i - j,
+    then the row's own vertical edge at i - 1 - r when 0 < r < m: in
+    staircase order, each edge credited to its unfilled box.  Row 1 passes
+    ``above=r``.
     """
-    edges = []
-    for j in range(1, r + 1):
-        if j < m and j + 1 > r:
-            edges.append((i - 1 - j, "vertical"))
-        if j > below:
-            edges.append((i - j + 1, "horizontal"))
-    return sorted(edges)
+    edges = [(i - j, "horizontal") for j in range(above, r, -1)]
+    if 0 < r < m:
+        edges.append((i - 1 - r, "vertical"))
+    return edges
 
 
 def brute_force_interface(rows: tuple[int, ...], m: int) -> tuple[tuple[str, int], ...]:
@@ -128,7 +126,7 @@ def brute_force_interface(rows: tuple[int, ...], m: int) -> tuple[tuple[str, int
         raise ValueError(f"oracle limited to {ORACLE_FRAME_LIMIT}x{ORACLE_FRAME_LIMIT} frames")
     edges = []  # (path position, orientation)
     for i in range(1, d + 1):
-        edges += _row_edges(i, rows[i - 1], rows[i] if i < d else m, m)
+        edges += _row_edges(i, rows[i - 1], rows[i - 2] if i > 1 else rows[0], m)
     orients, lengths, next_pos = [], [], None
     for pos, orient in sorted(edges):
         if pos == next_pos and orient == orients[-1]:
@@ -217,7 +215,12 @@ def flagged_sums(d_max, m_max):
 
 
 def check_engine_vs_enumeration(checks, d_max, m_max, sums, evens):
-    """The engine's leaves are the enumerated even diagrams, each even and shifted by minus its box count; reads records."""
+    """The engine's leaves are the enumerated even diagrams, each even, shifted by minus its box count and keyed by its rho.
+
+    Reads records.  The sums are built at base L, so a record's twist key
+    is L's at rho 0 and L + det V's at rho 1.
+    """
+    keys = (L.sort_key, (L + PicClass.of(BaseSymbol("detV"))).sort_key)
     bad = []
     for d, m in _frames(d_max, m_max):
         leaves = [rows for s in sums[d, m] for _, _, rows, _, _ in s.records]
@@ -228,6 +231,8 @@ def check_engine_vs_enumeration(checks, d_max, m_max, sums, evens):
         for s in sums[d, m]:
             if any(shift != -sum(rows) for shift, _, rows, _, _ in s.records):
                 bad.append((d, m, "shift-law"))
+            if any(key != keys[rho] for _, key, _, _, rho in s.records):
+                bad.append((d, m, "twist-key"))
     _report(checks, "engine_vs_enumeration", bad, {"d_max": d_max, "m_max": m_max})
 
 
@@ -332,18 +337,13 @@ def check_interface_oracle(checks, limit=6):
 
     Walks each width m once, depth first, top row first and each row's
     values descending, so the vectors of each frame (i, m) come in
-    ``young._row_vectors`` order.  Row i's edges depend on row i + 1, so they
-    are fed to the scan state (closed segments all even, last edge, open
-    length, in order) when row i + 1 is chosen.  At depth i the prefix also
-    closes frame (i, m): row i's edges above a full row, the frame's bottom,
-    end its scan; when row i is itself full that feed also extends the walk.
-    So each vector is fed every edge of its ``brute_force_interface`` scan, a
-    prefix's edges once for every vector extending it, and each row's edges
-    are scanned once a call.  Fed row by row, they merge in staircase order
-    only if each row keeps it: an edge sorting before the last one fed fails
-    its vector as ``"order"``.  The vectors the scan calls even must be
-    exactly ``young._even_row_vectors(i, m)``, in order, else the frame fails
-    as ``"generator"``.  Failures are listed by frame, d then m.
+    ``young._row_vectors`` order.  Each vector's scan state (closed segments
+    all even, last edge, open length, in order) is its parent's fed with the
+    edges its last row adds (``_row_edges``), so each row's edges are fed
+    once.  An edge sorting before the last one fed fails its vector as
+    ``"order"``.  The vectors the scan calls even must be exactly
+    ``young._even_row_vectors(i, m)``, in order, else the frame fails as
+    ``"generator"``.  Failures are listed by frame, d then m.
     """
     if limit > ORACLE_FRAME_LIMIT:
         raise ValueError(f"oracle limited to {ORACLE_FRAME_LIMIT}x{ORACLE_FRAME_LIMIT} frames")
@@ -361,10 +361,9 @@ def check_interface_oracle(checks, limit=6):
         return even, last, length, ordered
 
     def walk(m, rows, state, scanned_even):
-        """Close frame (len(rows), m) on ``rows`` and walk on, from the scan state after the edges of all its rows but the last."""
+        """Judge frame (len(rows), m) on ``rows`` from the scan state after all their edges, and walk on."""
         i = len(rows)
-        closed = feed(state, row_edges(i, rows[-1], m, m)) if i else state
-        even, _, length, ordered = closed
+        even, _, length, ordered = state
         even = even and length % 2 == 0
         if not ordered:
             bad.append((i, m, rows, "order"))
@@ -375,9 +374,7 @@ def check_interface_oracle(checks, limit=6):
                 scanned_even[i].append(rows)
         if i < limit:
             for r in range(rows[-1] if i else m, -1, -1):
-                # a full row i + 1 (so row i is full too) gets the close feed; with no row i there is none
-                child = closed if r == m or not i else feed(state, row_edges(i, rows[-1], r, m))
-                walk(m, rows + (r,), child, scanned_even)
+                walk(m, rows + (r,), feed(state, row_edges(i + 1, r, rows[-1] if i else r, m)), scanned_even)
 
     for m in range(0, limit + 1):
         scanned_even = [[] for _ in range(limit + 1)]

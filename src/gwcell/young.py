@@ -7,8 +7,8 @@ the engine; the beta numbers below count the remaining K-theory summands.
 Each such segment is a drop between consecutive rows or a run of equal
 rows inside the frame, so evenness is a test on the row lengths.
 ``enumerate_diagrams`` walks the row vectors with ``itertools``;
-``enumerate_even`` generates only the even ones, run by run from the same
-rule, with an explicit stack and no recursion.
+``enumerate_even`` generates only the even ones from the same rule, one
+nested generator per run, at most min(d, m // 2 + 1) deep.
 """
 
 from __future__ import annotations
@@ -123,33 +123,23 @@ def _even_row_vectors(d: int, m: int):
 
     A run of equal rows may have any length on the frame border (value 0 or
     m) and only an even length inside it; the next run starts an even drop
-    lower, so a run that leaves rows to fill has value 2 or more.  Each
-    stack entry is a prefix and the generator of its next-run choices,
-    larger values first, then longer runs: the depth-first walk emits the
-    vectors lexicographically descending, on a stack as deep as the runs.
+    lower, so a run that leaves rows to fill has value 2 or more.  Larger
+    values come first, then longer runs, so the vectors come out
+    lexicographically descending.  Each run nests one generator, at most
+    min(d, m // 2 + 1) deep; nesting k deep needs d >= k and m >= 2k - 2, so
+    such a frame has at least 2 C(k // 2 + k - 1, k // 2) even diagrams, far
+    too many to list long before k nears Python's recursion limit.
     """
 
-    def runs(top, step, left):
+    def extend(prefix, top, step, left):
         for v in range(top, -1, -step):
             for n in range(left, 0, -1) if v in (0, m) else range(left - left % 2, 0, -2):
-                if n == left or v >= 2:
-                    yield v, n
+                if n == left:
+                    yield prefix + (v,) * n
+                elif v >= 2:
+                    yield from extend(prefix + (v,) * n, v - 2, 2, left - n)
 
-    if d == 0:
-        yield ()
-        return
-    stack = [((), runs(m, 1, d))]
-    while stack:
-        prefix, choices = stack[-1]
-        for v, n in choices:
-            rows = prefix + (v,) * n
-            if len(rows) == d:
-                yield rows
-            else:
-                stack.append((rows, runs(v - 2, 2, d - len(rows))))
-                break
-        else:
-            stack.pop()
+    return extend((), m, 1, d) if d else iter([()])
 
 
 def enumerate_even(frame: Frame) -> list[YoungDiagram]:

@@ -1,0 +1,178 @@
+"""Source mutants that ``gwcell verify --max 6`` must catch.
+
+Each entry is (file under ``src/gwcell``, old text, new text, checks that
+must fail).  The old text must occur exactly once in its file, so a change
+that moves the code fails here instead of testing nothing.  Each mutant is
+applied to its own copy of ``src/`` and ``python -m gwcell.cli verify``
+runs there in a fresh interpreter, one mutant at a time.
+"""
+
+import json
+import shutil
+import subprocess
+import sys
+
+import pytest
+from test_cli import SRC, _child_env
+
+MUTANTS = {
+    "split_node_step": (
+        "engine.py",
+        "step = 1 if eps == (d - 1) % 2 else 2",
+        "step = 1 if eps == d % 2 else 2",
+        {
+            "engine_vs_enumeration",
+            "k_counts",
+            "odd_odd_concentration",
+            "transpose_equivariance",
+            "twist_table",
+            "witt_counts",
+        },
+    ),
+    "shifted_child_parity": (
+        "engine.py",
+        "return (d, m - step, d % 2), (d - step, m, (d - step) % 2), step",
+        "return (d, m - step, (d + 1) % 2), (d - step, m, (d - step) % 2), step",
+        {
+            "engine_vs_enumeration",
+            "k_counts",
+            "odd_odd_concentration",
+            "transpose_equivariance",
+            "twist_table",
+            "witt_counts",
+        },
+    ),
+    "unshifted_child_parity": (
+        "engine.py",
+        "return (d, m - step, d % 2), (d - step, m, (d - step) % 2), step",
+        "return (d, m - step, d % 2), (d - step, m, (d - step + 1) % 2), step",
+        {
+            "engine_vs_enumeration",
+            "k_counts",
+            "odd_odd_concentration",
+            "transpose_equivariance",
+            "twist_table",
+            "witt_counts",
+        },
+    ),
+    "gr1_full_row_rho": (
+        "engine.py",
+        "(((1, m, 1),) if eps != m % 2 else ())",
+        "(((1, m, 0),) if eps != m % 2 else ())",
+        {"transpose_equivariance", "twist_table"},
+    ),
+    "m1_full_column_rho": (
+        "engine.py",
+        "(((d, 1, 1 - eps),) if eps != d % 2 else ())",
+        "(((d, 1, eps),) if eps != d % 2 else ())",
+        {"transpose_equivariance"},
+    ),
+    "m0_rho": (
+        "engine.py",
+        "return ((d, 0, eps),)",
+        "return ((d, 0, 0),)",
+        {"transpose_equivariance", "twist_table"},
+    ),
+    "shift_off_by_rho": (
+        "engine.py",
+        "records += [(shift - sum(rows), keys[rho],",
+        "records += [(shift - sum(rows) - rho, keys[rho],",
+        {"engine_vs_enumeration", "transpose_equivariance", "witt_counts"},
+    ),
+    "k_plus_one": (
+        "engine.py",
+        "((comb(d + m, d) - len(leaves)) // 2, leaves)",
+        "((comb(d + m, d) - len(leaves)) // 2 + 1, leaves)",
+        {"k_counts", "odd_odd_concentration", "rank_accounting"},
+    ),
+    "base_key_for_rho_1": (
+        "engine.py",
+        "keys = (twists[0].sort_key, twists[1].sort_key)",
+        "keys = (twists[0].sort_key, twists[0].sort_key)",
+        {"engine_vs_enumeration"},
+    ),
+    "det_e_for_det_v": (
+        "engine.py",
+        "base + PicClass.of(DET_V) if bundle == FLAGGED",
+        "base + PicClass.of(DET_E) if bundle == FLAGGED",
+        {"engine_vs_enumeration"},
+    ),
+    "even_rows_no_drop_clause": (
+        "young.py",
+        "if (prev - r) & 1 or run & 1 and 0 < prev < m:",
+        "if run & 1 and 0 < prev < m:",
+        {"fixtures_3x3", "fixtures_4x4", "interface_oracle"},
+    ),
+    "even_rows_no_inner_run_clause": (
+        "young.py",
+        "if (prev - r) & 1 or run & 1 and 0 < prev < m:",
+        "if (prev - r) & 1:",
+        {"fixtures_3x3", "fixtures_4x4", "interface_oracle"},
+    ),
+    "even_rows_no_last_run_clause": (
+        "young.py",
+        "return not (run & 1 and 0 < prev < m)",
+        "return True",
+        {"fixtures_3x3", "fixtures_4x4", "interface_oracle"},
+    ),
+    "generator_odd_inner_runs": (
+        "young.py",
+        "else range(left - left % 2, 0, -2)",
+        "else range(left, 0, -1)",
+        {"cardinality", "engine_vs_enumeration", "fixtures_3x3", "fixtures_4x4", "interface_oracle"},
+    ),
+    "row_edges_no_vertical": (
+        "verify.py",
+        'edges.append((i - 1 - r, "vertical"))',
+        "pass",
+        {"interface_oracle"},
+    ),
+}
+
+
+def _verify(src):
+    """Exit code and failed check ids of ``gwcell verify --max 6`` run on the package under ``src``."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "gwcell.cli", "verify", "--max", "6", "--format", "json"],
+        capture_output=True,
+        text=True,
+        cwd=src,
+        env=_child_env(src),
+        timeout=120,
+    )
+    failed = set()
+    if proc.stdout:
+        failed = {c["id"] for c in json.loads(proc.stdout)["checks"] if c["status"] == "fail"}
+    return proc.returncode, failed
+
+
+def _src_copy(tmp_path, *mutant):
+    """A copy of ``src/`` under ``tmp_path``, with ``mutant`` (file, old text, new text) applied when given."""
+    src = tmp_path / "src"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    if mutant:
+        path, old, new = mutant
+        target = src / "gwcell" / path
+        text = target.read_text()
+        assert text.count(old) == 1, f"{old!r} must occur once in {path}"
+        target.write_text(text.replace(old, new))
+    return str(src)
+
+
+def test_unmutated_copy_passes(tmp_path):
+    assert _verify(_src_copy(tmp_path)) == (0, set())
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_mutant_fails_verify(tmp_path, name):
+    path, old, new, must_fail = MUTANTS[name]
+    code, failed = _verify(_src_copy(tmp_path, path, old, new))
+    assert code == 2
+    assert must_fail <= failed, failed
+
+
+@pytest.mark.xfail(strict=True, reason="no check reads a projective bundle's records yet (ROADMAP item 1)")
+def test_projective_bundle_det_v_mutant_fails_verify(tmp_path):
+    old = "(PicClass(), PicClass.of(DET_E)), meta)"
+    code, _ = _verify(_src_copy(tmp_path, "engine.py", old, "(PicClass(), PicClass.of(DET_V)), meta)"))
+    assert code == 2

@@ -141,7 +141,7 @@ class TestScanMatchesReference:
 _ORDER_MUTANT = """
 from gwcell import verify
 row_edges = verify._row_edges
-verify._row_edges = lambda i, r, below, m: row_edges(i, r, below, m)[::-1]
+verify._row_edges = lambda i, r, above, m: row_edges(i, r, above, m)[::-1]
 checks = []
 verify.check_interface_oracle(checks, 3)
 print(checks[0]["status"], checks[0]["detail"])
@@ -199,8 +199,8 @@ class TestInterfaceWalk:
     def test_dropped_vertical_edge_fails(self, monkeypatch):
         row_edges = verify._row_edges
 
-        def no_vertical(i, r, below, m):
-            return [edge for edge in row_edges(i, r, below, m) if edge[1] != "vertical"]
+        def no_vertical(i, r, above, m):
+            return [edge for edge in row_edges(i, r, above, m) if edge[1] != "vertical"]
 
         monkeypatch.setattr(verify, "_row_edges", no_vertical)
         checks = []
@@ -209,20 +209,20 @@ class TestInterfaceWalk:
         assert checks[0]["detail"].startswith("failures: [(1, 2, (1,)), ")
 
     def test_reversed_row_edges_fail_as_order(self, monkeypatch):
-        # the first row with two edges: (2, 0) in the 2x2 frame, horizontal at positions 0 and 1
+        # the first row with two edges: row 2 of (2, 1) in the 2x2 frame, horizontal then vertical at position 0
         row_edges = verify._row_edges
-        monkeypatch.setattr(verify, "_row_edges", lambda i, r, below, m: row_edges(i, r, below, m)[::-1])
+        monkeypatch.setattr(verify, "_row_edges", lambda i, r, above, m: row_edges(i, r, above, m)[::-1])
         checks = []
         check_interface_oracle(checks, 3)
         assert checks[0]["status"] == "fail"
-        assert checks[0]["detail"].startswith("failures: [(2, 2, (2, 0), 'order'), ")
+        assert checks[0]["detail"].startswith("failures: [(2, 2, (2, 1), 'order'), ")
 
     def test_reversed_row_edges_fail_as_order_under_optimize(self):
         # the order test must not be an assert, which python -O strips
         proc = subprocess.run(
             [sys.executable, "-O", "-c", _ORDER_MUTANT], capture_output=True, text=True, env=_child_env(), check=True
         )
-        assert proc.stdout.startswith("fail failures: [(2, 2, (2, 0), 'order'), ")
+        assert proc.stdout.startswith("fail failures: [(2, 2, (2, 1), 'order'), ")
 
 
 class TestFixtures:
@@ -387,6 +387,22 @@ class TestRunAll:
         assert len(queries) == len(set(queries)) == 36 * 2 + 10  # flagged_sums' frames at two twists, and 10 more
         own = sorted((q.d, q.m) for q, in_check in calls if in_check)
         assert own == sorted({(0, m) for m in range(2, 7)} | {(d, 0) for d in range(2, 7)})
+
+    @pytest.mark.parametrize("mutant", ["base_key_for_rho_1", "det_e_for_det_v"])
+    def test_engine_vs_enumeration_reads_twist_keys(self, monkeypatch, mutant):
+        # rows, shifts, rho and K all hold: only the key a record prints is wrong
+        if mutant == "base_key_for_rho_1":
+            original = engine._engine_sum
+
+            def base_keys(d, m, shift, classes, twists, meta):
+                return original(d, m, shift, classes, (twists[0],) * 2, meta)
+
+            monkeypatch.setattr(engine, "_engine_sum", base_keys)
+        else:
+            monkeypatch.setattr(engine, "DET_V", engine.DET_E)
+        failed = {c["id"]: c for c in run_all(3, 3).checks if c["status"] == "fail"}
+        assert list(failed) == ["engine_vs_enumeration"]
+        assert failed["engine_vs_enumeration"]["detail"].startswith("failures: [(1, 1, 'twist-key'), (1, 2, 'twist-key'), ")
 
     def test_transpose_catches_dual_base_case_rho(self, monkeypatch):
         # flip rho of the full leaf of Gr_d of a rank d+1 bundle: rows, K and

@@ -1,3 +1,5 @@
+import inspect
+import sys
 from itertools import combinations_with_replacement, groupby
 from math import comb
 
@@ -25,6 +27,20 @@ from word_walk import boundary_word, rows_of_word
 def diagram(d, m, *rows):
     padded = tuple(rows) + (0,) * (d - len(rows))
     return YoungDiagram(Frame(d, m), padded)
+
+
+def _recursion_depth():
+    """The interpreter's recursion depth here, C calls included: one less than the lowest limit it accepts."""
+    limit, depth = sys.getrecursionlimit(), len(inspect.stack())
+    try:
+        while True:
+            try:
+                sys.setrecursionlimit(depth + 1)
+                return depth
+            except RecursionError:
+                depth += 1
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @st.composite
@@ -71,10 +87,22 @@ class TestEnumeration:
                 assert enumerate_even(frame) == [lam for lam in diagrams if is_even(lam)]
 
     def test_generator_is_the_filter(self):
-        # thin frames too: the generator keeps its own stack, so no recursion limit is raised for 3000 rows
+        # thin frames too: the generator nests once per run, so 3000 rows of one run nest once
         for d, m in [(d, m) for d in range(11) for m in range(11)] + [(3000, 1), (1, 3000), (2, 300), (300, 2)]:
             want = [rows for rows in young._row_vectors(Frame(d, m)) if _even_rows(rows, m)]
             assert list(young._even_row_vectors(d, m)) == want, (d, m)
+
+    @pytest.mark.parametrize("d, m", [(12, 12), (16, 8), (8, 16), (3000, 1), (1, 3000), (2, 300), (300, 2)])
+    def test_generator_nests_at_most_once_per_run(self, d, m):
+        # at most min(d, m // 2 + 1) runs, each one nested generator, whatever the frame's length
+        want = [rows for rows in young._row_vectors(Frame(d, m)) if _even_rows(rows, m)]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_recursion_depth() + min(d, m // 2 + 1) + 5)
+        try:
+            got = list(young._even_row_vectors(d, m))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == want
 
     def test_enumerate_even_builds_only_the_diagrams_it_returns(self, monkeypatch):
         built = []
