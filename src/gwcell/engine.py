@@ -122,7 +122,7 @@ def _solve(d: int, m: int, eps: int) -> tuple[int, tuple[Leaf, ...]]:
 
 
 def _base_leaves(d: int, m: int, eps: int):
-    """The leaves at d = 0, m = 0, d = 1 and m = 1, each a constant row vector (row count, row length, rho); None elsewhere."""
+    """The leaves of a base node (d < 2 or m < 2; ``_walk`` calls it on no other), each a constant row vector (row count, row length, rho)."""
     if d == 0:
         return ((0, 0, 0),)
     if m == 0:
@@ -132,11 +132,9 @@ def _base_leaves(d: int, m: int, eps: int):
         # P(E) for E of rank m+1: the empty row survives at eps = 0, the full
         # row (twisted by det E) at eps = m+1 mod 2, and the rest is K by rank.
         return (((1, 0, 0),) if eps == 0 else ()) + (((1, m, 1),) if eps != m % 2 else ())
-    if m == 1:
-        # Gr_d of a rank d+1 bundle, dual to P(E): the empty column survives
-        # at eps = 0, the full column at eps = d+1 mod 2 with rho 1 - eps.
-        return (((d, 0, 0),) if eps == 0 else ()) + (((d, 1, 1 - eps),) if eps != d % 2 else ())
-    return None
+    # m = 1: Gr_d of a rank d+1 bundle, dual to P(E): the empty column
+    # survives at eps = 0, the full column at eps = d+1 mod 2 with rho 1 - eps.
+    return (((d, 0, 0),) if eps == 0 else ()) + (((d, 1, 1 - eps),) if eps != d % 2 else ())
 
 
 def _has_leaves(d: int, m: int, eps: int) -> bool:
@@ -151,8 +149,9 @@ def _walk(d: int, m: int, eps: int) -> list[Leaf]:
     ``tuple(x + cols for x in r) + tail``, where r runs over the node's own
     leaf rows: the shifted child adds its step to ``cols``, the unshifted
     one puts ``step`` rows of length ``cols`` in front of ``tail``, and
-    leaves keep the rho bit of their base case.  A base leaf is ``count``
-    rows of one length, so it becomes ``(length + cols,) * count + tail``.
+    leaves keep the rho bit of their base case.  Inner nodes (d, m >= 2)
+    are tested for first, so only a base node reaches ``_base_leaves``; its
+    ``count`` rows of one length become ``(length + cols,) * count + tail``.
     Every child is solved at eps = d mod 2, so ``_has_leaves`` skips each
     child without leaves and every pending node ends in an output leaf.
     """
@@ -160,16 +159,15 @@ def _walk(d: int, m: int, eps: int) -> list[Leaf]:
     stack = [(d, m, eps, 0, ())]
     while stack:
         d, m, eps, cols, tail = stack.pop()
-        base = _base_leaves(d, m, eps)
-        if base is not None:
-            for count, length, rho in base:
-                leaves.append(((length + cols,) * count + tail, rho))
+        if d > 1 and m > 1:
+            (sd, sm, seps), (ud, um, ueps), step = split_node(d, m, eps)
+            if _has_leaves(sd, sm, seps):
+                stack.append((sd, sm, seps, cols + step, tail))
+            if _has_leaves(ud, um, ueps):
+                stack.append((ud, um, ueps, cols, (cols,) * step + tail))
         else:
-            shifted, unshifted, step = split_node(d, m, eps)
-            if _has_leaves(*shifted):
-                stack.append((*shifted, cols + step, tail))
-            if _has_leaves(*unshifted):
-                stack.append((*unshifted, cols, (cols,) * step + tail))
+            for count, length, rho in _base_leaves(d, m, eps):
+                leaves.append(((length + cols,) * count + tail, rho))
     return leaves
 
 

@@ -404,16 +404,20 @@ def formal_sum_json_text(a: FormalSum) -> str:
     filled into the cached ``%`` template of its record shape (twist key,
     row count or None, t, rho); the rows and the shift fill its ``%s``
     slots, as ``str`` writes them.  ``k`` and ``meta`` are rendered by
-    ``json.dumps`` and spliced in after ``gw``, which sorts first.
+    ``json.dumps`` and, as ``gw`` sorts first, follow the last entry; the
+    head precedes the first, so one join writes the whole text.
     ``verify.check_output_schema`` checks the text against ``json.dumps``.
     """
+    rest = json.dumps({"k": a.k, "meta": {k: _meta_value(v) for k, v in a.meta}}, sort_keys=True, indent=2)
+    if not a.records:
+        return '{\n  "gw": [],' + rest[1:]
     entries = [
         _entry_template(key, None if rows is None else len(rows), t, rho) % ((shift,) if rows is None else (*rows, shift))
         for shift, key, rows, t, rho in a.records
     ]
-    gw = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
-    rest = json.dumps({"k": a.k, "meta": {k: _meta_value(v) for k, v in a.meta}}, sort_keys=True, indent=2)
-    return '{\n  "gw": ' + gw + "," + rest[1:]
+    entries[0] = '{\n  "gw": [\n' + entries[0]
+    entries[-1] += "\n  ]," + rest[1:]
+    return ",\n".join(entries)
 
 
 @lru_cache(maxsize=256, typed=True)

@@ -218,7 +218,10 @@ def check_engine_vs_enumeration(checks, d_max, m_max, sums, evens):
     """The engine's leaves are the enumerated even diagrams, each even, shifted by minus its box count and keyed by its rho.
 
     Reads records.  The sums are built at base L, so a record's twist key
-    is L's at rho 0 and L + det V's at rho 1.
+    is L's at rho 0 and L + det V's at rho 1.  At any bounds, it also reads
+    the keys of the trivial-bundle totals of the 1x1, 2x2 and 3x3 frames at
+    base L (L at either rho) and of P(E) for r <= 3 at both parities (det E
+    at rho 1); a wrong key fails as ``"twist-key"``.
     """
     keys = (L.sort_key, (L + PicClass.of(BaseSymbol("detV"))).sort_key)
     bad = []
@@ -233,6 +236,15 @@ def check_engine_vs_enumeration(checks, d_max, m_max, sums, evens):
                 bad.append((d, m, "shift-law"))
             if any(key != keys[rho] for _, key, _, _, rho in s.records):
                 bad.append((d, m, "twist-key"))
+    for d, m in ((1, 1), (2, 2), (3, 3)):
+        if any(key != keys[0] for _, key, _, _, _ in decompose_total(d, m, 0, L).records):
+            bad.append((d, m, "trivial", "twist-key"))
+    pe_keys = (PicClass().sort_key, PicClass.of(BaseSymbol("detE")).sort_key)
+    for r in (1, 2, 3):
+        for parity in (0, 1):
+            s = decompose_projective_bundle(ProjBundleQuery(r, parity, 0))
+            if any(key != pe_keys[rho] for _, key, _, _, rho in s.records):
+                bad.append(("P(E)", r, parity, "twist-key"))
     _report(checks, "engine_vs_enumeration", bad, {"d_max": d_max, "m_max": m_max})
 
 

@@ -321,6 +321,21 @@ class TestEngineInvariants:
         assert walks == [(6, 3, 0)]
         assert leaf_profile(again) == [(shift + 2, rows, t, rho) for shift, rows, t, rho in leaf_profile(first)]
 
+    def test_walk_reads_base_leaves_only_at_base_nodes(self, monkeypatch):
+        # an inner node (d, m >= 2) goes straight to split_node
+        clear_cache()
+        calls = []
+        base_leaves = engine._base_leaves
+
+        def counted(d, m, eps):
+            calls.append((d, m))
+            return base_leaves(d, m, eps)
+
+        monkeypatch.setattr(engine, "_base_leaves", counted)
+        s = decompose_total(7, 6, 0, L, FLAGGED)
+        assert calls and all(d < 2 or m < 2 for d, m in calls)
+        assert len(calls) <= len(s.records)
+
     def test_total_sorts_its_records_once_with_no_key(self, monkeypatch):
         # both twist classes' records are sorted together, once, in plain tuple order
         sorts = []
@@ -535,3 +550,13 @@ def test_json_text_templates_keep_equal_values_of_other_types_apart():
     for t in (1, 1.0, True, 1):
         s = FormalSum(0, (GWSummand(0, L, None, t, t),))
         assert formal_sum_json_text(s) == json.dumps(formal_sum_to_json(s), sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("build", [lambda: decompose_total(12, 12, 0, L, FLAGGED), lambda: decompose_total(98, 3, 0, L)])
+def test_json_text_is_json_dumps_on_large_documents(build):
+    # about 490 KB and 120 KB of text: the head, the entries and the tail joined once
+    clear_cache()
+    s = build()
+    text = formal_sum_json_text(s)
+    assert len(text) > 100_000
+    assert text == json.dumps(formal_sum_to_json(s), sort_keys=True, indent=2)

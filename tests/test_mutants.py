@@ -97,6 +97,18 @@ MUTANTS = {
         "base + PicClass.of(DET_E) if bundle == FLAGGED",
         {"engine_vs_enumeration"},
     ),
+    "trivial_bundle_det_v": (
+        "engine.py",
+        "else base)",
+        "else base + PicClass.of(DET_V))",
+        {"engine_vs_enumeration"},
+    ),
+    "projective_bundle_det_v": (
+        "engine.py",
+        "(PicClass(), PicClass.of(DET_E)), meta)",
+        "(PicClass(), PicClass.of(DET_V)), meta)",
+        {"engine_vs_enumeration"},
+    ),
     "even_rows_no_drop_clause": (
         "young.py",
         "if (prev - r) & 1 or run & 1 and 0 < prev < m:",
@@ -169,10 +181,3 @@ def test_mutant_fails_verify(tmp_path, name):
     code, failed = _verify(_src_copy(tmp_path, path, old, new))
     assert code == 2
     assert must_fail <= failed, failed
-
-
-@pytest.mark.xfail(strict=True, reason="no check reads a projective bundle's records yet (ROADMAP item 1)")
-def test_projective_bundle_det_v_mutant_fails_verify(tmp_path):
-    old = "(PicClass(), PicClass.of(DET_E)), meta)"
-    code, _ = _verify(_src_copy(tmp_path, "engine.py", old, "(PicClass(), PicClass.of(DET_V)), meta)"))
-    assert code == 2

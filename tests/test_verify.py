@@ -411,7 +411,7 @@ class TestRunAll:
 
         def mutant(d, m, eps):
             base = original(d, m, eps)
-            if base is not None and m == 1 and d > 1:
+            if m == 1 and d > 1:
                 return tuple((count, length, rho ^ (length == 1)) for count, length, rho in base)
             return base
 
