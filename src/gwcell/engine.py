@@ -31,7 +31,7 @@ from __future__ import annotations
 from math import comb
 
 from .expr import FormalSum, GWSummand, LongExactSequence
-from .twist import BaseSymbol, Delta, FlagQuotient, PicClass, lambda_parity
+from .twist import BaseSymbol, Delta, FlagQuotient, PicClass
 from .value import Value
 from .young import Frame
 
@@ -43,7 +43,10 @@ DET_V = BaseSymbol("detV")
 
 
 class GrassmannQuery(Value):
-    """Gr_d of a rank d+m bundle at a twist checked to live on it; ``eps`` is its Delta_d parity, ``twists`` its twist by rho."""
+    """Gr_d of a rank d+m bundle at a twist checked to live on it; ``eps`` is its Delta_d parity, ``twists`` its twist by rho.
+
+    One pass over the twist's generators checks it; the base twist is the twist less Delta_d.
+    """
 
     __slots__ = ("d", "m", "shift", "twist", "bundle", "eps", "twists")
 
@@ -52,15 +55,18 @@ class GrassmannQuery(Value):
             raise ValueError(f"need d, m >= 0, got d={d}, m={m}")
         if bundle not in (TRIVIAL, FLAGGED):
             raise ValueError(f"unknown bundle kind {bundle!r}")
-        base = twist.base_part()
-        for g in base.generators:
-            if isinstance(g, FlagQuotient) and not 1 <= g.index <= d + m:
+        delta_ranks = set()
+        for g in twist.generators:
+            if isinstance(g, Delta):
+                delta_ranks.add(g.rank)
+            elif isinstance(g, FlagQuotient) and not 1 <= g.index <= d + m:
                 raise ValueError(f"twist generator {g.key()} outside the rank-{d + m} flag")
-        if twist.delta_part() not in (PicClass(), PicClass.of(Delta(d))):
+        if not delta_ranks <= {d}:
             raise ValueError(f"twist {twist} is not expressed over the query's Delta_{d}")
-        eps = lambda_parity(twist, Delta(d))
+        eps = len(delta_ranks)
         if d == 0 and eps:
             raise ValueError("Gr_0 has a trivial tautological determinant: the twist cannot carry Delta:0")
+        base = twist + PicClass.of(Delta(d)) if eps else twist
         self.d = d
         self.m = m
         self.shift = shift

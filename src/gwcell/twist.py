@@ -15,7 +15,6 @@ family a twist is in, and so which child twists it has.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from functools import cached_property
 
 from .value import Value
 
@@ -76,6 +75,19 @@ def _parse_generator(token: str) -> Generator:
     return BaseSymbol(token)
 
 
+class _read_once:
+    """``functools.cached_property`` without the lock it takes before Python 3.12: the first read stores the value on the instance."""
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
+        return value
+
+
 class PicClass(Value):
     """An element of Pic modulo squares: a finite set of generators, mod 2."""
 
@@ -87,10 +99,11 @@ class PicClass(Value):
 
     @classmethod
     def of(cls, *gens: Generator) -> "PicClass":
-        out = cls()
+        """The sum of ``gens``, built as one set: a generator given twice cancels."""
+        out = set()
         for g in gens:
-            out = out + cls(frozenset([g]))
-        return out
+            out ^= {g}
+        return cls(out)
 
     @classmethod
     def parse(cls, tokens: Iterable[str]) -> "PicClass":
@@ -105,17 +118,14 @@ class PicClass(Value):
     def coefficient(self, gen: Generator) -> int:
         return 1 if gen in self.generators else 0
 
-    def delta_part(self) -> "PicClass":
-        return PicClass(frozenset(g for g in self.generators if isinstance(g, Delta)))
-
     def base_part(self) -> "PicClass":
         """The twist with all Delta generators removed."""
         return PicClass(frozenset(g for g in self.generators if not isinstance(g, Delta)))
 
-    @cached_property
+    @_read_once
     def sort_key(self) -> tuple[str, ...]:
-        """The sorted generator keys, computed once per instance."""
-        return tuple(sorted(g.key() for g in self.generators))
+        """The sorted generator keys, computed on an instance's first read and kept there."""
+        return tuple(sorted([g.key() for g in self.generators]))
 
     def serialize(self) -> list[str]:
         return list(self.sort_key)
@@ -181,19 +191,19 @@ LINE_BUNDLE_TABLE = (
 def instantiate_row(entry: LineBundleTableEntry, d: int, r: int, base: PicClass) -> PicClass:
     """Evaluate a table row on Gr_d(V) with V of rank r; its top quotient class is q_r."""
     tokens = (entry.value_d_odd if d % 2 == 1 else entry.value_d_even).split(",")
-    out = PicClass()
+    out = set()  # summed mod 2, then frozen once
     for tok in tokens:
         if tok == "L":
-            out = out + base
+            out ^= base.generators
         elif tok == "detV/V1":
-            out = out + PicClass.of(FlagQuotient(r))
+            out ^= {FlagQuotient(r)}
         elif tok == "detV/V2":
-            out = out + PicClass.of(FlagQuotient(r), FlagQuotient(r - 1))
+            out ^= {FlagQuotient(r), FlagQuotient(r - 1)}
         elif tok == "Delta":
-            out = out + PicClass.of(Delta(d + entry.site[0]))
+            out ^= {Delta(d + entry.site[0])}
         else:
             raise ValueError(f"unknown table token {tok!r}")
-    return out
+    return PicClass(out)
 
 
 def child_twists(d: int, t: PicClass, ambient_rank: int) -> dict:
@@ -204,12 +214,12 @@ def child_twists(d: int, t: PicClass, ambient_rank: int) -> dict:
     (child subbundle rank, child upper flag index) to the child twist of the
     family's row there, off site (0, 0); its K-theory site has no row.
     """
-    eps = lambda_parity(t, Delta(d))
-    base = t.base_part()
+    delta, base = Delta(d), t.base_part()
+    eps = lambda_parity(t, delta)
     families = [
         e.family
         for e in LINE_BUNDLE_TABLE
-        if e.site == (0, 0) and lambda_parity(instantiate_row(e, d, ambient_rank, base), Delta(d)) == eps
+        if e.site == (0, 0) and lambda_parity(instantiate_row(e, d, ambient_rank, base), delta) == eps
     ]
     return {
         family: {

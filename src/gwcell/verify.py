@@ -248,11 +248,11 @@ def check_engine_vs_enumeration(checks, d_max, m_max, sums, evens):
     _report(checks, "engine_vs_enumeration", bad, {"d_max": d_max, "m_max": m_max})
 
 
-def check_k_counts(checks, d_max, m_max, sums):
+def check_k_counts(checks, d_max, m_max, sums, betas):
     bad_beta, bad_rank = [], []
     for d, m in _frames(d_max, m_max):
         for l, s in enumerate(sums[d, m]):
-            if s.k != young.beta_parity(l, d, m):
+            if s.k != betas[l][d][m]:
                 bad_beta.append((d, m, l))
             if 2 * s.k + len(s.records) != comb(d + m, d):
                 bad_rank.append((d, m, l))
@@ -291,13 +291,13 @@ def check_transpose(checks, d_max, m_max, sums):
     _report(checks, "transpose_equivariance", bad, {"d_max": d_max, "m_max": m_max})
 
 
-def check_witt_counts(checks, d_max, m_max, sums):
+def check_witt_counts(checks, d_max, m_max, sums, betas):
     bad = []
     for d, m in _frames(d_max, m_max):
         for l, s in enumerate(sums[d, m]):
             w = witt_specialize(s)
             # the per-class count is pinned by the rank accounting identity
-            expected_count = comb(d + m, d) - 2 * young.beta_parity(l, d, m)
+            expected_count = comb(d + m, d) - 2 * betas[l][d][m]
             expected_shifts = sorted(-sum(rows) % 4 for _, _, rows, _, _ in s.records)
             if w.k != 0 or len(w.records) != expected_count or sorted(r[0] for r in w.records) != expected_shifts:
                 bad.append((d, m, l))
@@ -351,46 +351,45 @@ def check_interface_oracle(checks, limit=6):
     values descending, so the vectors of each frame (i, m) come in
     ``young._row_vectors`` order.  Each vector's scan state (closed segments
     all even, last edge, open length, in order) is its parent's fed with the
-    edges its last row adds (``_row_edges``), so each row's edges are fed
-    once.  An edge sorting before the last one fed fails its vector as
+    edges its last row adds, read from a table of ``_row_edges`` built once
+    per width.  An edge sorting before the last one fed fails its vector as
     ``"order"``.  The vectors the scan calls even must be exactly
     ``young._even_row_vectors(i, m)``, in order, else the frame fails as
     ``"generator"``.  Failures are listed by frame, d then m.
     """
     if limit > ORACLE_FRAME_LIMIT:
         raise ValueError(f"oracle limited to {ORACLE_FRAME_LIMIT}x{ORACLE_FRAME_LIMIT} frames")
-    bad, row_edges = [], cache(_row_edges)  # lives for this call only
+    bad, even_rows = [], young._even_rows
 
-    def feed(state, edges):
-        even, last, length, ordered = state
-        for edge in edges:
-            ordered = ordered and last <= edge
-            if edge == (last[0] + 1, last[1]):  # same orientation, next position
-                length += 1
-            else:
-                even, length = even and length % 2 == 0, 1
-            last = edge
-        return even, last, length, ordered
-
-    def walk(m, rows, state, scanned_even):
-        """Judge frame (len(rows), m) on ``rows`` from the scan state after all their edges, and walk on."""
-        i = len(rows)
-        even, _, length, ordered = state
-        even = even and length % 2 == 0
+    def walk(m, i, rows, even, last, length, ordered, edges, scanned_even):
+        """Judge frame (i, m) on ``rows`` from the scan state after all their edges, and walk on."""
+        judged = even and length % 2 == 0
         if not ordered:
             bad.append((i, m, rows, "order"))
         else:
-            if young._even_rows(rows, m) != even:
+            if even_rows(rows, m) != judged:
                 bad.append((i, m, rows))
-            if even:
+            if judged:
                 scanned_even[i].append(rows)
-        if i < limit:
-            for r in range(rows[-1] if i else m, -1, -1):
-                walk(m, rows + (r,), feed(state, row_edges(i + 1, r, rows[-1] if i else r, m)), scanned_even)
+        if i == limit:
+            return
+        top = rows[-1] if i else m
+        for r in range(top, -1, -1):
+            c_even, c_last, c_length, c_ordered = even, last, length, ordered  # the child's state
+            for edge in edges[i + 1, r, top if i else r]:  # the edges row i + 1 adds
+                c_ordered = c_ordered and c_last <= edge
+                if edge[1] == c_last[1] and edge[0] == c_last[0] + 1:  # same orientation, next position
+                    c_length += 1
+                else:
+                    c_even, c_length = c_even and c_length % 2 == 0, 1
+                c_last = edge
+            walk(m, i + 1, rows + (r,), c_even, c_last, c_length, c_ordered, edges, scanned_even)
 
     for m in range(0, limit + 1):
         scanned_even = [[] for _ in range(limit + 1)]
-        walk(m, (), (True, (float("-inf"), ""), 0, True), scanned_even)
+        rows_in_width = ((i, r, above) for i in range(1, limit + 1) for above in range(m + 1) for r in range(above + 1))
+        edges = {key: _row_edges(*key, m) for key in rows_in_width}
+        walk(m, 0, (), True, (float("-inf"), ""), 0, True, edges, scanned_even)
         bad += [(d, m, "generator") for d, rows in enumerate(scanned_even) if rows != list(young._even_row_vectors(d, m))]
     bad.sort(key=lambda b: b[:2])  # stable: each frame's vectors stay in enumeration order
     _report(checks, "interface_oracle", bad, {"limit": limit}, cap=5)
@@ -407,8 +406,9 @@ def check_twist_table(checks, d_max, m_max, sums):
     columns, or the unshifted child's rows above step empty rows.  rho does
     not depend on the base twist, so each frame's leaves are read once from
     the records of ``flagged_sums`` (built at base L); only the child frames
-    it does not hold, with d = 0 or m = 0, are decomposed here.  The twist
-    classes are compared once per (child rho, parent rho) pair.
+    it does not hold, with d = 0 or m = 0, are decomposed here.  Each child
+    twist's base part is looked up once, by class, among the four sums of
+    the two ranks' det V bits; it picks the one (child rho, parent rho) pair.
     """
     params = {"d_max": d_max, "m_max": m_max}
     if d_max < 2 or m_max < 2:
@@ -425,6 +425,8 @@ def check_twist_table(checks, d_max, m_max, sums):
         return {rows: rho for _, _, rows, _, rho in s.records}
 
     det_v = cache(lambda n: (PicClass(), quotient_range(1, n)))  # a leaf's det V at rank n, by its rho
+    # (child rho, parent rho) by the twist that carries a rank-nc leaf's det V bit to a rank-n one's; distinct as 0 < nc < n
+    telescoping = cache(lambda nc, n: {det_v(nc)[a] + det_v(n)[b]: (a, b) for a in (0, 1) for b in (0, 1)})
     for d in range(2, d_max + 1):
         for m in range(2, m_max + 1):
             for eps in (0, 1):
@@ -444,12 +446,10 @@ def check_twist_table(checks, d_max, m_max, sums):
                     if lambda_parity(ct, Delta(cd)) != ceps:
                         bad.append((d, m, eps, "parity"))
                         continue
-                    base = ct.base_part()
-                    got = (base, base + det_v(cd + cm)[1])  # by the child leaf's rho
-                    agree = {(a, b) for a in (0, 1) for b in (0, 1) if got[a] == det_v(d + m)[b]}  # (child rho, parent rho)
+                    pair = telescoping(cd + cm, d + m).get(ct.base_part())  # None when no pair agrees
                     for rows, rho_c in rho_by_rows(cd, cm, ceps).items():
-                        grown = tuple(x + cols for x in rows) + tail
-                        if grown not in parent or (rho_c, parent[grown]) not in agree:
+                        grown = (tuple(x + cols for x in rows) if cols else rows) + tail
+                        if (rho_c, parent.get(grown)) != pair:
                             bad.append((d, m, eps, grown))
     _report(checks, "twist_table", bad, params, cap=5)
 
@@ -462,15 +462,15 @@ def run_all(d_max: int, m_max: int) -> VerificationReport:
     evens = even_diagrams(d_max, m_max)
     check_fixtures(checks, evens)
     check_cardinality(checks, d_max, m_max, evens)
-    betas = young.beta_parity_table(30, 30)
+    betas = young.beta_parity_table(max(d_max, 30), max(m_max, 30))
     check_pascal(checks, betas)
     check_beta_parity_sum(checks, betas)
     sums = flagged_sums(d_max, m_max)
     check_engine_vs_enumeration(checks, d_max, m_max, sums, evens)
-    check_k_counts(checks, d_max, m_max, sums)
+    check_k_counts(checks, d_max, m_max, sums, betas)
     check_odd_odd(checks, d_max, m_max, sums)
     check_transpose(checks, d_max, m_max, sums)
-    check_witt_counts(checks, d_max, m_max, sums)
+    check_witt_counts(checks, d_max, m_max, sums, betas)
     check_determinism(checks, d_max, m_max)
     check_output_schema(checks)
     check_interface_oracle(checks, min(max(d_max, m_max), 6))

@@ -177,16 +177,12 @@ def _require_positive(d: int, m: int):
         raise ValueError(f"formula requires d, m >= 1, got d={d}, m={m}")
 
 
-def _beta_parity_or_zero(l: int, d: int, m: int) -> int:
-    # degenerate convention: an empty frame direction contributes no K summand
-    if d == 0 or m == 0:
-        return 0
-    return beta_parity(l, d, m)
-
-
 def beta_parity_table(d_max: int, m_max: int) -> tuple:
-    """``_beta_parity_or_zero(l, d, m)`` as ``table[l][d][m]``, for l in (0, 1), 0 <= d <= d_max and 0 <= m <= m_max."""
-    return tuple(tuple(tuple(_beta_parity_or_zero(l, d, m) for m in range(m_max + 1)) for d in range(d_max + 1)) for l in (0, 1))
+    """``beta_parity(l, d, m)`` as ``table[l][d][m]``, for l in (0, 1), 0 <= d <= d_max and 0 <= m <= m_max.
+
+    Degenerate convention: an empty frame direction (d or m = 0) contributes no K summand.
+    """
+    return tuple(tuple(tuple(beta_parity(l, d, m) if d and m else 0 for m in range(m_max + 1)) for d in range(d_max + 1)) for l in (0, 1))
 
 
 def verify_pascal(d_max: int, m_max: int, table=None) -> list[tuple[int, int, int]]:
@@ -196,19 +192,19 @@ def verify_pascal(d_max: int, m_max: int, table=None) -> list[tuple[int, int, in
     Identity 2: beta^[d](d, m)   = beta^[d](d, m-2) + C(d+m-2, m-1)
                                    + beta^[d-2](d-2, m).
     Sub-terms with a zero index use the degenerate value 0; identity 2 is
-    tried only where its indices are nonnegative, d, m >= 2.  The left
-    sides call ``beta_parity``; the sub-terms are read from ``table``, a
+    tried only where its indices are nonnegative, d, m >= 2.  Both sides
+    are read from ``table``, ``beta_parity``'s values as a
     ``beta_parity_table`` covering the bounds, built here when not given.
     """
     if table is None:
         table = beta_parity_table(d_max, m_max)
     bad = []
     for d in range(1, d_max + 1):
-        same, other = table[d % 2], table[(d - 1) % 2]
+        same, other = table[d % 2], table[(d - 1) % 2]  # other is also beta^[d+1]
         for m in range(1, m_max + 1):
-            if beta_parity(d + 1, d, m) != same[d][m - 1] + other[d - 1][m]:
+            if other[d][m] != same[d][m - 1] + other[d - 1][m]:
                 bad.append((d, m, 1))
-            if d >= 2 and m >= 2 and beta_parity(d, d, m) != same[d][m - 2] + comb(d + m - 2, m - 1) + same[d - 2][m]:
+            if d >= 2 and m >= 2 and same[d][m] != same[d][m - 2] + comb(d + m - 2, m - 1) + same[d - 2][m]:
                 bad.append((d, m, 2))
     return bad
 

@@ -15,7 +15,9 @@ witt) and split projective bundles.  The young sweep pins diagram
 enumeration and rendering, with and without the evenness filter, and a
 verify report in both formats.  The verify sweep pins ``verify --max 7``
 in both formats: its interface oracle runs at its full limit of 6 and
-the other checks reach one frame past it.
+the other checks reach one frame past it.  The report digests pin the JSON
+report of ``run_all`` at each pair of bounds the benchmark's verify sweep
+draws.
 """
 
 import contextlib
@@ -28,6 +30,7 @@ import pytest
 from gwcell import engine
 from gwcell.cli import main
 from gwcell.expr import FORMAL_SUM_SCHEMA, validate_json
+from gwcell.verify import run_all
 
 GOLDEN_SHA256 = "8a652cd96a76d2e220fc0d13852a8869951438fa7eda9a88220407d2c0864b81"
 GOLDEN_LARGE_SHA256 = "77eeb36a0d85e7bc51077e7b54fc49a57822330d517931b8b9b91997e1590039"
@@ -35,6 +38,19 @@ GOLDEN_YOUNG_SHA256 = "973b9e97a5298e65767a281259f68b2ab1d269dea48e3f7945628fafe
 GOLDEN_WALK_SHA256 = "608e36eba0a3bb0406d39abebe4a694f03501c1bda13eb45fb108a6a0acab82f"
 GOLDEN_TEXT_SHA256 = "678ded6a67b206e7769938d2ba7f4bfe2ef86397d192a9200b00dbce4a71920c"
 GOLDEN_VERIFY_SHA256 = "538b0d780c7a8d80a553f4719a4b3ace7462ed9b8ba9289da1cfdec4167290e5"
+# sha256 of json.dumps(run_all(d_max, m_max).to_json(), sort_keys=True)
+GOLDEN_REPORT_SHA256 = {
+    (5, 5): "e86ea9898b82fef345c1bbe7540893f755cc5cadb43e4c6352be3be7c49d5d0d",
+    (5, 6): "78c09a0a249b8ea086c2e6dfef73dd0de61f0cf43c98c520ff08ad6b07e95515",
+    (6, 5): "001d0f58733d0fd9e1462a63c64f9981800cb192c7f53a148748bdfe20a25993",
+    (5, 7): "02b07c308600e39881968280185a42dd3ce06193db8a2d6dd4783ae74b5b4195",
+    (7, 5): "41f7fea5ece305c0b1f1766a2ad4db1c130e5416b7677099ca30d56455213523",
+    (6, 6): "0c35a2e889e46f1587ab6778945878ec2dfaaec7de69a3fb9a5ef72dc5b6a4a3",
+    (6, 7): "a656999b7976404ee7793e8c5b479bc0f06b39065a6c84133fa8bfda0cc0dc3d",
+    (7, 6): "3c6b0481a9896eeaf28d8235cfd5570c60a3b7903f79c6ad180f52cc63d951f7",
+    (7, 7): "d905713525f8b9c2500893b8f600474b2946b9ae3db61b827837d1e36723afed",
+    (8, 8): "22fb465a7c3c06fa86609cdd1c7b37c947430592898ee82e261c0b0befde2876",
+}
 
 TWISTS = ("both", "even", "odd", "L,Delta,q1")
 
@@ -148,6 +164,16 @@ def test_full_oracle_verify_matches_golden_digest():
     runs = _run([["verify", "--max", "7", "--format", fmt] for fmt in ("text", "json")])
     assert all(code == 0 for _, code, _, _ in runs)
     assert _digest(runs) == GOLDEN_VERIFY_SHA256
+
+
+def test_verify_sweep_reports_match_golden_digests():
+    digests = {}
+    for bounds in GOLDEN_REPORT_SHA256:
+        engine.clear_cache()
+        doc = run_all(*bounds).to_json()
+        assert doc["ok"], bounds
+        digests[bounds] = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digests == GOLDEN_REPORT_SHA256
 
 
 def test_cli_sweep_documents_match_schema(sweep):

@@ -109,6 +109,31 @@ MUTANTS = {
         "(PicClass(), PicClass.of(DET_V)), meta)",
         {"engine_vs_enumeration"},
     ),
+    "gr1_empty_row_dropped": (
+        "engine.py",
+        "(((1, 0, 0),) if eps == 0 else ())",
+        "()",
+        {"engine_vs_enumeration", "rank_accounting", "transpose_equivariance", "witt_counts"},
+    ),
+    "d0_empty_diagram_rho": (
+        "engine.py",
+        "return ((0, 0, 0),)",
+        "return ((0, 0, 1),)",
+        {"transpose_equivariance", "twist_table"},
+    ),
+    # pascal reads both sides of its identities from the beta_parity table, so it must still catch these
+    "beta_parity_odd_odd": (
+        "young.py",
+        "return full // 2 - half",
+        "return full // 2 - half + 1",
+        {"beta_parity_sum", "k_counts", "pascal", "witt_counts"},
+    ),
+    "beta_parity_even": (
+        "young.py",
+        "return (full - half) // 2",
+        "return (full - half + 2) // 2",
+        {"beta_parity_sum", "k_counts", "pascal", "witt_counts"},
+    ),
     "even_rows_no_drop_clause": (
         "young.py",
         "if (prev - r) & 1 or run & 1 and 0 < prev < m:",

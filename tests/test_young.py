@@ -265,11 +265,14 @@ class TestPascal:
     def test_all_hold_up_to_30(self):
         assert verify_pascal(30, 30) == []
 
-    def test_out_of_domain_skipped_not_failed(self, monkeypatch):
-        # zeroed sub-terms break identity 1 at (2, 1); identity 2 needs m >= 2 and is not tried
-        monkeypatch.setattr(young, "_beta_parity_or_zero", lambda l, d, m: 0)
-        assert verify_pascal(2, 1) == [(2, 1, 1)]
-        assert (3, 3, 2) in verify_pascal(3, 3)
+    def test_out_of_domain_skipped_not_failed(self):
+        # an all-zero table meets identity 1 everywhere; identity 2 needs m >= 2, so at m = 1 it is not tried
+        zeros = tuple(tuple((0,) * 4 for _ in range(4)) for _ in (0, 1))
+        assert verify_pascal(2, 1, zeros) == []
+        assert (3, 3, 2) in verify_pascal(3, 3, zeros)
+        # one perturbed sub-term, beta^[1](1, 1), breaks identity 1 at (2, 1) alone
+        perturbed = (zeros[0], (zeros[1][0], (0, 1, 0, 0)) + zeros[1][2:])
+        assert verify_pascal(2, 1, perturbed) == [(2, 1, 1)]
 
 
 class TestAscii:
