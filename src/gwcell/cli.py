@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 domain error or bad arguments, 2 verification failure,
 3 missing base-table keys.  The default output format is JSON; set GWCELL_FORMAT=text
-or pass --format to override.
+or pass --format to override.  Every JSON document is the text of
+json.dumps(doc, sort_keys=True, indent=2); all but verify's report are written
+without building the document, and young writes a chunk of diagrams at a time.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from . import young
 from .engine import (
@@ -26,10 +29,12 @@ from .expr import (
     FormalSum,
     LongExactSequence,
     MissingKeyError,
+    _list_text,
     evaluate,
     formal_sum_json_text,
     formal_sum_to_json,  # unused here, but perfbench/tracer.py wraps it under this name
-    les_to_json,
+    les_json_text,
+    les_to_json,  # the same
     witt_specialize,
 )
 from .twist import BaseSymbol, Delta, PicClass
@@ -41,17 +46,18 @@ EXIT_VERIFY = 2
 EXIT_MISSING_KEYS = 3
 
 
-def _emit(doc, fmt: str, text=None):
-    """Print the JSON document, or with --format text the string ``text()`` renders, when given."""
-    if fmt == "text" and text is not None:
-        print(text())
-    else:
-        print(json.dumps(doc, sort_keys=True, indent=2))
-
-
 def _emit_sum(s: FormalSum, fmt: str):
     """Print a formal sum: its text with --format text, else its JSON document through ``formal_sum_json_text``."""
     print(_sum_text(s) if fmt == "text" else formal_sum_json_text(s))
+
+
+def _write_joined(head: str, texts, sep: str, tail: str):
+    """Write ``head + sep.join(texts) + tail`` to stdout, joining 4096 of the iterator ``texts`` at a time, so the text is never held whole."""
+    write = sys.stdout.write
+    write(head + sep.join(islice(texts, 4096)))
+    while part := sep.join(islice(texts, 4096)):
+        write(sep + part)
+    write(tail)
 
 
 def _twist_from_arg(spec: str, d: int) -> PicClass:
@@ -97,7 +103,10 @@ def _cmd_grassmann(args) -> int:
             raise ValueError("--mode eval requires --base-table")
         table = BaseTheoryTable.load(args.base_table)
         group = evaluate(result, table, args.degree)
-        _emit({"degree": args.degree, "group": list(group.orders)}, args.format, lambda: str(group))
+        if args.format == "text":
+            print(group)
+        else:
+            print('{\n  "degree": %d,\n  "group": %s\n}' % (args.degree, _list_text(map(str, group.orders), 2)))
         return EXIT_OK
     _emit_sum(result, args.format)
     return EXIT_OK
@@ -107,30 +116,28 @@ def _cmd_projbundle(args) -> int:
     q = ProjBundleQuery(args.r, args.parity, args.shift, split=not args.no_split)
     result = decompose_projective_bundle(q)
     if isinstance(result, LongExactSequence):
-        _emit(les_to_json(result), args.format, lambda: _les_text(result))
+        print(_les_text(result) if args.format == "text" else les_json_text(result))
     else:
         _emit_sum(result, args.format)
     return EXIT_OK
 
 
 def _cmd_young(args) -> int:
+    """Write each diagram straight from its row vector into one ``%`` template of the frame, a chunk at a time."""
     frame = Frame(args.d, args.m)
-    diagrams = young.enumerate_even(frame) if args.even else young.enumerate_diagrams(frame)
+    vectors = young._even_row_vectors(args.d, args.m) if args.even else young._row_vectors(frame)
     if args.render == "ascii":
-        print("\n\n".join(young.render_ascii(lam) for lam in diagrams))
+        _write_joined("", map(young._ascii_drawer(args.d, args.m), vectors), "\n\n", "\n")
     else:
-        doc = {
-            "frame": {"d": args.d, "m": args.m},
-            "even_only": bool(args.even),
-            "diagrams": [list(lam.rows) for lam in diagrams],
-        }
-        _emit(doc, "json")
+        entry = "    " + _list_text(["%s"] * args.d, 4)
+        tail = '\n  ],\n  "even_only": %s,\n  "frame": {\n    "d": %d,\n    "m": %d\n  }\n}\n' % (json.dumps(args.even), args.d, args.m)
+        _write_joined('{\n  "diagrams": [\n', map(entry.__mod__, vectors), ",\n", tail)
     return EXIT_OK
 
 
 def _cmd_les(args) -> int:
     seq = les_theorem_d(args.r, args.shift)
-    _emit(les_to_json(seq), args.format, lambda: _les_text(seq))
+    print(_les_text(seq) if args.format == "text" else les_json_text(seq))
     return EXIT_OK
 
 
@@ -140,7 +147,7 @@ def _cmd_verify(args) -> int:
     d_max = args.d_max if args.d_max is not None else args.both_max
     m_max = args.m_max if args.m_max is not None else args.both_max
     report = verify.run_all(d_max, m_max)
-    _emit(report.to_json(), args.format, report.to_text)
+    print(report.to_text() if args.format == "text" else json.dumps(report.to_json(), sort_keys=True, indent=2))
     return EXIT_OK if report.passed() else EXIT_VERIFY
 
 

@@ -45,7 +45,8 @@ DET_V = BaseSymbol("detV")
 class GrassmannQuery(Value):
     """Gr_d of a rank d+m bundle at a twist checked to live on it; ``eps`` is its Delta_d parity, ``twists`` its twist by rho.
 
-    One pass over the twist's generators checks it; the base twist is the twist less Delta_d.
+    One pass over the twist's generators checks it; a flag quotient outside the flag is
+    named by its lowest index.  The base twist is the twist less Delta_d.
     """
 
     __slots__ = ("d", "m", "shift", "twist", "bundle", "eps", "twists")
@@ -55,12 +56,14 @@ class GrassmannQuery(Value):
             raise ValueError(f"need d, m >= 0, got d={d}, m={m}")
         if bundle not in (TRIVIAL, FLAGGED):
             raise ValueError(f"unknown bundle kind {bundle!r}")
-        delta_ranks = set()
+        delta_ranks, outside = set(), []
         for g in twist.generators:
             if isinstance(g, Delta):
                 delta_ranks.add(g.rank)
             elif isinstance(g, FlagQuotient) and not 1 <= g.index <= d + m:
-                raise ValueError(f"twist generator {g.key()} outside the rank-{d + m} flag")
+                outside.append(g.index)
+        if outside:  # named by index, not by set order, which varies with the string hash seed
+            raise ValueError(f"twist generator q{min(outside)} outside the rank-{d + m} flag")
         if not delta_ranks <= {d}:
             raise ValueError(f"twist {twist} is not expressed over the query's Delta_{d}")
         eps = len(delta_ranks)

@@ -21,14 +21,18 @@ until a caller reads ``gw``.  Its document has one writer,
 ``formal_sum_json_text``, specialized to its shape.  Its text is exactly
 ``json.dumps(formal_sum_to_json(s), sort_keys=True, indent=2)``, without
 that encoder's pure-Python cost per value; the same ``output_schema``
-check asserts the equality.
+check asserts the equality.  ``les_json_text`` writes a long exact
+sequence's document from its terms' texts; only a merged sum's list meta
+takes the indenting encoder.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from collections import Counter
 from functools import cache, cached_property, lru_cache
+from itertools import chain
 
 from .twist import PicClass
 from .value import Value
@@ -214,14 +218,16 @@ class BaseTheoryTable(Value):
 
     @classmethod
     def from_json(cls, doc: dict) -> "BaseTheoryTable":
-        """The table of a ``BASE_TABLE_SCHEMA`` document, integral floats read as ints."""
-        if not _plainly_valid_table(doc):
+        """The table of a ``BASE_TABLE_SCHEMA`` document, integral floats read as ints; equal group lists share one group."""
+        columns = _plain_table_columns(doc)
+        if columns is None:
             validate_json(doc, BASE_TABLE_SCHEMA)
-        entries = []
-        for e in doc["entries"]:
-            key = (e["theory"], int(e["shift"]), tuple(sorted(e["twist"])), int(e["degree"]))
-            entries.append((key, AbelianGroup(tuple(map(int, e["group"])))))
-        return cls(doc["name"], tuple(entries))
+            columns = _table_columns(doc["entries"])
+        theories, shifts, twists, degrees, groups = columns
+        keys = zip(theories, map(int, shifts), map(tuple, map(sorted, twists)), map(int, degrees))
+        orders = list(map(tuple, groups))
+        made = {o: AbelianGroup(tuple(map(int, o))) for o in dict.fromkeys(orders)}
+        return cls(doc["name"], zip(keys, map(made.__getitem__, orders)))
 
     @classmethod
     def load(cls, path) -> "BaseTheoryTable":
@@ -320,30 +326,34 @@ BASE_TABLE_SCHEMA = {
 }
 
 
-def _plainly_valid_table(doc) -> bool:
-    """True only for documents ``BASE_TABLE_SCHEMA`` accepts, checked without jsonschema.
+def _table_columns(entries: list) -> tuple:
+    """The entries' theories, shifts, twists, degrees and groups, one tuple per field, read in one C pass."""
+    return tuple(zip(*map(operator.itemgetter("theory", "shift", "twist", "degree", "group"), entries))) or ((),) * 5
+
+
+def _plain_table_columns(doc) -> tuple | None:
+    """The ``_table_columns`` of a document ``BASE_TABLE_SCHEMA`` accepts, checked a column at a time without jsonschema; else None.
 
     Stricter than the schema: numbers must be ``int`` (the schema also takes
-    integral floats).  A document it turns down goes to ``validate_json``,
-    which decides and words the error, so a well-formed table is read
-    without importing jsonschema and at a cost that stays small as it grows.
+    integral floats, and a bool is no int here).  A document it turns down
+    goes to ``validate_json``, which decides and words the error.
     """
-    if type(doc) is not dict or doc.keys() != {"name", "entries"}:
-        return False
-    if type(doc["name"]) is not str or type(doc["entries"]) is not list:
-        return False
-    for e in doc["entries"]:
-        if type(e) is not dict or e.keys() != {"theory", "shift", "twist", "degree", "group"}:
-            return False
-        if type(e["theory"]) is not str or e["theory"] not in ("GW", "K", "W"):
-            return False
-        if type(e["shift"]) is not int or type(e["degree"]) is not int:
-            return False
-        if type(e["twist"]) is not list or any(type(g) is not str for g in e["twist"]):
-            return False
-        if type(e["group"]) is not list or any(type(o) is not int or o < 0 for o in e["group"]):
-            return False
-    return True
+    if type(doc) is not dict or doc.keys() != {"name", "entries"} or type(doc["name"]) is not str:
+        return None
+    entries = doc["entries"]
+    if type(entries) is not list or not set(map(type, entries)) <= {dict} or not set(map(len, entries)) <= {5}:
+        return None
+    try:  # five keys, the five fields among them: exactly the entry's keys
+        theories, shifts, twists, degrees, groups = columns = _table_columns(entries)
+    except KeyError:
+        return None
+    plain = (
+        set(map(type, theories)) <= {str} and set(theories) <= {"GW", "K", "W"}
+        and set(map(type, shifts + degrees)) <= {int} and set(map(type, twists + groups)) <= {list}
+        and set(map(type, chain.from_iterable(twists))) <= {str}
+        and set(map(type, chain.from_iterable(groups))) <= {int} and min(chain.from_iterable(groups), default=0) >= 0
+    )
+    return columns if plain else None
 
 
 @cache
@@ -401,23 +411,42 @@ def formal_sum_json_text(a: FormalSum) -> str:
 
     The standard encoder runs in pure Python whenever ``indent`` is set.
     This writer knows the document's shape instead: each ``gw`` entry is
-    filled into the cached ``%`` template of its record shape (twist key,
-    row count or None, t, rho); the rows and the shift fill its ``%s``
-    slots, as ``str`` writes them.  ``k`` and ``meta`` are rendered by
-    ``json.dumps`` and, as ``gw`` sorts first, follow the last entry; the
-    head precedes the first, so one join writes the whole text.
-    ``verify.check_output_schema`` checks the text against ``json.dumps``.
+    filled into the ``%`` template of its record shape (twist key, row
+    count or None, t, rho); the rows and the shift fill its ``%s`` slots,
+    as ``str`` writes them.  An engine sum's rows all have the frame's
+    length and its key follows from rho, so its at most four templates are
+    bound once.  ``k`` and ``meta`` follow the last entry, as ``gw`` sorts
+    first, and the head precedes the first, so one join writes the whole
+    text.  ``verify.check_output_schema`` checks the text against
+    ``json.dumps``.
     """
-    rest = json.dumps({"k": a.k, "meta": {k: _meta_value(v) for k, v in a.meta}}, sort_keys=True, indent=2)
+    rest = _tail_text(a)
     if not a.records:
-        return '{\n  "gw": [],' + rest[1:]
-    entries = [
-        _entry_template(key, None if rows is None else len(rows), t, rho) % ((shift,) if rows is None else (*rows, shift))
-        for shift, key, rows, t, rho in a.records
-    ]
+        return '{\n  "gw": [],' + rest
+    if a.frame is None:
+        entries = [
+            _entry_template(key, None if rows is None else len(rows), t, rho) % ((shift,) if rows is None else rows + (shift,))
+            for shift, key, rows, t, rho in a.records
+        ]
+    else:
+        keys = [tw.sort_key for tw in a.twists]
+        by_t = [[_entry_template(keys[rho], a.frame.d, t, rho) for rho in (0, 1)] for t in (0, 1)]
+        entries = [by_t[t][rho] % (rows + (shift,)) for shift, _, rows, t, rho in a.records]
     entries[0] = '{\n  "gw": [\n' + entries[0]
-    entries[-1] += "\n  ]," + rest[1:]
+    entries[-1] += "\n  ]," + rest
     return ",\n".join(entries)
+
+
+# lays out a dict of scalars as indent=2 lays out a formal sum's meta, less its braces' line breaks, in C
+_FLAT = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": "))
+
+
+def _tail_text(a: FormalSum) -> str:
+    """``json.dumps({"k": a.k, "meta": ...}, sort_keys=True, indent=2)`` after its brace; only a merged sum's list meta needs that encoder."""
+    if any(isinstance(v, (tuple, list, dict)) for _, v in a.meta):
+        return json.dumps({"k": a.k, "meta": dict(a.meta)}, sort_keys=True, indent=2)[1:]
+    meta = "{\n    " + _FLAT.encode(dict(a.meta))[1:-1] + "\n  }" if a.meta else "{}"
+    return '\n  "k": %s,\n  "meta": %s\n}' % (_FLAT.encode(a.k), meta)
 
 
 @lru_cache(maxsize=256, typed=True)
@@ -467,3 +496,10 @@ def formal_sum_from_json(doc: dict, frame: Frame | None = None) -> FormalSum:
 def les_to_json(seq: LongExactSequence) -> dict:
     terms = [formal_sum_to_json(t) if isinstance(t, FormalSum) else t for t in seq.terms]
     return {"terms": terms, "maps": list(seq.maps)}
+
+
+def les_json_text(seq: LongExactSequence) -> str:
+    """``json.dumps(les_to_json(seq), sort_keys=True, indent=2)``; each term's own text is indented two levels, as JSON escapes every line break in a string."""
+    terms = [formal_sum_json_text(t) if isinstance(t, FormalSum) else json.dumps(t, sort_keys=True, indent=2) for t in seq.terms]
+    maps = _list_text([json.dumps(f) for f in seq.maps], 2)
+    return '{\n  "maps": %s,\n  "terms": %s\n}' % (maps, _list_text([t.replace("\n", "\n    ") for t in terms], 2))

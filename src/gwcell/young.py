@@ -211,7 +211,12 @@ def verify_pascal(d_max: int, m_max: int, table=None) -> list[tuple[int, int, in
 
 def render_ascii(diagram: YoungDiagram) -> str:
     """Draw the diagram in its frame: '#' filled boxes, '.' empty ones."""
-    m = diagram.frame.m
+    return _ascii_drawer(diagram.frame.d, diagram.frame.m)(diagram.rows)
+
+
+def _ascii_drawer(d: int, m: int):
+    """The function drawing a row vector of the d x m frame as ``render_ascii`` draws it, from one line per row length."""
     border = "+" + "-" * m + "+"
-    lines = ["|" + "#" * r + "." * (m - r) + "|" for r in diagram.rows]
-    return "\n".join([border, *lines, border])
+    lines = ["|" + "#" * r + "." * (m - r) + "|" for r in range(m + 1)]
+    picture = "\n".join([border, *["%s"] * d, border])
+    return lambda rows: picture % tuple(map(lines.__getitem__, rows))

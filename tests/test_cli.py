@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import shlex
@@ -7,12 +9,13 @@ import sys
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from test_golden import _argvs
 
 from gwcell import cli, young
 from gwcell.cli import main
-from gwcell.engine import decompose_total
-from gwcell.expr import FORMAL_SUM_SCHEMA, GWSummand, validate_json
+from gwcell.engine import decompose_total, les_theorem_d
+from gwcell.expr import FORMAL_SUM_SCHEMA, GWSummand, les_to_json, validate_json
 from gwcell.twist import BaseSymbol, PicClass
 from gwcell.verify import VerificationReport
 from gwcell.young import YoungDiagram
@@ -29,6 +32,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def stdout_of(*argv):
+    """The stdout of a call that exits 0, captured without a fixture, as hypothesis tests need."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
 
 
 class TestGrassmannCommand:
@@ -103,6 +114,26 @@ class TestGrassmannCommand:
         assert doc["gw"][0]["twist"] == ['"x', "\u00e9"]
         assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
         assert '"\\"x"' in out and '"\\u00e9"' in out
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 4), max_size=3), min_size=2, max_size=2), st.integers(-3, 3))
+    def test_eval_text_is_json_dumps(self, tmp_path_factory, groups, degree):
+        # P^1 at twist L is GW at shifts 0 and -1, no K; order 1 drops out, so the group may be empty
+        path = tmp_path_factory.mktemp("eval") / "table.json"
+        entries = [{"theory": "GW", "shift": -i, "twist": ["L"], "degree": degree, "group": g} for i, g in enumerate(groups)]
+        path.write_text(json.dumps({"name": "t", "entries": entries}))
+        doc = {"degree": degree, "group": sorted(o for g in groups for o in g if o != 1)}
+        argv = ["grassmann", "-d", "1", "-m", "1", "--twist", "even", "--mode", "eval", f"--degree={degree}"]
+        assert stdout_of(*argv, "--base-table", str(path)) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_flag_quotients_outside_the_flag_name_the_lowest_at_any_hash_seed(self):
+        # the twist's generators are a set, whose order follows the hash seed of the base symbols' names
+        argv = [sys.executable, "-m", "gwcell.cli", "grassmann", "-d", "2", "-m", "2", "--twist", "N,L,q11,q9"]
+        errs = {
+            subprocess.run(argv, capture_output=True, text=True, env=dict(_child_env(), PYTHONHASHSEED=seed)).stderr
+            for seed in ("0", "1")
+        }
+        assert errs == {json.dumps({"error": "twist generator q9 outside the rank-4 flag"}) + "\n"}
 
     def test_domain_error_exit_1(self, capsys):
         code, _, err = run(capsys, "grassmann", "-d", "-1", "-m", "2", "--format", "json")
@@ -291,6 +322,37 @@ class TestYoungCommand:
         assert code == 0
         assert len(json.loads(out)["diagrams"]) == 1501
 
+    @pytest.mark.parametrize("even", [False, True])
+    @pytest.mark.parametrize("d", range(7))
+    def test_written_text_is_json_dumps_and_render_ascii(self, d, even):
+        # reference: the document of one YoungDiagram per vector, and render_ascii of each
+        for m in range(7):
+            frame = young.Frame(d, m)
+            diagrams = young.enumerate_even(frame) if even else young.enumerate_diagrams(frame)
+            doc = {"frame": {"d": d, "m": m}, "even_only": even, "diagrams": [list(lam.rows) for lam in diagrams]}
+            flags = ["-d", str(d), "-m", str(m)] + (["--even"] if even else [])
+            assert stdout_of("young", *flags) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+            pictures = "\n\n".join(young.render_ascii(lam) for lam in diagrams)
+            assert stdout_of("young", *flags, "--render", "ascii") == pictures + "\n"
+
+    @pytest.mark.parametrize("argv", [("-d", "-1", "-m", "2"), ("-d", "2", "-m", "-3", "--render", "ascii")])
+    def test_bad_frame_is_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, "young", *argv)
+        assert code == 1 and out == ""
+        assert "frame dimensions must be nonnegative" in json.loads(err)["error"]
+
+    def test_writes_in_bounded_memory(self):
+        # 19 MB of stdout; a document built whole peaked at about 235 MB.  Linux counts the
+        # spawning process's peak in the child's ru_maxrss, so a bare interpreter spawns it.
+        probe = (
+            "import os, sys; pid = os.posix_spawn(sys.executable, sys.argv[1:], os.environ,"
+            " file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]);"
+            " _, status, usage = os.wait4(pid, 0); print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
+        )
+        argv = [sys.executable, "-c", probe, sys.executable, "-m", "gwcell.cli", "young", "-d", "10", "-m", "10"]
+        code, kib = map(int, subprocess.run(argv, capture_output=True, text=True, env=_child_env()).stdout.split())
+        assert code == 0 and kib < 64 * 1024
+
 
 # the error each bad command line gets, word for word
 USAGE_ERRORS = {
@@ -405,6 +467,13 @@ class TestLesCommand:
         code, _, _ = run(capsys, "les", "-r", "2", "--format", "json")
         assert code == 1
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(range(1, 16, 2)), st.integers(-20, 20))
+    def test_written_text_is_json_dumps(self, r, shift):
+        want = json.dumps(les_to_json(les_theorem_d(r, shift)), sort_keys=True, indent=2) + "\n"
+        assert stdout_of("les", "-r", str(r), f"--shift={shift}") == want
+        assert stdout_of("projbundle", "-r", str(r), f"--shift={shift}", "--no-split") == want
+
     @pytest.mark.parametrize("r", [-1, -3])
     def test_rank_below_two_is_domain_error(self, capsys, r):
         # an odd r below 1 has no bundle: it must not print a term with negative k
@@ -460,6 +529,15 @@ class TestCliBuildsNoSummandObjects:
         else:
             extra = ["-d", "4", "-m", "3", "--bundle", "flagged"]
         code, out, err = run(capsys, "grassmann", *extra, "--twist", twist, "--mode", mode, "--format", fmt)
+        assert (code, err) == (0, "") and out
+
+    @pytest.mark.parametrize("argv", [(), ("--even",), ("--render", "ascii"), ("--even", "--render", "ascii")])
+    def test_young_builds_no_young_diagram(self, capsys, monkeypatch, argv):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the CLI built a YoungDiagram")
+
+        monkeypatch.setattr(YoungDiagram, "__init__", forbidden)
+        code, out, err = run(capsys, "young", "-d", "4", "-m", "5", *argv)
         assert (code, err) == (0, "") and out
 
 

@@ -16,7 +16,7 @@ from gwcell.expr import (
     LongExactSequence,
     MissingKeyError,
     SchemaMismatchError,
-    _plainly_valid_table,
+    _plain_table_columns,
     direct_sum,
     equals,
     evaluate,
@@ -310,6 +310,15 @@ class TestAbelianGroup:
             AbelianGroup((-1,))
 
 
+# names JSON escapes or that hold a %, and meta values of every JSON kind
+_NAMES = st.text(st.sampled_from('Lq1"\\\u00e9\x01%\n'), max_size=4)
+_META_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | _NAMES
+
+
+def _meta_containers(inner):
+    return st.lists(inner, max_size=2).map(tuple) | st.dictionaries(_NAMES, inner, max_size=2)
+
+
 class TestJson:
     def test_roundtrip(self):
         a = fsum(2, gw(-2, rows=(1, 1), t=1, rho=0), d=2, m=2)
@@ -321,6 +330,16 @@ class TestJson:
         merged = direct_sum(a, fsum(0, gw(0), d=3, m=1), merge=True)
         back = formal_sum_from_json(formal_sum_to_json(merged))
         assert back.meta == merged.meta
+
+    @given(
+        st.integers(0, 10**20),
+        st.dictionaries(_NAMES, st.recursive(_META_SCALARS, _meta_containers, max_leaves=5), max_size=4),
+        st.booleans(),
+    )
+    def test_tail_text_is_json_dumps(self, k, meta, with_gw):
+        # flat meta is written by the flat encoder, a merge's lists and read-back dicts by json.dumps
+        a = FormalSum(k, (gw(0),) if with_gw else (), tuple(sorted(meta.items())))
+        assert formal_sum_json_text(a) == json.dumps(formal_sum_to_json(a), sort_keys=True, indent=2)
 
     def test_json_is_deterministic(self):
         a = fsum(1, gw(0), gw(-2))
@@ -341,22 +360,58 @@ class TestJson:
             try:
                 validate_json(doc, BASE_TABLE_SCHEMA)
             except SchemaMismatchError as exc:
-                assert not _plainly_valid_table(doc), doc
+                assert _plain_table_columns(doc) is None, doc
                 with pytest.raises(SchemaMismatchError) as err:
                     BaseTheoryTable.from_json(doc)
                 assert str(err.value) == str(exc)
 
+    def test_plain_table_check_keeps_its_acceptance_rule(self):
+        # reference: the rule written an entry and a value at a time
+        def plainly_valid(doc):
+            if type(doc) is not dict or doc.keys() != {"name", "entries"}:
+                return False
+            if type(doc["name"]) is not str or type(doc["entries"]) is not list:
+                return False
+            for e in doc["entries"]:
+                if type(e) is not dict or e.keys() != {"theory", "shift", "twist", "degree", "group"}:
+                    return False
+                if type(e["theory"]) is not str or e["theory"] not in ("GW", "K", "W"):
+                    return False
+                if type(e["shift"]) is not int or type(e["degree"]) is not int:
+                    return False
+                if type(e["twist"]) is not list or any(type(g) is not str for g in e["twist"]):
+                    return False
+                if type(e["group"]) is not list or any(type(o) is not int or o < 0 for o in e["group"]):
+                    return False
+            return True
+
+        class Name(str):
+            pass
+
+        entry = _WELL_FORMED_TABLE["entries"][1]
+        renamed = {("extra" if k == "group" else k): v for k, v in entry.items()}  # five keys, one of them wrong
+        odd = [dict(entry, twist=[Name("L")]), dict(entry, theory=Name("GW")), dict(entry, group=[True]), dict(entry, group=[0, -3]), renamed]
+        docs = [*one_defect_tables(), *({"name": "t", "entries": [e]} for e in odd), {"name": "t", "entries": []}]
+        for doc in docs:
+            assert (_plain_table_columns(doc) is not None) == plainly_valid(doc), doc
+
     @given(st.fixed_dictionaries({"name": st.text(max_size=3), "entries": st.lists(_TABLE_ENTRIES, max_size=4)}))
     def test_plain_table_check_accepts_well_formed_tables(self, doc):
-        assert _plainly_valid_table(doc)
+        assert _plain_table_columns(doc) is not None
 
     def test_integral_float_table_goes_to_the_schema(self):
         # the schema takes 1.0 as an integer; the plain check leaves it to jsonschema
         doc = {"name": "t", "entries": [{"theory": "K", "shift": 0, "twist": [], "degree": 1.0, "group": [0, 2.0]}]}
-        assert not _plainly_valid_table(doc)
+        assert _plain_table_columns(doc) is None
         key, group = BaseTheoryTable.from_json(doc).entries[0]
         assert key == ("K", 0, (), 1) and type(key[3]) is int
         assert group.orders == (0, 2) and all(type(o) is int for o in group.orders)
+
+    def test_equal_group_lists_share_one_group(self):
+        doc = {"name": "t", "entries": [{"theory": "GW", "shift": -s, "twist": ["L"], "degree": 0, "group": [2, 0]} for s in range(3)]}
+        doc["entries"].append({"theory": "K", "shift": 0, "twist": [], "degree": 0, "group": [2.0, 0]})
+        groups = [group for _, group in BaseTheoryTable.from_json(doc).entries]
+        assert groups[0].orders == (0, 2) and all(g is groups[0] for g in groups)
 
     def test_table_built_directly_gives_each_key_one_group(self):
         key = ("K", 0, (), 0)

@@ -17,13 +17,17 @@ verify report in both formats.  The verify sweep pins ``verify --max 7``
 in both formats: its interface oracle runs at its full limit of 6 and
 the other checks reach one frame past it.  The report digests pin the JSON
 report of ``run_all`` at each pair of bounds the benchmark's verify sweep
-draws.
+draws.  The streamed digests pin the whole stdout of a `python -m
+gwcell.cli` child for two `young` calls, one of them about 19 MB long.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -50,6 +54,12 @@ GOLDEN_REPORT_SHA256 = {
     (7, 6): "3c6b0481a9896eeaf28d8235cfd5570c60a3b7903f79c6ad180f52cc63d951f7",
     (7, 7): "d905713525f8b9c2500893b8f600474b2946b9ae3db61b827837d1e36723afed",
     (8, 8): "22fb465a7c3c06fa86609cdd1c7b37c947430592898ee82e261c0b0befde2876",
+}
+
+# sha256 of the whole stdout of one `python -m gwcell.cli` child
+GOLDEN_STREAMED_SHA256 = {
+    "young -d 10 -m 10": "2e619542dbbcb308c3cd9c559e83c5b8c50e7cd36ee06b3ac3ce5ad8e029b2cf",
+    "young -d 8 -m 9 --even --render ascii": "43b800e874e1567fa43702e937507e1b6564d1762832324d7fab0619dc950170",
 }
 
 TWISTS = ("both", "even", "odd", "L,Delta,q1")
@@ -174,6 +184,18 @@ def test_verify_sweep_reports_match_golden_digests():
         assert doc["ok"], bounds
         digests[bounds] = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
     assert digests == GOLDEN_REPORT_SHA256
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_STREAMED_SHA256))
+def test_streamed_documents_match_golden_digests(argv):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    h = hashlib.sha256()
+    with subprocess.Popen([sys.executable, "-m", "gwcell.cli", *argv.split()], stdout=subprocess.PIPE, env=env) as proc:
+        for block in iter(lambda: proc.stdout.read(1 << 16), b""):
+            h.update(block)
+    assert proc.returncode == 0
+    assert h.hexdigest() == GOLDEN_STREAMED_SHA256[argv]
 
 
 def test_cli_sweep_documents_match_schema(sweep):
