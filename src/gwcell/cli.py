@@ -5,6 +5,9 @@ Exit codes: 0 success, 1 domain error or bad arguments, 2 verification failure,
 or pass --format to override.  Every JSON document is the text of
 json.dumps(doc, sort_keys=True, indent=2); all but verify's report are written
 without building the document, and young writes a chunk of diagrams at a time.
+The gwcell process flushes stdout and stderr and exits without interpreter
+teardown, so atexit handlers do not run unless a profiler or tracer is set; a
+failed final flush of stdout is exit 1 with one JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -250,5 +253,34 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
 
 
+def run():
+    """The gwcell process: ``main``, then flush stdout and stderr and exit without interpreter teardown.
+
+    Module teardown and the final collection cost several milliseconds of a
+    small call and print nothing, so ``os._exit`` skips them once both
+    streams are flushed.  A failed stdout flush (say, a closed pipe) is
+    reported like ``main`` reports an OSError, with exit 1; a failed stderr
+    flush has nowhere to be reported.  ``--help`` and an unexpected
+    exception leave by Python's normal exit, and so does a process with a
+    profiler or tracer installed, so that its report is written.
+    """
+    code = main()
+    try:
+        if sys.stdout is not None:  # None when the process started with descriptor 1 closed
+            sys.stdout.flush()
+    except OSError as exc:
+        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        code = EXIT_DOMAIN
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+: cProfile and coverage may use it instead
+    if sys.getprofile() or sys.gettrace() or monitoring and any(map(monitoring.get_tool, range(6))):
+        sys.exit(code)  # Python's normal exit, which writes the profiler's or tracer's report
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

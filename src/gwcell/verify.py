@@ -24,6 +24,7 @@ from .engine import (
     ProjBundleQuery,
     clear_cache,
     decompose_grassmannian,
+    decompose_point,
     decompose_projective_bundle,
     decompose_total,
     les_theorem_d,
@@ -304,6 +305,47 @@ def check_witt_counts(checks, d_max, m_max, sums, betas):
     _report(checks, "witt_counts", bad, {"d_max": d_max, "m_max": m_max})
 
 
+def check_point(checks, m_max):
+    """The base itself: ``decompose_point(s, t)`` is k = 0 and the one record (s, t, empty diagram, t = 0, rho = 0).
+
+    Gr_0 of a rank-m bundle, at every m up to the bound, is the same sum.
+    Checked at shift 3, where a dropped or negated shift shows, and at the
+    trivial twist and L.
+    """
+    bad, shift = [], 3
+    for t in (PicClass(), L):
+        want = (0, ((shift, t.sort_key, (), 0, 0),))
+        point = decompose_point(shift, t)
+        if (point.k, point.records) != want:
+            bad.append((str(t), "point"))
+        for m in range(m_max + 1):
+            gr0 = decompose_grassmannian(GrassmannQuery(0, m, shift, t))
+            if (gr0.k, gr0.records) != want:
+                bad.append((str(t), m))
+    _report(checks, "point", bad, {"m_max": m_max})
+
+
+def check_les_splitting(checks, m_max):
+    """For odd r up to the bound, the split P(E) at even parity is the outer terms of ``les_theorem_d(r, s)``.
+
+    Both have K = (r - 1)/2 and the (shift, twist key) pairs (s, O) and
+    (s - r, det E), here at s = 3: the split sum from the engine's Gr_1
+    walk, the sequence's terms as it writes them.
+    """
+    det_e = PicClass.of(BaseSymbol("detE"))
+    bad, shift = [], 3
+    for r in range(1, m_max + 1, 2):
+        want = ((r - 1) // 2, [(shift - r, det_e.sort_key), (shift, PicClass().sort_key)])
+        split = decompose_projective_bundle(ProjBundleQuery(r, 0, shift))
+        seq = les_theorem_d(r, shift)
+        outer = (seq.terms[0], seq.terms[-1])
+        if (split.k, sorted(rec[:2] for rec in split.records)) != want:
+            bad.append((r, "split"))
+        if (sum(t.k for t in outer), sorted(rec[:2] for t in outer for rec in t.records)) != want:
+            bad.append((r, "sequence"))
+    _report(checks, "les_splitting", bad, {"r_max": m_max})
+
+
 def check_determinism(checks, d_max, m_max):
     """A fresh walk and the cached repeat of one total give the same document."""
     d, m = min(d_max, 3), min(m_max, 3)
@@ -472,6 +514,8 @@ def run_all(d_max: int, m_max: int) -> VerificationReport:
     check_transpose(checks, d_max, m_max, sums)
     check_witt_counts(checks, d_max, m_max, sums, betas)
     check_determinism(checks, d_max, m_max)
+    check_point(checks, m_max)
+    check_les_splitting(checks, m_max)
     check_output_schema(checks)
     check_interface_oracle(checks, min(max(d_max, m_max), 6))
     check_twist_table(checks, min(d_max, 6), min(m_max, 6), sums)

@@ -386,6 +386,75 @@ class TestUsageErrors:
         assert out.startswith(f"usage: {prog} ")
 
 
+def _process(*argv, **kwargs):
+    """Run ``python ARGV`` with src importable and block-buffered streams, as a shell would.
+
+    PYTHONUNBUFFERED is removed from the child's environment: with it set,
+    every write reaches the descriptor at once and a missing flush never shows.
+    """
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *argv], env=env, **kwargs)
+
+
+class TestProcessExit:
+    """The `python -m gwcell.cli` process: flushed streams, exit codes, and the cases that keep Python's own exit."""
+
+    @pytest.mark.parametrize("argv", [
+        ["grassmann", "-d", "8", "-m", "8", "--twist", "both"],  # larger than the 8 KiB stdout buffer
+        ["grassmann", "-d", "2", "-m", "2"],
+    ])
+    def test_stdout_to_a_file_is_mains(self, tmp_path, argv):
+        path = tmp_path / "out"
+        with open(path, "wb") as f:
+            proc = _process("-m", "gwcell.cli", *argv, stdout=f, stderr=subprocess.PIPE)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert path.read_bytes() == stdout_of(*argv).encode()
+
+    @pytest.mark.parametrize("argv", [
+        ["grassmann", "-d", "2", "-m", "2"],  # fits the buffer: only the final flush meets the closed pipe
+        ["grassmann", "-d", "8", "-m", "8", "--twist", "both"],
+    ])
+    def test_closed_pipe_is_one_json_error(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _process("-m", "gwcell.cli", *argv, stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line) == {"error": "[Errno 32] Broken pipe"}
+
+    def test_closed_stdout_descriptor_exits_zero(self):
+        # Python starts with sys.stdout None and print writes nothing, as without a flush
+        shell = ["sh", "-c", 'exec "$0" -m gwcell.cli grassmann -d 2 -m 2 >&-', sys.executable]
+        proc = subprocess.run(shell, env=_child_env(), stderr=subprocess.PIPE, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_help_exits_zero_with_usage(self):
+        proc = _process("-m", "gwcell.cli", "--help", capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("usage: gwcell ")
+
+    def test_profiler_still_writes_its_report(self):
+        proc = _process("-m", "cProfile", "-m", "gwcell.cli", "grassmann", "-d", "2", "-m", "2",
+                        capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith(stdout_of("grassmann", "-d", "2", "-m", "2"))
+        assert " function calls " in proc.stdout
+
+    def test_console_script_is_the_main_block_entry(self):
+        # read as text, since tomllib is Python 3.11+
+        with open(os.path.join(ROOT, "pyproject.toml")) as f:
+            (script,) = [line for line in f.read().splitlines() if line.startswith("gwcell = ")]
+        with open(cli.__file__) as f:
+            main_block = f.read().split('if __name__ == "__main__":\n', 1)[1]
+        module, name = json.loads(script.split(" = ", 1)[1]).split(":")
+        assert module == "gwcell.cli" and callable(getattr(cli, name))
+        assert main_block.strip() == f"{name}()"
+
+
 class TestOneParsePerCall:
     def test_namespace_is_the_top_level_parsers(self):
         for argv in _argvs():

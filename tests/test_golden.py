@@ -38,22 +38,22 @@ from gwcell.verify import run_all
 
 GOLDEN_SHA256 = "8a652cd96a76d2e220fc0d13852a8869951438fa7eda9a88220407d2c0864b81"
 GOLDEN_LARGE_SHA256 = "77eeb36a0d85e7bc51077e7b54fc49a57822330d517931b8b9b91997e1590039"
-GOLDEN_YOUNG_SHA256 = "973b9e97a5298e65767a281259f68b2ab1d269dea48e3f7945628fafe3021df6"
+GOLDEN_YOUNG_SHA256 = "c1243f5484ee3f26f1ecc3b405a5b83642c672406cbfa2540e8e2265badb5b12"
 GOLDEN_WALK_SHA256 = "608e36eba0a3bb0406d39abebe4a694f03501c1bda13eb45fb108a6a0acab82f"
 GOLDEN_TEXT_SHA256 = "678ded6a67b206e7769938d2ba7f4bfe2ef86397d192a9200b00dbce4a71920c"
-GOLDEN_VERIFY_SHA256 = "538b0d780c7a8d80a553f4719a4b3ace7462ed9b8ba9289da1cfdec4167290e5"
+GOLDEN_VERIFY_SHA256 = "9ad6b812325442477bf77c8cec4ca37b7ef8b3393dc5d80034cc3304ce81ee24"
 # sha256 of json.dumps(run_all(d_max, m_max).to_json(), sort_keys=True)
 GOLDEN_REPORT_SHA256 = {
-    (5, 5): "e86ea9898b82fef345c1bbe7540893f755cc5cadb43e4c6352be3be7c49d5d0d",
-    (5, 6): "78c09a0a249b8ea086c2e6dfef73dd0de61f0cf43c98c520ff08ad6b07e95515",
-    (6, 5): "001d0f58733d0fd9e1462a63c64f9981800cb192c7f53a148748bdfe20a25993",
-    (5, 7): "02b07c308600e39881968280185a42dd3ce06193db8a2d6dd4783ae74b5b4195",
-    (7, 5): "41f7fea5ece305c0b1f1766a2ad4db1c130e5416b7677099ca30d56455213523",
-    (6, 6): "0c35a2e889e46f1587ab6778945878ec2dfaaec7de69a3fb9a5ef72dc5b6a4a3",
-    (6, 7): "a656999b7976404ee7793e8c5b479bc0f06b39065a6c84133fa8bfda0cc0dc3d",
-    (7, 6): "3c6b0481a9896eeaf28d8235cfd5570c60a3b7903f79c6ad180f52cc63d951f7",
-    (7, 7): "d905713525f8b9c2500893b8f600474b2946b9ae3db61b827837d1e36723afed",
-    (8, 8): "22fb465a7c3c06fa86609cdd1c7b37c947430592898ee82e261c0b0befde2876",
+    (5, 5): "85996befcfa0f7f3c9a1a6a0e520e01536698a5bfd4753646832e80de287d40e",
+    (5, 6): "5487c8cacc79c54c6e477995e3626b42ea1df5482e657df2a780d8d790b4e24c",
+    (6, 5): "9175944d4904510ae54ca019edb35560200893c9748ac9aa441b7136d5d50a33",
+    (5, 7): "1c2862b5e463cd8f37ecf7c9dbf7c5cc90cbd9cd156e41aade99c48ecc3fb5a1",
+    (7, 5): "2ed9eb14c0207c2e0b338b54833d96f6916490cb1724e56578c7e0b9e49958fc",
+    (6, 6): "c90497a1b0feebea488b3ade6381b4f42195750333502418ffb7aef16945deea",
+    (6, 7): "f1260d04ad3530a1057c06916fdca9b7fc6ecc9f570282ea12ecf0d5ff8db6ea",
+    (7, 6): "ef4a8ba56e1f2d15583513d9f733739dcb4a7baf1e487b188708ceaf07c2b0d4",
+    (7, 7): "8ba51518b6a1e171b256622522dd051b56b5fcdc02005e1955a6a71b5a010c3b",
+    (8, 8): "0af97f90f319df582bde524b7cac46d7b4f01886c423ae6a228a920c564f6228",
 }
 
 # sha256 of the whole stdout of one `python -m gwcell.cli` child

@@ -158,6 +158,24 @@ MUTANTS = {
         "else range(left, 0, -1)",
         {"cardinality", "engine_vs_enumeration", "fixtures_3x3", "fixtures_4x4", "interface_oracle"},
     ),
+    "point_shift_plus_one": (
+        "engine.py",
+        "return _engine_sum(0, 0, shift, (q.eps,)",
+        "return _engine_sum(0, 0, shift + 1, (q.eps,)",
+        {"point"},
+    ),
+    "les_k_rounded_up": (
+        "engine.py",
+        "FormalSum.with_meta((r - 1) // 2,",
+        "FormalSum.with_meta((r + 1) // 2,",
+        {"les_splitting"},
+    ),
+    "les_last_shift_off_by_one": (
+        "engine.py",
+        "GWSummand(shift=shift - r,",
+        "GWSummand(shift=shift - r - 1,",
+        {"les_splitting"},
+    ),
     "row_edges_no_vertical": (
         "verify.py",
         'edges.append((i - 1 - r, "vertical"))',

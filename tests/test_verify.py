@@ -299,7 +299,7 @@ class TestRunAll:
         for bounds, frames in (((4, 4), 16), ((3, 5), 21)):
             calls.clear()
             run_all(*bounds)
-            shared = [q for q in calls if q.twist.base_part() == verify.L]
+            shared = [q for q in calls if q.twist.base_part() == verify.L and q.bundle == engine.FLAGGED]
             assert len(shared) == len(set(shared)) == frames * 2
 
     def test_cardinality_reaches_the_sweep_bounds(self, monkeypatch):
@@ -384,7 +384,8 @@ class TestRunAll:
         by_id = {c["id"]: c for c in run_all(6, 6).checks}
         assert by_id["twist_table"]["status"] == "pass"
         queries = [q for q, _ in calls]
-        assert len(queries) == len(set(queries)) == 36 * 2 + 10  # flagged_sums' frames at two twists, and 10 more
+        # flagged_sums' frames at two twists, 10 more, and point's Gr_0 at m = 0..6 at two twists
+        assert len(queries) == len(set(queries)) == 36 * 2 + 10 + 7 * 2
         own = sorted((q.d, q.m) for q, in_check in calls if in_check)
         assert own == sorted({(0, m) for m in range(2, 7)} | {(d, 0) for d in range(2, 7)})
 
@@ -401,7 +402,8 @@ class TestRunAll:
         else:
             monkeypatch.setattr(engine, "DET_V", engine.DET_E)
         failed = {c["id"]: c for c in run_all(3, 3).checks if c["status"] == "fail"}
-        assert list(failed) == ["engine_vs_enumeration"]
+        # the split P(E)'s det E key is O under the first: les_splitting reads keys too
+        assert list(failed) == ["engine_vs_enumeration"] + ["les_splitting"] * (mutant == "base_key_for_rho_1")
         assert failed["engine_vs_enumeration"]["detail"].startswith("failures: [(1, 1, 'twist-key'), (1, 2, 'twist-key'), ")
 
     def test_transpose_catches_dual_base_case_rho(self, monkeypatch):
