@@ -23,7 +23,11 @@ both odd, and K follows from the leaves walked by the rank rule
 2 K + leaves = C(d + m, d).  The walk carries each leaf as its row vector:
 a pending node records the full columns its shifted ancestors prepend and
 the empty-row tail its unshifted ones append, so a leaf costs its own d
-rows.  Each leaf becomes one formal-sum record; no ``GWSummand`` is built.
+rows.  A frame has few distinct nodes (d, m, eps), visited by many paths,
+so each walk splits a node once into a plan, its two children read off
+``split_node``, ``_has_leaves`` and ``_base_leaves``, and revisits read
+the plan.  Each leaf becomes one formal-sum record; no ``GWSummand`` is
+built.
 """
 
 from __future__ import annotations
@@ -151,33 +155,65 @@ def _has_leaves(d: int, m: int, eps: int) -> bool:
     return not (eps and d % 2 and m % 2)
 
 
-def _walk(d: int, m: int, eps: int) -> list[Leaf]:
-    """The GW leaves of a node, walked top down with an explicit stack.
+def _plan(node: tuple[int, int, int]):
+    """An inner node's (shifted, unshifted, step) from ``split_node``, each child None without leaves, itself if inner, else its base leaves."""
+    d, m, eps = node
+    shifted, unshifted, step = split_node(d, m, eps)
+    sd, sm, seps = shifted
+    ud, um, ueps = unshifted
+    return (
+        None if not _has_leaves(sd, sm, seps) else shifted if sd > 1 and sm > 1 else _base_leaves(sd, sm, seps),
+        None if not _has_leaves(ud, um, ueps) else unshifted if ud > 1 and um > 1 else _base_leaves(ud, um, ueps),
+        step,
+    )
 
-    A pending node ``(d, m, eps, cols, tail)`` stands for the query rows
+
+def _walk(d: int, m: int, eps: int) -> list[Leaf]:
+    """The GW leaves of a node, walked top down with an explicit stack of inner nodes.
+
+    A pending node ``(node, cols, tail)`` stands for the query rows
     ``tuple(x + cols for x in r) + tail``, where r runs over the node's own
     leaf rows: the shifted child adds its step to ``cols``, the unshifted
     one puts ``step`` rows of length ``cols`` in front of ``tail``, and
-    leaves keep the rho bit of their base case.  Inner nodes (d, m >= 2)
-    are tested for first, so only a base node reaches ``_base_leaves``; its
-    ``count`` rows of one length become ``(length + cols,) * count + tail``.
-    Every child is solved at eps = d mod 2, so ``_has_leaves`` skips each
-    child without leaves and every pending node ends in an output leaf.
+    leaves keep the rho bit of their base case.  The walk descends into an
+    inner shifted child in place and pushes an inner unshifted one, or goes
+    on with it in place when the shifted branch ends; a base child's
+    ``count`` rows of one length become ``(length + cols,) * count + tail``
+    on the spot.  A plan is looked up at every visit but stored only for an
+    unshifted child, where a square frame's many paths to its few nodes
+    meet, while a thin frame's shifted chain visits each node once and
+    stores nothing.
     """
-    leaves = []
-    stack = [(d, m, eps, 0, ())]
-    while stack:
-        d, m, eps, cols, tail = stack.pop()
-        if d > 1 and m > 1:
-            (sd, sm, seps), (ud, um, ueps), step = split_node(d, m, eps)
-            if _has_leaves(sd, sm, seps):
-                stack.append((sd, sm, seps, cols + step, tail))
-            if _has_leaves(ud, um, ueps):
-                stack.append((ud, um, ueps, cols, (cols,) * step + tail))
+    if d < 2 or m < 2:
+        return [((length,) * count, rho) for count, length, rho in _base_leaves(d, m, eps)]
+    leaves, plans, stack = [], {}, []
+    plan, cols, tail = _plan((d, m, eps)), 0, ()
+    while True:
+        shifted, unshifted, step = plan
+        if unshifted is not None:
+            below = (cols,) * step + tail
+            if unshifted[0].__class__ is not int:  # a node starts with its d, a leaf tuple with a leaf
+                for count, length, rho in unshifted:
+                    leaves.append(((length + cols,) * count + below, rho))
+                unshifted = None
+        if shifted is not None:
+            if shifted[0].__class__ is int:
+                if unshifted is not None:
+                    stack.append((unshifted, cols, below))
+                cols += step
+                plan = plans.get(shifted) or _plan(shifted)
+                continue
+            for count, length, rho in shifted:
+                leaves.append(((length + cols + step,) * count + tail, rho))
+        if unshifted is not None:
+            node, tail = unshifted, below
+        elif stack:
+            node, cols, tail = stack.pop()
         else:
-            for count, length, rho in _base_leaves(d, m, eps):
-                leaves.append(((length + cols,) * count + tail, rho))
-    return leaves
+            return leaves
+        plan = plans.get(node)
+        if plan is None:
+            plan = plans[node] = _plan(node)
 
 
 def split_node(d: int, m: int, eps: int):

@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import operator
 from collections import Counter
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 
 from .twist import PicClass
@@ -356,22 +356,26 @@ def _plain_table_columns(doc) -> tuple | None:
     return columns if plain else None
 
 
-@cache
-def _validator(schema_text: str):
-    """A checked validator for one schema, keyed by its canonical JSON text."""
-    import jsonschema
+_VALIDATORS: dict[int, tuple] = {}  # id(schema) -> (schema, its checked validator); holding the schema keeps its id its own
 
-    schema = json.loads(schema_text)
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+
+def _validator(schema: dict):
+    """A checked validator for one schema object, built and checked on its first use."""
+    hit = _VALIDATORS.get(id(schema))
+    if hit is None:
+        import jsonschema
+
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        hit = _VALIDATORS[id(schema)] = (schema, cls(schema))
+    return hit[1]
 
 
 def validate_json(doc: dict, schema: dict):
     """Validate like ``jsonschema.validate``, checking each schema only once."""
     from jsonschema.exceptions import best_match
 
-    validator = _validator(json.dumps(schema, sort_keys=True))
+    validator = _validator(schema)
     exc = best_match(validator.iter_errors(doc))
     if exc is not None:
         raise SchemaMismatchError(f"JSON document does not match its schema at {exc.json_path}: {exc.message}") from exc

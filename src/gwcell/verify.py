@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from functools import cache
 from math import comb
+from operator import lt
 
 from . import twist as tw
 from . import young
@@ -110,33 +111,6 @@ def _row_edges(i: int, r: int, above: int, m: int) -> list[tuple[int, str]]:
     if 0 < r < m:
         edges.append((i - 1 - r, "vertical"))
     return edges
-
-
-def brute_force_interface(rows: tuple[int, ...], m: int) -> tuple[tuple[str, int], ...]:
-    """Independent interface oracle: a grid scan over the filled boxes of a row vector in a frame of width m.
-
-    Returns the (orientation, length) of each maximal straight segment,
-    from the top-right of the frame to the bottom-left.  Collects every
-    row's edges (``_row_edges``) and sorts them all along the staircase
-    (both unit steps increase y - x by one), which assumes nothing about
-    the order the rows give them in.  A segment grows while the next edge
-    keeps its orientation and is at the next position.  Calls no evenness rule.
-    """
-    d = len(rows)
-    if d > ORACLE_FRAME_LIMIT or m > ORACLE_FRAME_LIMIT:
-        raise ValueError(f"oracle limited to {ORACLE_FRAME_LIMIT}x{ORACLE_FRAME_LIMIT} frames")
-    edges = []  # (path position, orientation)
-    for i in range(1, d + 1):
-        edges += _row_edges(i, rows[i - 1], rows[i - 2] if i > 1 else rows[0], m)
-    orients, lengths, next_pos = [], [], None
-    for pos, orient in sorted(edges):
-        if pos == next_pos and orient == orients[-1]:
-            lengths[-1] += 1
-        else:
-            orients.append(orient)
-            lengths.append(1)
-        next_pos = pos + 1
-    return tuple(zip(orients, lengths))
 
 
 def _check(checks, check_id, ok: bool, detail: str = "", params=None):
@@ -357,24 +331,30 @@ def check_determinism(checks, d_max, m_max):
     _check(checks, "determinism", run() == run(), "", {"d": d, "m": m})
 
 
-def check_output_schema(checks):
-    """One small document of each kind the serializer builds conforms to FORMAL_SUM_SCHEMA.
+def document_sums() -> list:
+    """One small sum of each kind the serializer writes.
 
-    ``formal_sum_to_json`` does not validate what it builds, so this is
-    where its output meets the schema: a flagged Gr(2, 2) over both twists
-    (it has rho = 1 summands) and a base symbol whose name JSON escapes
-    and holds a ``%``, its Witt specialization, a projective bundle, the
-    formal-sum terms of a long exact sequence, and a merged direct sum
-    (list-valued meta).  Each sum must also print through
-    ``formal_sum_json_text`` exactly as ``json.dumps(doc, sort_keys=True,
-    indent=2)`` prints its document.
+    A flagged Gr(2, 2) over both twists (it has rho = 1 summands) and a
+    base symbol whose name JSON escapes and holds a ``%``, its Witt
+    specialization, a projective bundle, a merged direct sum (list-valued
+    meta), and the formal-sum terms of a long exact sequence.
     """
     gr = decompose_total(2, 2, 0, L + PicClass.of(BaseSymbol('"\\\u00e9\x01%')), FLAGGED)
     pb = decompose_projective_bundle(ProjBundleQuery(2, 1, 0))
     sums = [gr, witt_specialize(gr), pb, direct_sum(gr, pb, merge=True)]
-    sums += [t for t in les_theorem_d(3, 0).terms if not isinstance(t, str)]
+    return sums + [t for t in les_theorem_d(3, 0).terms if not isinstance(t, str)]
+
+
+def check_output_schema(checks, documents):
+    """Each of ``document_sums`` conforms to FORMAL_SUM_SCHEMA.
+
+    ``formal_sum_to_json`` does not validate what it builds, so this is
+    where its output meets the schema.  Each sum must also print through
+    ``formal_sum_json_text`` exactly as ``json.dumps(doc, sort_keys=True,
+    indent=2)`` prints its document.
+    """
     bad = []
-    for i, s in enumerate(sums):
+    for i, s in enumerate(documents):
         doc = formal_sum_to_json(s)
         try:
             validate_json(doc, FORMAL_SUM_SCHEMA)
@@ -383,7 +363,33 @@ def check_output_schema(checks):
         else:
             if formal_sum_json_text(s) != json.dumps(doc, sort_keys=True, indent=2):
                 bad.append((i, "formal_sum_json_text differs from json.dumps"))
-    _check(checks, "output_schema", not bad, f"failures: {bad}" if bad else f"{len(sums)} documents")
+    _check(checks, "output_schema", not bad, f"failures: {bad}" if bad else f"{len(documents)} documents")
+
+
+def _strictly_increasing(records) -> bool:
+    """Whether records strictly increase (so hold no duplicate) in ``summand_order``.
+
+    That is plain tuple order until an unset field (None) meets a set one;
+    then a None diagram compares as (-1,) and a None t or rho as -1.
+    """
+    try:
+        return all(map(lt, records, records[1:]))
+    except TypeError:
+        keys = [
+            (s, k, (-1,) if rows is None else rows, -1 if t is None else t, -1 if rho is None else rho)
+            for s, k, rows, t, rho in records
+        ]
+        return all(map(lt, keys, keys[1:]))
+
+
+def check_canonical_order(checks, d_max, m_max, sums, documents):
+    """Every flagged sum (as (d, m, class)) and every ``document_sums`` sum has its records in canonical order.
+
+    Every other sum ``run_all`` builds is of one of these kinds.
+    """
+    bad = [(d, m, l) for (d, m), pair in sorted(sums.items()) for l, s in enumerate(pair) if not _strictly_increasing(s.records)]
+    bad += [("document", i) for i, s in enumerate(documents) if not _strictly_increasing(s.records)]
+    _report(checks, "canonical_order", bad, {"d_max": d_max, "m_max": m_max}, cap=5)
 
 
 def check_interface_oracle(checks, limit=6):
@@ -516,7 +522,9 @@ def run_all(d_max: int, m_max: int) -> VerificationReport:
     check_determinism(checks, d_max, m_max)
     check_point(checks, m_max)
     check_les_splitting(checks, m_max)
-    check_output_schema(checks)
+    documents = document_sums()
+    check_output_schema(checks, documents)
+    check_canonical_order(checks, d_max, m_max, sums, documents)
     check_interface_oracle(checks, min(max(d_max, m_max), 6))
     check_twist_table(checks, min(d_max, 6), min(m_max, 6), sums)
     checks.sort(key=lambda c: c["id"])

@@ -336,6 +336,44 @@ class TestEngineInvariants:
         assert calls and all(d < 2 or m < 2 for d, m in calls)
         assert len(calls) <= len(s.records)
 
+    def test_walk_splits_each_node_once(self, monkeypatch):
+        # each walk splits a node into its plan once, and a 16 x 16 frame has at most 17 * 17
+        # nodes per class; splitting at every visit made 25,738 splits for its 2 * C(16, 8) leaves
+        clear_cache()
+        splits = []
+        split_node = engine.split_node
+
+        def counted(d, m, eps):
+            splits.append((d, m, eps))
+            return split_node(d, m, eps)
+
+        monkeypatch.setattr(engine, "split_node", counted)
+        s = decompose_total(16, 16, 0, L, FLAGGED)
+        clear_cache()
+        assert len(s.records) == 2 * comb(16, 8)
+        assert len(splits) <= 2 * 17 * 17
+        assert len(splits) == len(set(splits))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(st.integers(0, 14), st.integers(0, 14)),
+            st.tuples(st.integers(0, 3), st.integers(0, 400)).flatmap(lambda f: st.sampled_from([f, f[::-1]])),
+        ),
+        st.integers(0, 1),
+    )
+    def test_solve_matches_word_walk_on_random_frames(self, frame, eps):
+        # the planned walk gives the boundary-word walk's K and leaf multiset
+        d, m = frame
+        eps = eps if d else 0
+        clear_cache()
+        try:
+            k, leaves = engine._solve(d, m, eps)
+        finally:
+            clear_cache()
+        ref_k, ref_leaves = solve_by_words(d, m, eps)
+        assert k == ref_k and sorted(leaves) == sorted(ref_leaves)
+
     def test_total_sorts_its_records_once_with_no_key(self, monkeypatch):
         # both twist classes' records are sorted together, once, in plain tuple order
         sorts = []

@@ -351,6 +351,18 @@ class TestJson:
         with pytest.raises(Exception):
             BaseTheoryTable.from_json({"name": "x", "entries": [{"theory": "bogus"}]})
 
+    def test_second_validation_serializes_nothing(self, monkeypatch):
+        # the validator is found by the schema object, not by its JSON text
+        schema = copy.deepcopy(BASE_TABLE_SCHEMA)
+        doc = {"name": "x", "entries": []}
+        validate_json(doc, schema)
+        dumps = []
+        monkeypatch.setattr(json, "dumps", lambda *a, **k: dumps.append(a))
+        validate_json(doc, schema)
+        with pytest.raises(SchemaMismatchError):
+            validate_json({"entries": []}, schema)
+        assert dumps == []
+
     def test_plain_table_check_accepts_only_schema_valid(self):
         # a table the plain check passes, the schema passes; any other goes to
         # validate_json, so from_json fails with validate_json's error

@@ -38,22 +38,22 @@ from gwcell.verify import run_all
 
 GOLDEN_SHA256 = "8a652cd96a76d2e220fc0d13852a8869951438fa7eda9a88220407d2c0864b81"
 GOLDEN_LARGE_SHA256 = "77eeb36a0d85e7bc51077e7b54fc49a57822330d517931b8b9b91997e1590039"
-GOLDEN_YOUNG_SHA256 = "c1243f5484ee3f26f1ecc3b405a5b83642c672406cbfa2540e8e2265badb5b12"
+GOLDEN_YOUNG_SHA256 = "337fd564661d27152176ff41f4cbfa9bc41e9c9cb5e0f39eed0b094ff3d2b8f3"
 GOLDEN_WALK_SHA256 = "608e36eba0a3bb0406d39abebe4a694f03501c1bda13eb45fb108a6a0acab82f"
 GOLDEN_TEXT_SHA256 = "678ded6a67b206e7769938d2ba7f4bfe2ef86397d192a9200b00dbce4a71920c"
-GOLDEN_VERIFY_SHA256 = "9ad6b812325442477bf77c8cec4ca37b7ef8b3393dc5d80034cc3304ce81ee24"
+GOLDEN_VERIFY_SHA256 = "7ad65cee4b09e3b310aa7dcefc7bd274ac348a9d8df7685a108f9273b0feaca7"
 # sha256 of json.dumps(run_all(d_max, m_max).to_json(), sort_keys=True)
 GOLDEN_REPORT_SHA256 = {
-    (5, 5): "85996befcfa0f7f3c9a1a6a0e520e01536698a5bfd4753646832e80de287d40e",
-    (5, 6): "5487c8cacc79c54c6e477995e3626b42ea1df5482e657df2a780d8d790b4e24c",
-    (6, 5): "9175944d4904510ae54ca019edb35560200893c9748ac9aa441b7136d5d50a33",
-    (5, 7): "1c2862b5e463cd8f37ecf7c9dbf7c5cc90cbd9cd156e41aade99c48ecc3fb5a1",
-    (7, 5): "2ed9eb14c0207c2e0b338b54833d96f6916490cb1724e56578c7e0b9e49958fc",
-    (6, 6): "c90497a1b0feebea488b3ade6381b4f42195750333502418ffb7aef16945deea",
-    (6, 7): "f1260d04ad3530a1057c06916fdca9b7fc6ecc9f570282ea12ecf0d5ff8db6ea",
-    (7, 6): "ef4a8ba56e1f2d15583513d9f733739dcb4a7baf1e487b188708ceaf07c2b0d4",
-    (7, 7): "8ba51518b6a1e171b256622522dd051b56b5fcdc02005e1955a6a71b5a010c3b",
-    (8, 8): "0af97f90f319df582bde524b7cac46d7b4f01886c423ae6a228a920c564f6228",
+    (5, 5): "d51c48163d2254f15bfd483ad984d25be8042b073e6a6435c387ade3b5a62489",
+    (5, 6): "3869da146ed4698e4f67e07a977225b2c605506aa2a7dec804605623d2abbc44",
+    (6, 5): "9efebd31705582e52ab4628d443f65671f1c10abe82eaa3902bc4be018b3e34a",
+    (5, 7): "3cfb4496f6e96e29709f1f2d168b6187638cc61acaf49a1286a8847e25bc34a5",
+    (7, 5): "188d4a3f505e3aa9e8a6a191d085764467bf09c56164d768102f50aa298d59f8",
+    (6, 6): "a03365ab3c9d39be4c364c914f7be498f265639f05aa2fd0b8f54748d037d07f",
+    (6, 7): "0056c9bc5dece0864473064f0c1a90b97ebe96afc70e02900671901ee9b3aece",
+    (7, 6): "f8bbe43469ba106f9edcabc471556feeb0d7c171341f734df43f305d492266c0",
+    (7, 7): "566f6928a92eadb754b079206d7722ff211a5afb2aa2a92c98a635dd4ba5d47b",
+    (8, 8): "e68434e039fc1c209e68c1f0917612cf3d8d1d6929a70e49a45c48bb8ddaae2f",
 }
 
 # sha256 of the whole stdout of one `python -m gwcell.cli` child

@@ -176,6 +176,12 @@ MUTANTS = {
         "GWSummand(shift=shift - r - 1,",
         {"les_splitting"},
     ),
+    "of_records_unsorted": (
+        "expr.py",
+        "records=tuple(sorted(records))",
+        "records=tuple(records)",
+        {"canonical_order"},
+    ),
     "row_edges_no_vertical": (
         "verify.py",
         'edges.append((i - 1 - r, "vertical"))',

@@ -2,25 +2,29 @@ import json
 import subprocess
 import sys
 from itertools import groupby
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
+from interface_scan import brute_force_interface
 from test_cli import _child_env
 from test_young import framed_diagrams
 
 from gwcell import engine, twist, verify, young
+from gwcell.expr import FormalSum, GWSummand, direct_sum
 from gwcell.verify import (
     EVEN_FIXTURES,
     ORACLE_FRAME_LIMIT,
     VerificationReport,
-    brute_force_interface,
     check_determinism,
     check_interface_oracle,
     check_output_schema,
     check_twist_table,
+    document_sums,
     flagged_sums,
     run_all,
 )
+from gwcell.twist import PicClass
 from gwcell.young import Frame, YoungDiagram
 
 
@@ -230,6 +234,24 @@ class TestFixtures:
         assert len(EVEN_FIXTURES[(2, 2)]) == 4
         assert len(EVEN_FIXTURES[(3, 3)]) == 4
         assert len(EVEN_FIXTURES[(4, 4)]) == 12
+
+
+class TestCanonicalOrder:
+    def test_unlabelled_records_compare_as_summand_order(self):
+        # plain tuples cannot compare a None diagram, t or rho with a set one
+        labelled = GWSummand(0, PicClass(), YoungDiagram(Frame(1, 1), (0,)), 0, 0)
+        bare = GWSummand(0, PicClass())
+        s = FormalSum.with_meta(0, (labelled, bare))
+        assert [r[2] for r in s.records] == [None, (0,)]
+        assert verify._strictly_increasing(s.records)
+        assert not verify._strictly_increasing(s.records[::-1])
+
+    def test_duplicates_and_disorder_fail(self):
+        total = engine.decompose_total(2, 2, 0, PicClass())
+        backwards = SimpleNamespace(records=total.records[::-1])
+        checks = []
+        verify.check_canonical_order(checks, 2, 2, {(2, 2): (total, backwards)}, [total, direct_sum(total, total)])
+        assert checks[0]["detail"] == "failures: [(2, 2, 1), ('document', 1)]"
 
 
 class TestRunAll:
@@ -448,7 +470,7 @@ class TestRunAll:
 
         monkeypatch.setattr(verify, "formal_sum_to_json", bad_t)
         checks = []
-        check_output_schema(checks)
+        check_output_schema(checks, document_sums())
         assert checks[0]["status"] == "fail"
         assert "t: 2 is not one of [0, 1, None]" in checks[0]["detail"]
 

@@ -20,7 +20,7 @@ from gwcell.young import (
     verify_pascal,
 )
 from gwcell import young
-from gwcell.verify import brute_force_interface
+from interface_scan import brute_force_interface
 from word_walk import boundary_word, rows_of_word
 
 
