@@ -36,7 +36,7 @@ from math import comb
 
 from .expr import FormalSum, GWSummand, LongExactSequence
 from .twist import BaseSymbol, Delta, FlagQuotient, PicClass
-from .value import Value
+from .value import Value, exact_ints
 from .young import Frame
 
 TRIVIAL = "trivial"
@@ -50,12 +50,15 @@ class GrassmannQuery(Value):
     """Gr_d of a rank d+m bundle at a twist checked to live on it; ``eps`` is its Delta_d parity, ``twists`` its twist by rho.
 
     One pass over the twist's generators checks it; a flag quotient outside the flag is
-    named by its lowest index.  The base twist is the twist less Delta_d.
+    named by its lowest index.  The base twist is the twist less Delta_d.  d, m and the
+    shift are read as exact ints (``value.exact_ints``): a float is a ``ValueError``.
     """
 
     __slots__ = ("d", "m", "shift", "twist", "bundle", "eps", "twists")
 
     def __init__(self, d: int, m: int, shift: int, twist: PicClass, bundle: str = TRIVIAL):
+        if not d.__class__ is m.__class__ is shift.__class__ is int:  # plain ints skip the call
+            d, m, shift = exact_ints("d, m and shift", d, m, shift)
         if d < 0 or m < 0:
             raise ValueError(f"need d, m >= 0, got d={d}, m={m}")
         if bundle not in (TRIVIAL, FLAGGED):
@@ -87,11 +90,12 @@ class GrassmannQuery(Value):
 
 
 class ProjBundleQuery(Value):
-    """P(E) for a rank r+1 bundle E; the twist enters only through its parity."""
+    """P(E) for a rank r+1 bundle E; the twist enters only through its parity.  r, parity and shift are exact ints."""
 
     __slots__ = ("r", "parity", "shift", "split")
 
     def __init__(self, r: int, parity: int, shift: int, split: bool = True):
+        r, parity, shift = exact_ints("r, parity and shift", r, parity, shift)
         if r < 1:
             raise ValueError(f"need bundle rank >= 2, got r+1 = {r + 1}")
         if parity not in (0, 1):
@@ -245,7 +249,7 @@ def _engine_sum(d: int, m: int, shift: int, classes, twists: tuple[PicClass, Pic
 def decompose_point(shift: int, t: PicClass) -> FormalSum:
     """A degenerate Grassmannian: the base itself, one GW summand."""
     q = GrassmannQuery(0, 0, shift, t)
-    return _engine_sum(0, 0, shift, (q.eps,), q.twists, {"kind": "point", "shift": shift})
+    return _engine_sum(0, 0, q.shift, (q.eps,), q.twists, {"kind": "point", "shift": q.shift})
 
 
 def decompose_grassmannian(q: GrassmannQuery) -> FormalSum:
@@ -261,8 +265,8 @@ def decompose_total(d: int, m: int, shift: int, base: PicClass, bundle: str = TR
         raise ValueError(f"total decomposition needs d, m >= 1, got {d}, {m}")
     q = GrassmannQuery(d, m, shift, base, bundle)
     twist = "+".join(base.serialize())
-    meta = {"kind": "grassmannian-total", "d": d, "m": m, "shift": shift, "twist": twist, "bundle": bundle}
-    return _engine_sum(d, m, shift, (0, 1), q.twists, meta)
+    meta = {"kind": "grassmannian-total", "d": q.d, "m": q.m, "shift": q.shift, "twist": twist, "bundle": bundle}
+    return _engine_sum(q.d, q.m, q.shift, (0, 1), q.twists, meta)
 
 
 def flag_closed_form(d: int, m: int, l: int, shift: int, base: PicClass = PicClass()) -> FormalSum:

@@ -21,7 +21,10 @@ until a caller reads ``gw``.  Its document has one writer,
 ``formal_sum_json_text``, specialized to its shape.  Its text is exactly
 ``json.dumps(formal_sum_to_json(s), sort_keys=True, indent=2)``, without
 that encoder's pure-Python cost per value; the same ``output_schema``
-check asserts the equality.  ``les_json_text`` writes a long exact
+check asserts the equality.  It fills ASCII bytes templates with ``%d``
+slots, so ``GWSummand``, ``YoungDiagram`` and the engine's queries read
+every shift and row through ``value.exact_ints``: a float is a
+``ValueError``, never truncated.  ``les_json_text`` writes a long exact
 sequence's document from its terms' texts; only a merged sum's list meta
 takes the indenting encoder.
 """
@@ -35,7 +38,7 @@ from functools import cached_property, lru_cache
 from itertools import chain
 
 from .twist import PicClass
-from .value import Value
+from .value import Value, exact_ints
 from .young import Frame, YoungDiagram
 
 
@@ -86,7 +89,7 @@ class GWSummand(Value):
 
     ``t_index`` is the twist class the summand lives in and ``rho`` the
     determinant exponent accumulated by the recursion; both are optional
-    provenance.
+    provenance.  The shift is an exact int (``value.exact_ints``).
     """
 
     __slots__ = ("shift", "twist", "diagram", "t_index", "rho")
@@ -99,6 +102,8 @@ class GWSummand(Value):
         t_index: int | None = None,
         rho: int | None = None,
     ):
+        if shift.__class__ is not int:  # a plain int skips the call
+            (shift,) = exact_ints("shift", shift)
         self.shift = shift
         self.twist = twist
         self.diagram = diagram
@@ -411,22 +416,25 @@ def formal_sum_to_json(a: FormalSum) -> dict:
 
 
 def formal_sum_json_text(a: FormalSum) -> str:
-    """``json.dumps(formal_sum_to_json(a), sort_keys=True, indent=2)``, written from the records.
+    """``json.dumps(formal_sum_to_json(a), sort_keys=True, indent=2)``, written from the records as ASCII bytes.
 
     The standard encoder runs in pure Python whenever ``indent`` is set.
     This writer knows the document's shape instead: each ``gw`` entry is
-    filled into the ``%`` template of its record shape (twist key, row
-    count or None, t, rho); the rows and the shift fill its ``%s`` slots,
-    as ``str`` writes them.  An engine sum's rows all have the frame's
-    length and its key follows from rho, so its at most four templates are
-    bound once.  ``k`` and ``meta`` follow the last entry, as ``gw`` sorts
-    first, and the head precedes the first, so one join writes the whole
-    text.  ``verify.check_output_schema`` checks the text against
-    ``json.dumps``.
+    filled into the bytes template of its record shape (twist key, row
+    count or None, t, rho); the rows and the shift fill its ``%d`` slots.
+    ``bytes %`` finds each slot with ``memchr`` and writes an int with no
+    temporary ``str``, where ``str %`` scans the template a code point at a
+    time.  The text is ASCII, as ``json.dumps`` escapes every other
+    character, so the bytes decode once to the same ``str``.  An engine
+    sum's rows all have the frame's length and its key follows from rho,
+    so its at most four templates are bound once.  ``k`` and ``meta``
+    follow the last entry, as ``gw`` sorts first, and the head precedes
+    the first, so one join writes the whole document.
+    ``verify.check_output_schema`` checks the text against ``json.dumps``.
     """
-    rest = _tail_text(a)
+    tail = _tail_text(a)
     if not a.records:
-        return '{\n  "gw": [],' + rest
+        return '{\n  "gw": [],' + tail
     if a.frame is None:
         entries = [
             _entry_template(key, None if rows is None else len(rows), t, rho) % ((shift,) if rows is None else rows + (shift,))
@@ -436,9 +444,11 @@ def formal_sum_json_text(a: FormalSum) -> str:
         keys = [tw.sort_key for tw in a.twists]
         by_t = [[_entry_template(keys[rho], a.frame.d, t, rho) for rho in (0, 1)] for t in (0, 1)]
         entries = [by_t[t][rho] % (rows + (shift,)) for shift, _, rows, t, rho in a.records]
-    entries[0] = '{\n  "gw": [\n' + entries[0]
-    entries[-1] += "\n  ]," + rest
-    return ",\n".join(entries)
+    entries[0] = b'{\n  "gw": [\n' + entries[0]
+    entries[-1] += b"\n  ]," + tail.encode("ascii")
+    document = b",\n".join(entries)
+    del entries  # freed before the decode, so no more than two copies of the document are ever alive
+    return document.decode("ascii")
 
 
 # lays out a dict of scalars as indent=2 lays out a formal sum's meta, less its braces' line breaks, in C
@@ -450,23 +460,24 @@ def _tail_text(a: FormalSum) -> str:
     if any(isinstance(v, (tuple, list, dict)) for _, v in a.meta):
         return json.dumps({"k": a.k, "meta": dict(a.meta)}, sort_keys=True, indent=2)[1:]
     meta = "{\n    " + _FLAT.encode(dict(a.meta))[1:-1] + "\n  }" if a.meta else "{}"
-    return '\n  "k": %s,\n  "meta": %s\n}' % (_FLAT.encode(a.k), meta)
+    return f'\n  "k": {_FLAT.encode(a.k)},\n  "meta": {meta}\n}}'
 
 
 @lru_cache(maxsize=256, typed=True)
-def _entry_template(key: tuple, n: int | None, t: int | None, rho: int | None) -> str:
-    """The text of one ``gw`` entry, keys sorted, with ``%s`` slots for its n rows, then its shift.
+def _entry_template(key: tuple, n: int | None, t: int | None, rho: int | None) -> bytes:
+    """The ASCII bytes of one ``gw`` entry, keys sorted, with ``%d`` slots for its n rows, then its shift.
 
-    The twist strings are rendered by ``json.dumps``, with ``%`` escaped,
-    and ``None`` as ``null``.  The cache tells argument types apart: 1,
-    1.0 and True are one key, but ``json.dumps`` writes them apart.
+    The twist strings are rendered by ``json.dumps``, which escapes every
+    non-ASCII character, with ``%`` escaped, and ``None`` as ``null``.  The
+    cache tells argument types apart: 1, 1.0 and True are one key, but
+    ``json.dumps`` writes them apart.
     """
-    diagram = "null" if n is None else _list_text(["%s"] * n, 6)
+    diagram = "null" if n is None else _list_text(["%d"] * n, 6)
     twist = _list_text([json.dumps(s).replace("%", "%%") for s in key], 6)
     return (
-        f'    {{\n      "diagram": {diagram},\n      "rho": {json.dumps(rho)},\n      "shift": %s,'
+        f'    {{\n      "diagram": {diagram},\n      "rho": {json.dumps(rho)},\n      "shift": %d,'
         f'\n      "t": {json.dumps(t)},\n      "twist": {twist}\n    }}'
-    )
+    ).encode("ascii")
 
 
 def _list_text(items, indent: int) -> str:
@@ -477,24 +488,25 @@ def _list_text(items, indent: int) -> str:
 
 
 def formal_sum_from_json(doc: dict, frame: Frame | None = None) -> FormalSum:
-    """The sum of a ``FORMAL_SUM_SCHEMA`` document; without ``frame`` its summands read back unlabelled (``"diagram": null``)."""
+    """The sum of a ``FORMAL_SUM_SCHEMA`` document, integral floats read as ints; without ``frame`` its summands read back unlabelled."""
     validate_json(doc, FORMAL_SUM_SCHEMA)
     gw = []
     for g in doc["gw"]:
         diagram = None
         if g["diagram"] is not None and frame is not None:
-            diagram = YoungDiagram(frame, tuple(g["diagram"]))
+            diagram = YoungDiagram(frame, tuple(map(int, g["diagram"])))
+        t, rho = g["t"], g.get("rho")
         gw.append(
             GWSummand(
-                shift=g["shift"],
+                shift=int(g["shift"]),
                 twist=PicClass.parse(g["twist"]),
                 diagram=diagram,
-                t_index=g.get("t"),
-                rho=g.get("rho"),
+                t_index=None if t is None else int(t),
+                rho=None if rho is None else int(rho),
             )
         )
     meta = tuple(sorted((k, _meta_from_json(v)) for k, v in doc["meta"].items()))
-    return FormalSum(doc["k"], tuple(gw), meta)
+    return FormalSum(int(doc["k"]), tuple(gw), meta)
 
 
 def les_to_json(seq: LongExactSequence) -> dict:

@@ -1,4 +1,6 @@
-"""The equality contract shared by gwcell's value classes."""
+"""The equality contract shared by gwcell's value classes, and their int rule."""
+
+from operator import index
 
 
 class Value:
@@ -20,3 +22,11 @@ class Value:
 
     def __hash__(self):
         return hash(self._values())
+
+
+def exact_ints(what: str, *values) -> tuple[int, ...]:
+    """``values`` as exact ``int``s through ``operator.index``; a float is a ``ValueError``, as the writer's ``%d`` would truncate it."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {values!r}") from None

@@ -179,8 +179,8 @@ def flagged_sums(d_max, m_max):
     Maps (d, m) and its transpose (m, d), for every d <= d_max and
     m <= m_max, to the pair (even sum, odd sum).  ``run_all`` builds it
     once and hands it to each check that reads these frames:
-    engine_vs_enumeration, k_counts, odd_odd, transpose, witt_counts and
-    twist_table.
+    engine_vs_enumeration, k_counts, odd_odd, transpose, witt_counts,
+    totals and twist_table.
     """
     frames = {f for d, m in _frames(d_max, m_max) for f in ((d, m), (m, d))}
     return {
@@ -277,6 +277,26 @@ def check_witt_counts(checks, d_max, m_max, sums, betas):
             if w.k != 0 or len(w.records) != expected_count or sorted(r[0] for r in w.records) != expected_shifts:
                 bad.append((d, m, l))
     _report(checks, "witt_counts", bad, {"d_max": d_max, "m_max": m_max})
+
+
+def check_totals(checks, d_max, m_max, sums):
+    """``decompose_total`` is its two twist classes summed: K the sum of their K, its records their sorted merge.
+
+    The flagged total at base L is read against ``flagged_sums`` on every
+    frame up to 6 x 6 within the bounds, and the trivial bundle's total
+    against its two classes, decomposed here, at 1x1, 2x2 and 3x3.
+    """
+    d_max, m_max = min(d_max, 6), min(m_max, 6)
+    cases = [((d, m), decompose_total(d, m, 0, L, FLAGGED), sums[d, m]) for d, m in _frames(d_max, m_max)]
+    for d in (1, 2, 3):
+        classes = tuple(decompose_grassmannian(GrassmannQuery(d, d, 0, t)) for t in (L, L + PicClass.of(Delta(d))))
+        cases.append(((d, d, "trivial"), decompose_total(d, d, 0, L), classes))
+    bad = [
+        case
+        for case, total, (a, b) in cases
+        if total.k != a.k + b.k or total.records != tuple(sorted(a.records + b.records))
+    ]
+    _report(checks, "totals", bad, {"d_max": d_max, "m_max": m_max})
 
 
 def check_point(checks, m_max):
@@ -519,6 +539,7 @@ def run_all(d_max: int, m_max: int) -> VerificationReport:
     check_odd_odd(checks, d_max, m_max, sums)
     check_transpose(checks, d_max, m_max, sums)
     check_witt_counts(checks, d_max, m_max, sums, betas)
+    check_totals(checks, d_max, m_max, sums)
     check_determinism(checks, d_max, m_max)
     check_point(checks, m_max)
     check_les_splitting(checks, m_max)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from math import comb
 
-from .value import Value
+from .value import Value, exact_ints
 
 
 class Frame(Value):
@@ -39,7 +39,8 @@ class YoungDiagram(Value):
 
     Rows are weakly decreasing and bounded by the frame width; trailing
     zero rows are kept so that two diagrams in the same frame always have
-    row vectors of equal length.
+    row vectors of equal length.  Rows are exact ints: any other row is
+    read through ``value.exact_ints``, so a float row is a ``ValueError``.
     """
 
     __slots__ = ("frame", "rows")
@@ -50,6 +51,8 @@ class YoungDiagram(Value):
             raise ValueError(f"expected {frame.d} rows, got {len(rows)}")
         prev = frame.m
         for r in rows:
+            if r.__class__ is not int:
+                return self.__init__(frame, exact_ints("rows", *rows))
             if not 0 <= r <= prev:
                 raise ValueError(f"rows {rows} are not weakly decreasing within width {frame.m}")
             prev = r
@@ -71,12 +74,12 @@ class YoungDiagram(Value):
 
 
 def transpose_rows(rows: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """The conjugate of a row vector in a frame of width m: box (i, j) of the rows counts toward column j."""
-    cols = [0] * m
-    for r in rows:
-        for j in range(r):
-            cols[j] += 1
-    return tuple(cols)
+    """The conjugate of a row vector in a frame of width m: column j counts the rows longer than j, read from the bottom row up."""
+    cols, i = [], len(rows)
+    for r in reversed(rows):
+        cols += (i,) * (r - len(cols))
+        i -= 1
+    return tuple(cols) + (0,) * (m - len(cols))
 
 
 def rows_text(rows: tuple[int, ...]) -> str:

@@ -551,36 +551,97 @@ def test_json_round_trip_and_witt_shifts(case, l, mode):
         assert g.shift == (expected % 4 if mode == "witt" else expected)
 
 
-ESCAPED_NAMES = ('"x', "back\\slash", "\u00e9", "ctl\x01", "%", "50%d")
+# base-symbol names JSON escapes (non-ASCII, astral, quote, backslash, control) or that hold a % or a %d
+ESCAPED_NAMES = st.text(st.sampled_from('Ld%"\\\x01\n\u00e9\U0001d11e'), min_size=1, max_size=4)
+
+# d in {2, 3} against m <= 120, either way round: the writer's longest and shortest row vectors
+wide_thin_frames = st.tuples(st.integers(2, 3), st.integers(1, 120)).flatmap(lambda f: st.sampled_from([f, f[::-1]]))
+
+
+def read_back(s, frame):
+    """``s`` read back through ``formal_sum_from_json``, its shifts written as the integral floats the schema also accepts."""
+    doc = formal_sum_to_json(s)
+    for g in doc["gw"]:
+        g["shift"] = float(g["shift"])
+    return formal_sum_from_json(doc, frame)
 
 
 @st.composite
 def printed_sums(draw):
-    """A formal sum from any source the CLI or ``verify`` prints, over base symbols JSON may escape."""
-    d, m, shift, bundle, _ = draw(grassmann_cases(square_frames(6) | thin_frames))
-    base = PicClass.of(*map(BaseSymbol, draw(st.lists(st.sampled_from(("L", "M") + ESCAPED_NAMES), max_size=3))))
+    """A formal sum from any source the CLI or ``verify`` prints, or read back, over base symbols JSON may escape.
+
+    Engine sums (frames up to 8 x 8, and 2 or 3 x up to 120 both ways
+    round, both bundles, any shift, formal or witt), a long exact
+    sequence's terms, merged direct sums and sums read back from their
+    documents, with a frame or without.
+    """
+    d, m, shift, bundle, base = draw(grassmann_cases(square_frames(8) | wide_thin_frames))
+    named = PicClass.of(*map(BaseSymbol, draw(st.lists(ESCAPED_NAMES, max_size=3))))  # lives on the point too
+    base += named
     odd = base + PicClass.of(Delta(d))
     total = decompose_total(d, m, shift, base, bundle)
     r = draw(st.integers(1, 9))
     sources = {
         "total": lambda: total,
         "one class": lambda: decompose_grassmannian(GrassmannQuery(d, m, shift, draw(st.sampled_from([base, odd])), bundle)),
-        "witt": lambda: witt_specialize(total),
-        "merged": lambda: direct_sum(total, decompose_point(shift, base), merge=True),
-        "point": lambda: decompose_point(shift, base),
+        "merged": lambda: direct_sum(total, decompose_point(shift, named), merge=True),
+        "point": lambda: decompose_point(shift, named),
         "projective bundle": lambda: decompose_projective_bundle(ProjBundleQuery(r, draw(st.sampled_from([0, 1])), shift)),
+        "les term": lambda: draw(st.sampled_from([t for t in les_theorem_d(r | 1, shift).terms if isinstance(t, FormalSum)])),
+        "read back": lambda: read_back(total, draw(st.sampled_from([None, Frame(d, m)]))),
         "empty": FormalSum,
     }
-    kind = draw(st.sampled_from(sorted(sources) + ["les term"]))
-    if kind == "les term":
-        return draw(st.sampled_from([t for t in les_theorem_d(r | 1, shift).terms if isinstance(t, FormalSum)]))
-    return sources[kind]()
+    s = sources[draw(st.sampled_from(sorted(sources)))]()
+    return witt_specialize(s) if draw(st.booleans()) else s
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(printed_sums())
 def test_json_text_is_json_dumps(s):
-    assert formal_sum_json_text(s) == json.dumps(formal_sum_to_json(s), sort_keys=True, indent=2)
+    text = formal_sum_json_text(s)
+    assert text == json.dumps(formal_sum_to_json(s), sort_keys=True, indent=2)
+    assert text.isascii()
+
+
+def test_read_back_sum_prints_as_the_sum_it_was_read_from():
+    # integral float shifts are read as ints, so the bytes writer prints them as it printed the original
+    s = decompose_total(3, 4, -2, PicClass.of(BaseSymbol("\u00e9%")), FLAGGED)
+    assert formal_sum_json_text(read_back(s, Frame(3, 4))) == formal_sum_json_text(s)
+
+
+class IntLike:
+    """An int-like value that is not an int: it has ``__index__`` only."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize(
+    "build, read",
+    [
+        (lambda x: GrassmannQuery(x, 2, 0, L), lambda q: q.d),
+        (lambda x: GrassmannQuery(2, x, 0, L), lambda q: q.m),
+        (lambda x: GrassmannQuery(2, 2, x, L), lambda q: q.shift),
+        (lambda x: ProjBundleQuery(x, 0, 0), lambda q: q.r),
+        (lambda x: ProjBundleQuery(2, x, 0), lambda q: q.parity),
+        (lambda x: ProjBundleQuery(2, 0, x), lambda q: q.shift),
+        (lambda x: GWSummand(x, L), lambda g: g.shift),
+        (lambda x: YoungDiagram(Frame(2, 2), (x, 0)), lambda lam: lam.rows[0]),
+        (lambda x: decompose_total(2, 2, x, L), lambda s: s.records[-1][0]),
+        (lambda x: decompose_point(x, L), lambda s: s.records[0][0]),
+    ],
+)
+def test_constructors_take_exact_ints(build, read):
+    # the writer's %d slots would truncate a float, so a float never gets in
+    for bad in (1.0, 1.5):
+        with pytest.raises(ValueError, match="must be integers"):
+            build(bad)
+    for like in (IntLike(1), True):
+        got = read(build(like))
+        assert got == 1 and type(got) is int
 
 
 def test_json_text_templates_keep_equal_values_of_other_types_apart():

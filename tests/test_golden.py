@@ -38,22 +38,22 @@ from gwcell.verify import run_all
 
 GOLDEN_SHA256 = "8a652cd96a76d2e220fc0d13852a8869951438fa7eda9a88220407d2c0864b81"
 GOLDEN_LARGE_SHA256 = "77eeb36a0d85e7bc51077e7b54fc49a57822330d517931b8b9b91997e1590039"
-GOLDEN_YOUNG_SHA256 = "337fd564661d27152176ff41f4cbfa9bc41e9c9cb5e0f39eed0b094ff3d2b8f3"
+GOLDEN_YOUNG_SHA256 = "2d153948c9424b8b2876b451f8ca57d67617aa1e99a5ab52ef0e1777cf088e29"
 GOLDEN_WALK_SHA256 = "608e36eba0a3bb0406d39abebe4a694f03501c1bda13eb45fb108a6a0acab82f"
 GOLDEN_TEXT_SHA256 = "678ded6a67b206e7769938d2ba7f4bfe2ef86397d192a9200b00dbce4a71920c"
-GOLDEN_VERIFY_SHA256 = "7ad65cee4b09e3b310aa7dcefc7bd274ac348a9d8df7685a108f9273b0feaca7"
+GOLDEN_VERIFY_SHA256 = "e866745783671248cda0eddcfc9326419b828cb167f232c1da641b968a23266d"
 # sha256 of json.dumps(run_all(d_max, m_max).to_json(), sort_keys=True)
 GOLDEN_REPORT_SHA256 = {
-    (5, 5): "d51c48163d2254f15bfd483ad984d25be8042b073e6a6435c387ade3b5a62489",
-    (5, 6): "3869da146ed4698e4f67e07a977225b2c605506aa2a7dec804605623d2abbc44",
-    (6, 5): "9efebd31705582e52ab4628d443f65671f1c10abe82eaa3902bc4be018b3e34a",
-    (5, 7): "3cfb4496f6e96e29709f1f2d168b6187638cc61acaf49a1286a8847e25bc34a5",
-    (7, 5): "188d4a3f505e3aa9e8a6a191d085764467bf09c56164d768102f50aa298d59f8",
-    (6, 6): "a03365ab3c9d39be4c364c914f7be498f265639f05aa2fd0b8f54748d037d07f",
-    (6, 7): "0056c9bc5dece0864473064f0c1a90b97ebe96afc70e02900671901ee9b3aece",
-    (7, 6): "f8bbe43469ba106f9edcabc471556feeb0d7c171341f734df43f305d492266c0",
-    (7, 7): "566f6928a92eadb754b079206d7722ff211a5afb2aa2a92c98a635dd4ba5d47b",
-    (8, 8): "e68434e039fc1c209e68c1f0917612cf3d8d1d6929a70e49a45c48bb8ddaae2f",
+    (5, 5): "a7c2d8ba288f3c9cd38b2b55ba63efa50d874a8cf4a3cb90eaa00be648cca12a",
+    (5, 6): "25720c1210b643f287f11f2b8f151b450816d6ea25e172c020f7044cee7a8346",
+    (6, 5): "a4123a7f6450d59b0fe550fa9282bf814d4da526f849d2a83e7f5a9fbd9f500d",
+    (5, 7): "88b483f23e3ac530d9847c79a2d1d1952db2fde6a66f70fdbe4956d07f2fffd4",
+    (7, 5): "36c526c5960c8bd92602c010ef576c5ff656bf7d89a2601e75f188ef82c50dd3",
+    (6, 6): "bfd586c51a7ef12bb15c2997deb35621f11443bb5b48d70d5197ad818798b22e",
+    (6, 7): "6e69c023eee9913b52992b98f6a4d5abb4c2af383c9ca7bcf136bd83805fd652",
+    (7, 6): "3c9f2e8b4287607de9c3189429f41c88b90684d120c6f70b8fdacfe8d76ece3b",
+    (7, 7): "f01449e6fd4106a9d9bbf7ab29e286df3e191151c7acd73075609502e1ee37ce",
+    (8, 8): "d6de6687438ea9c8a0a71f563c954983e945a69f4df3437a9c5be4db7f99a87f",
 }
 
 # sha256 of the whole stdout of one `python -m gwcell.cli` child

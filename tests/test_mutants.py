@@ -160,8 +160,8 @@ MUTANTS = {
     ),
     "point_shift_plus_one": (
         "engine.py",
-        "return _engine_sum(0, 0, shift, (q.eps,)",
-        "return _engine_sum(0, 0, shift + 1, (q.eps,)",
+        "return _engine_sum(0, 0, q.shift, (q.eps,)",
+        "return _engine_sum(0, 0, q.shift + 1, (q.eps,)",
         {"point"},
     ),
     "les_k_rounded_up": (
@@ -175,6 +175,19 @@ MUTANTS = {
         "GWSummand(shift=shift - r,",
         "GWSummand(shift=shift - r - 1,",
         {"les_splitting"},
+    ),
+    "total_solves_one_class": (
+        "engine.py",
+        "return _engine_sum(q.d, q.m, q.shift, (0, 1), q.twists, meta)",
+        "return _engine_sum(q.d, q.m, q.shift, (0,), q.twists, meta)",
+        {"totals"},
+    ),
+    # the shipped self-check guards the bytes writer: its entries must print as json.dumps prints them
+    "writer_rho_t_labels_swapped": (
+        "expr.py",
+        '"rho": {json.dumps(rho)},\\n      "shift": %d,\'\n        f\'\\n      "t": {json.dumps(t)},',
+        '"t": {json.dumps(rho)},\\n      "shift": %d,\'\n        f\'\\n      "rho": {json.dumps(t)},',
+        {"output_schema"},
     ),
     "of_records_unsorted": (
         "expr.py",

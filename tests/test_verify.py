@@ -406,8 +406,9 @@ class TestRunAll:
         by_id = {c["id"]: c for c in run_all(6, 6).checks}
         assert by_id["twist_table"]["status"] == "pass"
         queries = [q for q, _ in calls]
-        # flagged_sums' frames at two twists, 10 more, and point's Gr_0 at m = 0..6 at two twists
-        assert len(queries) == len(set(queries)) == 36 * 2 + 10 + 7 * 2
+        # flagged_sums' frames at two twists, 10 more, point's Gr_0 at m = 0..6 at two twists,
+        # and the trivial 1x1, 2x2 and 3x3 frames' two classes that totals reads
+        assert len(queries) == len(set(queries)) == 36 * 2 + 10 + 7 * 2 + 3 * 2
         own = sorted((q.d, q.m) for q, in_check in calls if in_check)
         assert own == sorted({(0, m) for m in range(2, 7)} | {(d, 0) for d in range(2, 7)})
 
