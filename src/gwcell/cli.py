@@ -49,9 +49,12 @@ EXIT_VERIFY = 2
 EXIT_MISSING_KEYS = 3
 
 
-def _emit_sum(s: FormalSum, fmt: str):
-    """Print a formal sum: its text with --format text, else its JSON document through ``formal_sum_json_text``."""
-    print(_sum_text(s) if fmt == "text" else formal_sum_json_text(s))
+def _emit(result: FormalSum | LongExactSequence, fmt: str):
+    """Print a formal sum or a long exact sequence: its text with --format text, else its JSON document, written directly."""
+    if isinstance(result, LongExactSequence):
+        print(_les_text(result) if fmt == "text" else les_json_text(result))
+    else:
+        print(_sum_text(result) if fmt == "text" else formal_sum_json_text(result))
 
 
 def _write_joined(head: str, texts, sep: str, tail: str):
@@ -111,17 +114,13 @@ def _cmd_grassmann(args) -> int:
         else:
             print('{\n  "degree": %d,\n  "group": %s\n}' % (args.degree, _list_text(map(str, group.orders), 2)))
         return EXIT_OK
-    _emit_sum(result, args.format)
+    _emit(result, args.format)
     return EXIT_OK
 
 
 def _cmd_projbundle(args) -> int:
     q = ProjBundleQuery(args.r, args.parity, args.shift, split=not args.no_split)
-    result = decompose_projective_bundle(q)
-    if isinstance(result, LongExactSequence):
-        print(_les_text(result) if args.format == "text" else les_json_text(result))
-    else:
-        _emit_sum(result, args.format)
+    _emit(decompose_projective_bundle(q), args.format)
     return EXIT_OK
 
 
@@ -139,8 +138,7 @@ def _cmd_young(args) -> int:
 
 
 def _cmd_les(args) -> int:
-    seq = les_theorem_d(args.r, args.shift)
-    print(_les_text(seq) if args.format == "text" else les_json_text(seq))
+    _emit(les_theorem_d(args.r, args.shift), args.format)
     return EXIT_OK
 
 

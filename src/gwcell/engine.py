@@ -57,8 +57,7 @@ class GrassmannQuery(Value):
     __slots__ = ("d", "m", "shift", "twist", "bundle", "eps", "twists")
 
     def __init__(self, d: int, m: int, shift: int, twist: PicClass, bundle: str = TRIVIAL):
-        if not d.__class__ is m.__class__ is shift.__class__ is int:  # plain ints skip the call
-            d, m, shift = exact_ints("d, m and shift", d, m, shift)
+        d, m, shift = exact_ints("d, m and shift", d, m, shift)
         if d < 0 or m < 0:
             raise ValueError(f"need d, m >= 0, got d={d}, m={m}")
         if bundle not in (TRIVIAL, FLAGGED):
@@ -96,8 +95,7 @@ class ProjBundleQuery(Value):
 
     def __init__(self, r: int, parity: int, shift: int, split: bool = True):
         r, parity, shift = exact_ints("r, parity and shift", r, parity, shift)
-        if r < 1:
-            raise ValueError(f"need bundle rank >= 2, got r+1 = {r + 1}")
+        _require_bundle_rank(r)
         if parity not in (0, 1):
             raise ValueError("twist parity must be 0 or 1")
         self.r = r
@@ -107,6 +105,12 @@ class ProjBundleQuery(Value):
 
     def _values(self) -> tuple:
         return (self.r, self.parity, self.shift, self.split)
+
+
+def _require_bundle_rank(r: int):
+    """P(E) needs a bundle E of rank r + 1 >= 2."""
+    if r < 1:
+        raise ValueError(f"need bundle rank >= 2, got r+1 = {r + 1}")
 
 
 Leaf = tuple[tuple[int, ...], int]  # (rows, rho): the shift drops by the box count, rho picks the twist
@@ -294,8 +298,8 @@ def les_theorem_d(r: int, shift: int) -> LongExactSequence:
     Purely structural: three terms cycling with degree, with the paper's
     map labels attached and no map ever evaluated.
     """
-    if r < 1:
-        raise ValueError(f"need bundle rank >= 2, got r+1 = {r + 1}")
+    r, shift = exact_ints("r and shift", r, shift)
+    _require_bundle_rank(r)
     if r % 2 == 0:
         raise ValueError(f"the sequence exists for odd r only, got r={r}")
     meta = dict(kind="les-term", site="S", r=r, shift=shift)

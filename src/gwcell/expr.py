@@ -22,11 +22,11 @@ until a caller reads ``gw``.  Its document has one writer,
 ``json.dumps(formal_sum_to_json(s), sort_keys=True, indent=2)``, without
 that encoder's pure-Python cost per value; the same ``output_schema``
 check asserts the equality.  It fills ASCII bytes templates with ``%d``
-slots, so ``GWSummand``, ``YoungDiagram`` and the engine's queries read
-every shift and row through ``value.exact_ints``: a float is a
-``ValueError``, never truncated.  ``les_json_text`` writes a long exact
-sequence's document from its terms' texts; only a merged sum's list meta
-takes the indenting encoder.
+slots, so ``GWSummand``, ``YoungDiagram``, ``FormalSum`` and the engine's
+queries read every shift, row and K count through ``value.exact_ints``:
+a float is a ``ValueError``, never truncated.  ``les_json_text`` writes a
+long exact sequence's document from its terms' texts; only a merged sum's
+list meta takes the indenting encoder.
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ from __future__ import annotations
 import json
 import operator
 from collections import Counter
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain
 
 from .twist import PicClass
-from .value import Value, exact_ints
+from .value import Value, exact_ints, read_once
 from .young import Frame, YoungDiagram
 
 
@@ -102,8 +102,7 @@ class GWSummand(Value):
         t_index: int | None = None,
         rho: int | None = None,
     ):
-        if shift.__class__ is not int:  # a plain int skips the call
-            (shift,) = exact_ints("shift", shift)
+        (shift,) = exact_ints("shift", shift)
         self.shift = shift
         self.twist = twist
         self.diagram = diagram
@@ -121,7 +120,7 @@ def summand_order(g: GWSummand) -> tuple:
 
 
 class FormalSum(Value):
-    """Canonical multiset of summands: a K count plus GW-summands in ``summand_order``.
+    """Canonical multiset of summands: a K count, a nonnegative exact int, plus GW-summands in ``summand_order``.
 
     ``records`` holds one record ``(shift, twist key, rows, t, rho)`` per
     GW-summand, in canonical order: its ``GWSummand`` fields with the twist
@@ -134,6 +133,9 @@ class FormalSum(Value):
     """
 
     def __init__(self, k: int = 0, gw=(), meta=()):
+        (k,) = exact_ints("k", k)
+        if k < 0:
+            raise ValueError(f"K count must be nonnegative, got k={k}")
         gw = tuple(sorted(gw, key=summand_order))
         records = tuple((g.shift, g.twist.sort_key, None if g.diagram is None else g.diagram.rows, g.t_index, g.rho) for g in gw)
         self.__dict__.update(k=k, records=records, meta=tuple(meta), gw=gw, frame=None, twists=None)
@@ -149,7 +151,7 @@ class FormalSum(Value):
         s.__dict__.update(k=k, records=tuple(sorted(records)), meta=tuple(sorted(meta.items())), frame=frame, twists=twists)
         return s
 
-    @cached_property
+    @read_once
     def gw(self) -> tuple[GWSummand, ...]:
         frame, twists = self.frame, self.twists
         return tuple(GWSummand(s, twists[rho], YoungDiagram(frame, rows), t, rho) for s, _, rows, t, rho in self.records)

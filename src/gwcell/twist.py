@@ -8,15 +8,16 @@ the duality, so addition is symmetric difference of generator sets.
 
 The engine carries a leaf's flag twist as one bit; the line bundle table
 here is the independent oracle that ``verify.check_twist_table`` checks
-the engine's bit rules against.  The table's defining rows decide which
-family a twist is in, and so which child twists it has.
+the engine's bit rules against.  The table is plain data, each family's
+rows by site; a family's row at site (0, 0) decides whether a twist is in
+it, and its other rows give that twist's children.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .value import Value
+from .value import Value, read_once
 
 
 class BaseSymbol(Value):
@@ -75,19 +76,6 @@ def _parse_generator(token: str) -> Generator:
     return BaseSymbol(token)
 
 
-class _read_once:
-    """``functools.cached_property`` without the lock it takes before Python 3.12: the first read stores the value on the instance."""
-
-    def __init__(self, fn):
-        self.fn, self.__doc__ = fn, fn.__doc__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
-        return value
-
-
 class PicClass(Value):
     """An element of Pic modulo squares: a finite set of generators, mod 2."""
 
@@ -115,14 +103,11 @@ class PicClass(Value):
     def __bool__(self) -> bool:
         return bool(self.generators)
 
-    def coefficient(self, gen: Generator) -> int:
-        return 1 if gen in self.generators else 0
-
     def base_part(self) -> "PicClass":
         """The twist with all Delta generators removed."""
         return PicClass(frozenset(g for g in self.generators if not isinstance(g, Delta)))
 
-    @_read_once
+    @read_once
     def sort_key(self) -> tuple[str, ...]:
         """The sorted generator keys, computed on an instance's first read and kept there."""
         return tuple(sorted([g.key() for g in self.generators]))
@@ -145,54 +130,39 @@ def lambda_parity(t: PicClass, current_delta: Delta) -> int:
     Base symbols and flag quotient classes are pulled back from the base
     direction and contribute 0.
     """
-    return t.coefficient(current_delta)
+    return 1 if current_delta in t.generators else 0
 
 
 H_TILDE = "H-tilde"
 H = "H"
 
 
-class LineBundleTableEntry(Value):
-    """One row of the fixed twist table.
-
-    ``site`` is (subbundle rank e, upper flag index i) for the Grassmannian
-    Gr_e(V^i) carrying the twist; ``value`` is given per parity of d as a
-    function of the ambient rank r.
-    """
-
-    __slots__ = ("family", "name", "site", "value_d_odd", "value_d_even")
-
-    def __init__(self, family: str, name: str, site: tuple[int, int], value_d_odd: str, value_d_even: str):
-        self.family = family
-        self.name = name
-        self.site = site
-        self.value_d_odd = value_d_odd
-        self.value_d_even = value_d_even
-
-    def _values(self) -> tuple:
-        return (self.family, self.name, self.site, self.value_d_odd, self.value_d_even)
-
-
-# The defining table of the two twist families and their child twists.
-# Token meanings: "L" stands for the base part of the incoming twist,
-# "detV/V1" and "detV/V2" for the top one or two flag quotients, "Delta"
-# for the child site's Delta.  Each family's row at site (0, 0) defines
-# it, and its rows at other sites give its two child twists.
-LINE_BUNDLE_TABLE = (
-    LineBundleTableEntry(H_TILDE, "Htilde", (0, 0), "L", "L,Delta"),
-    LineBundleTableEntry(H_TILDE, "Htilde^(1)_d", (0, 1), "L,detV/V1,Delta", "L"),
-    LineBundleTableEntry(H_TILDE, "Htilde^(1)_d-1", (-1, 1), "L", "L,detV/V1,Delta"),
-    LineBundleTableEntry(H, "H", (0, 0), "L,Delta", "L"),
-    LineBundleTableEntry(H, "H^(2)_d", (0, 2), "L,detV/V2,Delta", "L"),
-    LineBundleTableEntry(H, "H^(2)_d-2", (-2, 2), "L,detV/V2,Delta", "L"),
-)
+# The defining table of the two twist families and their child twists:
+# each family's rows by site (e, i), the Grassmannian Gr_{d+e}(V^i) carrying
+# the twist, each row (name, value at d odd, value at d even) as a function
+# of the ambient rank r.  Token meanings: "L" stands for the base part of
+# the incoming twist, "detV/V1" and "detV/V2" for the top one or two flag
+# quotients, "Delta" for the child site's Delta.  Each family's row at site
+# (0, 0) defines it, and its rows at other sites give its two child twists.
+LINE_BUNDLE_TABLE = {
+    H_TILDE: {
+        (0, 0): ("Htilde", "L", "L,Delta"),
+        (0, 1): ("Htilde^(1)_d", "L,detV/V1,Delta", "L"),
+        (-1, 1): ("Htilde^(1)_d-1", "L", "L,detV/V1,Delta"),
+    },
+    H: {
+        (0, 0): ("H", "L,Delta", "L"),
+        (0, 2): ("H^(2)_d", "L,detV/V2,Delta", "L"),
+        (-2, 2): ("H^(2)_d-2", "L,detV/V2,Delta", "L"),
+    },
+}
 
 
-def instantiate_row(entry: LineBundleTableEntry, d: int, r: int, base: PicClass) -> PicClass:
-    """Evaluate a table row on Gr_d(V) with V of rank r; its top quotient class is q_r."""
-    tokens = (entry.value_d_odd if d % 2 == 1 else entry.value_d_even).split(",")
+def instantiate_row(row: tuple[str, str, str], e: int, d: int, r: int, base: PicClass) -> PicClass:
+    """Evaluate a table row of site offset e on Gr_d(V) with V of rank r; its top quotient class is q_r."""
+    _, value_d_odd, value_d_even = row
     out = set()  # summed mod 2, then frozen once
-    for tok in tokens:
+    for tok in (value_d_odd if d % 2 == 1 else value_d_even).split(","):
         if tok == "L":
             out ^= base.generators
         elif tok == "detV/V1":
@@ -200,7 +170,7 @@ def instantiate_row(entry: LineBundleTableEntry, d: int, r: int, base: PicClass)
         elif tok == "detV/V2":
             out ^= {FlagQuotient(r), FlagQuotient(r - 1)}
         elif tok == "Delta":
-            out ^= {Delta(d + entry.site[0])}
+            out ^= {Delta(d + e)}
         else:
             raise ValueError(f"unknown table token {tok!r}")
     return PicClass(out)
@@ -216,16 +186,8 @@ def child_twists(d: int, t: PicClass, ambient_rank: int) -> dict:
     """
     delta, base = Delta(d), t.base_part()
     eps = lambda_parity(t, delta)
-    families = [
-        e.family
-        for e in LINE_BUNDLE_TABLE
-        if e.site == (0, 0) and lambda_parity(instantiate_row(e, d, ambient_rank, base), delta) == eps
-    ]
     return {
-        family: {
-            (d + e.site[0], e.site[1]): instantiate_row(e, d, ambient_rank, base)
-            for e in LINE_BUNDLE_TABLE
-            if e.family == family and e.site != (0, 0)
-        }
-        for family in families
+        family: {(d + e, i): instantiate_row(row, e, d, ambient_rank, base) for (e, i), row in rows.items() if (e, i) != (0, 0)}
+        for family, rows in LINE_BUNDLE_TABLE.items()
+        if lambda_parity(instantiate_row(rows[0, 0], 0, d, ambient_rank, base), delta) == eps
     }

@@ -1,4 +1,4 @@
-"""The equality contract shared by gwcell's value classes, and their int rule."""
+"""The equality contract shared by gwcell's value classes, their int rule and their lazy attribute."""
 
 from operator import index
 
@@ -30,3 +30,16 @@ def exact_ints(what: str, *values) -> tuple[int, ...]:
         return tuple(map(index, values))
     except TypeError:
         raise ValueError(f"{what} must be integers, got {values!r}") from None
+
+
+class read_once:
+    """A lazy attribute: the first read stores the value on the instance, like the standard library's cached property without the lock it takes before Python 3.12."""
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
+        return value

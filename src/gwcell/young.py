@@ -39,20 +39,18 @@ class YoungDiagram(Value):
 
     Rows are weakly decreasing and bounded by the frame width; trailing
     zero rows are kept so that two diagrams in the same frame always have
-    row vectors of equal length.  Rows are exact ints: any other row is
-    read through ``value.exact_ints``, so a float row is a ``ValueError``.
+    row vectors of equal length.  Rows are read through
+    ``value.exact_ints``, so a float row is a ``ValueError``.
     """
 
     __slots__ = ("frame", "rows")
 
     def __init__(self, frame: Frame, rows: tuple[int, ...]):
-        rows = tuple(rows)
+        rows = exact_ints("rows", *rows)
         if len(rows) != frame.d:
             raise ValueError(f"expected {frame.d} rows, got {len(rows)}")
         prev = frame.m
         for r in rows:
-            if r.__class__ is not int:
-                return self.__init__(frame, exact_ints("rows", *rows))
             if not 0 <= r <= prev:
                 raise ValueError(f"rows {rows} are not weakly decreasing within width {frame.m}")
             prev = r

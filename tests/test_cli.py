@@ -444,6 +444,26 @@ class TestProcessExit:
         assert proc.stdout.startswith(stdout_of("grassmann", "-d", "2", "-m", "2"))
         assert " function calls " in proc.stdout
 
+    @pytest.mark.parametrize("tool", [
+        pytest.param("monitoring", marks=pytest.mark.skipif(sys.version_info < (3, 12), reason="sys.monitoring is Python 3.12+")),
+        "none",
+    ])
+    def test_a_monitoring_tool_keeps_pythons_exit(self, tool):
+        # cProfile and coverage may register a sys.monitoring tool instead of a profile or trace function
+        child = (
+            "import atexit, sys\n"
+            "if sys.argv[1] == 'monitoring':\n"
+            "    sys.monitoring.use_tool_id(sys.monitoring.PROFILER_ID, 'test')\n"
+            "atexit.register(print, 'atexit ran')\n"
+            "sys.argv[1:] = ['grassmann', '-d', '2', '-m', '2']\n"
+            "from gwcell import cli\n"
+            "cli.run()\n"
+        )
+        proc = _process("-c", child, tool, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        atexit_line = "atexit ran\n" if tool == "monitoring" else ""
+        assert proc.stdout == stdout_of("grassmann", "-d", "2", "-m", "2") + atexit_line
+
     def test_console_script_is_the_main_block_entry(self):
         # read as text, since tomllib is Python 3.11+
         with open(os.path.join(ROOT, "pyproject.toml")) as f:

@@ -124,6 +124,15 @@ class TestLesTheoremD:
         with pytest.raises(ValueError):
             les_theorem_d(2, 0)
 
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_rank_rule_is_projective_bundles(self, r):
+        # one rule for P(E): the sequence and the query word it alike
+        with pytest.raises(ValueError) as seq_error:
+            les_theorem_d(r, 0)
+        with pytest.raises(ValueError) as query_error:
+            ProjBundleQuery(r, 0, 0)
+        assert str(seq_error.value) == str(query_error.value) == f"need bundle rank >= 2, got r+1 = {r + 1}"
+
 
 class TestGrassmannian:
     def test_gr22_even_twist(self):
@@ -632,6 +641,9 @@ class IntLike:
         (lambda x: YoungDiagram(Frame(2, 2), (x, 0)), lambda lam: lam.rows[0]),
         (lambda x: decompose_total(2, 2, x, L), lambda s: s.records[-1][0]),
         (lambda x: decompose_point(x, L), lambda s: s.records[0][0]),
+        (lambda x: FormalSum(x), lambda s: s.k),
+        (lambda x: les_theorem_d(x, 0), lambda seq: seq.terms[0].meta_dict()["r"]),
+        (lambda x: les_theorem_d(1, x), lambda seq: seq.terms[0].meta_dict()["shift"]),
     ],
 )
 def test_constructors_take_exact_ints(build, read):
@@ -642,6 +654,13 @@ def test_constructors_take_exact_ints(build, read):
     for like in (IntLike(1), True):
         got = read(build(like))
         assert got == 1 and type(got) is int
+
+
+def test_les_theorem_d_names_the_arguments_it_was_given():
+    # not a shift it derived from them
+    with pytest.raises(ValueError) as info:
+        les_theorem_d(3.0, 0)
+    assert str(info.value) == "r and shift must be integers, got (3.0, 0)"
 
 
 def test_json_text_templates_keep_equal_values_of_other_types_apart():

@@ -195,6 +195,13 @@ MUTANTS = {
         "records=tuple(records)",
         {"canonical_order"},
     ),
+    # the line bundle table is data read only by twist_table: dropping a flag quotient from a child row must fail it
+    "table_htilde1_no_flag_quotient": (
+        "twist.py",
+        '("Htilde^(1)_d", "L,detV/V1,Delta", "L")',
+        '("Htilde^(1)_d", "L,Delta", "L")',
+        {"twist_table"},
+    ),
     "row_edges_no_vertical": (
         "verify.py",
         'edges.append((i - 1 - r, "vertical"))',

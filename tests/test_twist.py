@@ -109,19 +109,15 @@ class TestChildTwists:
 
 class TestTable:
     def test_table_rows_present(self):
-        names = {e.name for e in LINE_BUNDLE_TABLE}
+        names = {family: {site: row[0] for site, row in rows.items()} for family, rows in LINE_BUNDLE_TABLE.items()}
         assert names == {
-            "Htilde",
-            "Htilde^(1)_d",
-            "Htilde^(1)_d-1",
-            "H",
-            "H^(2)_d",
-            "H^(2)_d-2",
+            H_TILDE: {(0, 0): "Htilde", (0, 1): "Htilde^(1)_d", (-1, 1): "Htilde^(1)_d-1"},
+            H: {(0, 0): "H", (0, 2): "H^(2)_d", (-2, 2): "H^(2)_d-2"},
         }
 
     def test_defining_rows(self):
-        by_name = {e.name: e for e in LINE_BUNDLE_TABLE}
-        assert instantiate_row(by_name["Htilde"], 3, 6, L) == L
-        assert instantiate_row(by_name["Htilde"], 4, 6, L) == L + PicClass.of(Delta(4))
-        assert instantiate_row(by_name["H"], 3, 6, L) == L + PicClass.of(Delta(3))
-        assert instantiate_row(by_name["H"], 4, 6, L) == L
+        htilde, h = LINE_BUNDLE_TABLE[H_TILDE][0, 0], LINE_BUNDLE_TABLE[H][0, 0]
+        assert instantiate_row(htilde, 0, 3, 6, L) == L
+        assert instantiate_row(htilde, 0, 4, 6, L) == L + PicClass.of(Delta(4))
+        assert instantiate_row(h, 0, 3, 6, L) == L + PicClass.of(Delta(3))
+        assert instantiate_row(h, 0, 4, 6, L) == L

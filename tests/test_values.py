@@ -6,9 +6,8 @@ import pytest
 
 from gwcell.engine import FLAGGED, GrassmannQuery, ProjBundleQuery
 from gwcell.expr import AbelianGroup, BaseTheoryTable, FormalSum, GWSummand, LongExactSequence
-from gwcell.twist import BaseSymbol, Delta, FlagQuotient, LineBundleTableEntry, PicClass
+from gwcell.twist import BaseSymbol, Delta, FlagQuotient, PicClass
 from gwcell.value import Value
-from gwcell.verify import VerificationReport
 from gwcell.young import Frame, YoungDiagram
 
 L = PicClass.of(BaseSymbol("L"))
@@ -26,10 +25,6 @@ VALUES = {
     "FlagQuotient": (lambda: FlagQuotient(3), lambda: FlagQuotient(4)),
     "Delta": (lambda: Delta(3), lambda: Delta(4)),
     "PicClass": (lambda: PicClass.of(BaseSymbol("L"), Delta(2)), lambda: PicClass([BaseSymbol("L")])),
-    "LineBundleTableEntry": (
-        lambda: LineBundleTableEntry("H", "H", (0, 0), "L,Delta", "L"),
-        lambda: LineBundleTableEntry("H", "H", (0, 0), "L", "L"),
-    ),
     "AbelianGroup": (lambda: AbelianGroup((2, 1, 0)), lambda: AbelianGroup((2,))),
     "GWSummand": (lambda: _summand(-2), lambda: _summand(2)),
     "FormalSum": (lambda: FormalSum(1, (_summand(-2),), (("kind", "x"),)), lambda: FormalSum(1, (_summand(-2),))),
@@ -40,7 +35,6 @@ VALUES = {
     "LongExactSequence": (lambda: LongExactSequence(("A", "B"), ("f", "g")), lambda: LongExactSequence(("A", "B"), ("f", "h"))),
     "GrassmannQuery": (lambda: GrassmannQuery(2, 3, 0, L, FLAGGED), lambda: GrassmannQuery(2, 3, 0, L)),
     "ProjBundleQuery": (lambda: ProjBundleQuery(3, 0, 1, split=False), lambda: ProjBundleQuery(3, 0, 1)),
-    "VerificationReport": (lambda: VerificationReport(()), lambda: VerificationReport(({"id": "x", "status": "pass"},))),
 }
 
 
@@ -53,6 +47,10 @@ def test_equal_fields_give_equal_values(name):
     assert hash(a) == hash(a._values())
     assert type(a).__eq__ is Value.__eq__ and type(a).__hash__ is Value.__hash__
     assert a != make_other() and not a == make_other()
+
+
+def test_every_value_class_has_a_case():
+    assert {cls.__name__ for cls in Value.__subclasses__()} == set(VALUES)
 
 
 def test_values_of_different_classes_never_compare_equal():
@@ -81,6 +79,7 @@ def test_generators_of_each_kind_are_distinct():
         lambda: GrassmannQuery(0, 0, 0, PicClass.of(Delta(0))),
         lambda: ProjBundleQuery(0, 0, 0),
         lambda: ProjBundleQuery(2, 2, 0),
+        lambda: FormalSum(-1),
     ],
 )
 def test_bad_fields_raise_value_error(build):

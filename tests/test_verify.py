@@ -1,7 +1,8 @@
 import json
 import subprocess
 import sys
-from itertools import groupby
+from collections import Counter
+from itertools import groupby, product
 from types import SimpleNamespace
 
 import pytest
@@ -26,6 +27,14 @@ from gwcell.verify import (
 )
 from gwcell.twist import PicClass
 from gwcell.young import Frame, YoungDiagram
+
+
+def _table_with(rows):
+    """``twist.LINE_BUNDLE_TABLE`` with the row at each (family, site) of ``rows`` replaced."""
+    table = {family: dict(by_site) for family, by_site in twist.LINE_BUNDLE_TABLE.items()}
+    for (family, site), row in rows.items():
+        table[family][site] = row
+    return table
 
 
 def diagram(d, m, *rows):
@@ -297,10 +306,7 @@ class TestRunAll:
 
     def test_corrupted_twist_table_fails(self, monkeypatch):
         # drop detV/V1 from Htilde^(1)_d: the engine's bit rules no longer follow from the table
-        table = tuple(
-            twist.LineBundleTableEntry(e.family, e.name, e.site, "L,Delta", e.value_d_even) if e.name == "Htilde^(1)_d" else e
-            for e in twist.LINE_BUNDLE_TABLE
-        )
+        table = _table_with({(twist.H_TILDE, (0, 1)): ("Htilde^(1)_d", "L,Delta", "L")})
         monkeypatch.setattr(twist, "LINE_BUNDLE_TABLE", table)
         checks = []
         check_twist_table(checks, 6, 6, flagged_sums(6, 6))
@@ -333,20 +339,41 @@ class TestRunAll:
         assert by_id["cardinality"]["detail"] == "failures: [(9, 1), (9, 2)]"
 
     def test_each_frame_enumerated_once(self, monkeypatch):
-        # fixtures, cardinality and engine_vs_enumeration read one table
+        # fixtures, cardinality and engine_vs_enumeration read one table; the
+        # interface oracle compares its own scan with every frame up to its limit
         frames = []
-        original = young.enumerate_even
+        original = young._even_row_vectors
 
-        def counted(frame):
-            frames.append((frame.d, frame.m))
-            return original(frame)
+        def counted(d, m):
+            frames.append((d, m))
+            return original(d, m)
 
-        monkeypatch.setattr(young, "enumerate_even", counted)
+        def oracle(limit):
+            return Counter((d, m) for d in range(limit + 1) for m in range(limit + 1))
+
+        monkeypatch.setattr(young, "_even_row_vectors", counted)
         run_all(5, 5)
-        assert sorted(frames) == [(d, m) for d in range(1, 6) for m in range(1, 6)]
+        assert Counter(frames) == Counter(product(range(1, 6), repeat=2)) + oracle(5)
         frames.clear()
         run_all(3, 2)
-        assert sorted(frames) == sorted({(d, m) for d in range(1, 4) for m in range(1, 3)} | set(EVEN_FIXTURES))
+        assert Counter(frames) == Counter({(d, m) for d in range(1, 4) for m in range(1, 3)} | set(EVEN_FIXTURES)) + oracle(3)
+
+    def test_only_the_merged_document_builds_diagrams(self, monkeypatch):
+        # every check reads row vectors and records; the merged direct sum of
+        # document_sums builds its gw, a diagram per summand of its two parts
+        built = []
+        original = young.YoungDiagram.__init__
+
+        def counted(self, frame, rows):
+            built.append(rows)
+            return original(self, frame, rows)
+
+        monkeypatch.setattr(young.YoungDiagram, "__init__", counted)
+        merged = document_sums()[3]
+        assert merged.meta_dict().keys() == {"merged"} and len(built) == len(merged.records) > 0
+        built.clear()
+        run_all(6, 6)
+        assert len(built) == len(merged.records)
 
     @pytest.mark.parametrize("mutant", ["defining_row", "child_eps", "family_rows", "family_split"])
     def test_twist_table_catches_mutant(self, monkeypatch, mutant):
@@ -354,10 +381,7 @@ class TestRunAll:
         original = verify.split_node
         if mutant == "defining_row":
             # Htilde then shares H's parity at even d: no family, or both
-            table = tuple(
-                twist.LineBundleTableEntry(e.family, e.name, e.site, e.value_d_odd, "L") if e.name == "Htilde" else e
-                for e in twist.LINE_BUNDLE_TABLE
-            )
+            table = _table_with({(twist.H_TILDE, (0, 0)): ("Htilde", "L", "L")})
             monkeypatch.setattr(twist, "LINE_BUNDLE_TABLE", table)
             reason = "family"
         elif mutant == "child_eps":
@@ -368,12 +392,9 @@ class TestRunAll:
             monkeypatch.setattr(verify, "split_node", wrong_eps)
             reason = "parity"
         elif mutant == "family_rows":
-            flip = {twist.H: twist.H_TILDE, twist.H_TILDE: twist.H}
-            table = tuple(
-                twist.LineBundleTableEntry(flip[e.family], e.name, e.site, e.value_d_odd, e.value_d_even)
-                if e.site == (0, 0) else e
-                for e in twist.LINE_BUNDLE_TABLE
-            )
+            # each family defined by the other's row
+            defining = {family: rows[0, 0] for family, rows in twist.LINE_BUNDLE_TABLE.items()}
+            table = _table_with({(twist.H, (0, 0)): defining[twist.H_TILDE], (twist.H_TILDE, (0, 0)): defining[twist.H]})
             monkeypatch.setattr(twist, "LINE_BUNDLE_TABLE", table)
             reason = "sites"
         else:
