@@ -25,8 +25,8 @@ a pending node records the full columns its shifted ancestors prepend and
 the empty-row tail its unshifted ones append, so a leaf costs its own d
 rows.  A frame has few distinct nodes (d, m, eps), visited by many paths,
 so each walk splits a node once into a plan, its two children read off
-``split_node``, ``_has_leaves`` and ``_base_leaves``, and revisits read
-the plan.  Each leaf becomes one formal-sum record; no ``GWSummand`` is
+one ``split_node`` call and classified inline, and revisits read the
+plan.  Each leaf becomes one formal-sum record; no ``GWSummand`` is
 built.
 """
 
@@ -158,20 +158,20 @@ def _base_leaves(d: int, m: int, eps: int):
     return (((d, 0, 0),) if eps == 0 else ()) + (((d, 1, 1 - eps),) if eps != d % 2 else ())
 
 
-def _has_leaves(d: int, m: int, eps: int) -> bool:
-    """False exactly when eps = 1 and d, m are both odd: that twist class of the frame is all K."""
-    return not (eps and d % 2 and m % 2)
-
-
 def _plan(node: tuple[int, int, int]):
-    """An inner node's (shifted, unshifted, step) from ``split_node``, each child None without leaves, itself if inner, else its base leaves."""
+    """An inner node's (shifted, unshifted, step) from one ``split_node`` call, each child classified inline.
+
+    A child with eps, d and m all odd has no leaves (that twist class of its
+    frame is all K) and is None; a base child (d < 2 or m < 2) is its
+    ``_base_leaves``; any other child is the node itself.
+    """
     d, m, eps = node
     shifted, unshifted, step = split_node(d, m, eps)
     sd, sm, seps = shifted
     ud, um, ueps = unshifted
     return (
-        None if not _has_leaves(sd, sm, seps) else shifted if sd > 1 and sm > 1 else _base_leaves(sd, sm, seps),
-        None if not _has_leaves(ud, um, ueps) else unshifted if ud > 1 and um > 1 else _base_leaves(ud, um, ueps),
+        None if seps and sd % 2 and sm % 2 else shifted if sd > 1 and sm > 1 else _base_leaves(sd, sm, seps),
+        None if ueps and ud % 2 and um % 2 else unshifted if ud > 1 and um > 1 else _base_leaves(ud, um, ueps),
         step,
     )
 
@@ -187,14 +187,21 @@ def _walk(d: int, m: int, eps: int) -> list[Leaf]:
     inner shifted child in place and pushes an inner unshifted one, or goes
     on with it in place when the shifted branch ends; a base child's
     ``count`` rows of one length become ``(length + cols,) * count + tail``
-    on the spot.  A plan is looked up at every visit but stored only for an
-    unshifted child, where a square frame's many paths to its few nodes
-    meet, while a thin frame's shifted chain visits each node once and
-    stores nothing.
+    on the spot.
+
+    Each node is split into its plan once per walk.  A node on the query's
+    own row (its d is the query's d) lies on the root's chain of shifted
+    children, the only path to it, since an unshifted step lowers d and no
+    step raises it: it is planned at its one visit without a lookup.  Any
+    other node is looked up at every visit, and its plan is stored only
+    when it is reached as an unshifted child, where a square frame's many
+    paths to its few nodes meet.  So a thin frame (d <= 3, m long), whose
+    nodes lie mostly on its chain, stores next to nothing.
     """
     if d < 2 or m < 2:
         return [((length,) * count, rho) for count, length, rho in _base_leaves(d, m, eps)]
     leaves, plans, stack = [], {}, []
+    append = leaves.append
     plan, cols, tail = _plan((d, m, eps)), 0, ()
     while True:
         shifted, unshifted, step = plan
@@ -202,17 +209,17 @@ def _walk(d: int, m: int, eps: int) -> list[Leaf]:
             below = (cols,) * step + tail
             if unshifted[0].__class__ is not int:  # a node starts with its d, a leaf tuple with a leaf
                 for count, length, rho in unshifted:
-                    leaves.append(((length + cols,) * count + below, rho))
+                    append(((length + cols,) * count + below, rho))
                 unshifted = None
         if shifted is not None:
             if shifted[0].__class__ is int:
                 if unshifted is not None:
                     stack.append((unshifted, cols, below))
                 cols += step
-                plan = plans.get(shifted) or _plan(shifted)
+                plan = _plan(shifted) if shifted[0] == d else plans.get(shifted) or _plan(shifted)
                 continue
             for count, length, rho in shifted:
-                leaves.append(((length + cols + step,) * count + tail, rho))
+                append(((length + cols + step,) * count + tail, rho))
         if unshifted is not None:
             node, tail = unshifted, below
         elif stack:

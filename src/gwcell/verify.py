@@ -32,6 +32,8 @@ from .engine import (
 )
 from .expr import (
     FORMAL_SUM_SCHEMA,
+    FormalSum,
+    LongExactSequence,
     SchemaMismatchError,
     direct_sum,
     formal_sum_json_text,
@@ -337,6 +339,25 @@ def check_les_splitting(checks, m_max):
     _report(checks, "les_splitting", bad, {"r_max": m_max})
 
 
+def check_projbundle_modes(checks, m_max):
+    """P(E) without ``split`` is the long exact sequence exactly at odd r and even parity, and a formal sum elsewhere.
+
+    For r up to the bound at both parities: with ``split`` off,
+    ``decompose_projective_bundle`` returns a ``LongExactSequence`` exactly
+    where the paper's sequence does not split, and a ``FormalSum`` at every
+    other (r, parity); with ``split`` on it always returns a sum.
+    """
+    bad = []
+    for r in range(1, m_max + 1):
+        for parity in (0, 1):
+            for split in (False, True):
+                got = decompose_projective_bundle(ProjBundleQuery(r, parity, 0, split))
+                want = FormalSum if split or parity or r % 2 == 0 else LongExactSequence
+                if got.__class__ is not want:
+                    bad.append((r, parity, split))
+    _report(checks, "projbundle_modes", bad, {"r_max": m_max})
+
+
 def check_determinism(checks, d_max, m_max):
     """A fresh walk and the cached repeat of one total give the same document."""
     d, m = min(d_max, 3), min(m_max, 3)
@@ -540,6 +561,7 @@ def run_all(d_max: int, m_max: int) -> VerificationReport:
     check_determinism(checks, d_max, m_max)
     check_point(checks, m_max)
     check_les_splitting(checks, m_max)
+    check_projbundle_modes(checks, m_max)
     documents = document_sums()
     check_output_schema(checks, documents)
     check_canonical_order(checks, d_max, m_max, sums, documents)

@@ -20,11 +20,12 @@ from .value import Value, exact_ints
 
 
 class Frame(Value):
-    """A d x m rectangle: d rows, m columns."""
+    """A d x m rectangle: d rows, m columns, read as exact ints (``value.exact_ints``): a float is a ``ValueError``."""
 
     __slots__ = ("d", "m")
 
     def __init__(self, d: int, m: int):
+        d, m = exact_ints("d and m", d, m)
         if d < 0 or m < 0:
             raise ValueError(f"frame dimensions must be nonnegative, got {d}x{m}")
         self.d = d

@@ -254,8 +254,8 @@ class TestEngineInvariants:
 
     def test_walked_counts_follow_the_rank_rule(self):
         # K comes from the walked leaf count by the rank rule, so it must be
-        # the closed form; the walk prunes a node by one rule, which the
-        # unpruned reference must bear out: no leaves exactly at the odd
+        # the closed form; the walk prunes a child by one rule in _plan, which
+        # the unpruned reference must bear out: no leaves exactly at the odd
         # twist of an odd x odd frame
         clear_cache()
         try:
@@ -267,7 +267,11 @@ class TestEngineInvariants:
                     assert k == (young.beta_parity(eps, d, m) if d and m else 0), (d, m, eps)
                     assert 2 * k + len(leaves) == comb(d + m, d)
                     empty = eps == 1 and d % 2 == 1 and m % 2 == 1
-                    assert (not solve_by_words(d, m, eps)[1]) == empty == (not engine._has_leaves(d, m, eps)), (d, m, eps)
+                    assert (not solve_by_words(d, m, eps)[1]) == empty, (d, m, eps)
+                    if d > 1 and m > 1:
+                        *children, _ = engine._plan((d, m, eps))
+                        for child, node in zip(children, engine.split_node(d, m, eps)):
+                            assert (child is None) == (not solve_by_words(*node)[1]), (d, m, eps, node)
         finally:
             clear_cache()
 
@@ -346,9 +350,9 @@ class TestEngineInvariants:
         assert len(calls) <= len(s.records)
 
     def test_walk_splits_each_node_once(self, monkeypatch):
-        # each walk splits a node into its plan once, and a 16 x 16 frame has at most 17 * 17
-        # nodes per class; splitting at every visit made 25,738 splits for its 2 * C(16, 8) leaves
-        clear_cache()
+        # each walk splits a node into its plan once: a node on the query's row, planned without a
+        # lookup, and every node below it alike; a 16 x 16 frame has at most 17 * 17 nodes per
+        # class, and splitting at every visit made 25,738 splits for its 2 * C(16, 8) leaves
         splits = []
         split_node = engine.split_node
 
@@ -357,11 +361,14 @@ class TestEngineInvariants:
             return split_node(d, m, eps)
 
         monkeypatch.setattr(engine, "split_node", counted)
-        s = decompose_total(16, 16, 0, L, FLAGGED)
+        for d, m in [(16, 16), (2, 300), (3, 200), (200, 3)]:
+            clear_cache()
+            splits.clear()
+            s = decompose_total(d, m, 0, L, FLAGGED)
+            assert len(s.records) == young.even_cardinality(d, m), (d, m)
+            assert len(splits) <= 2 * (d + 1) * (m + 1), (d, m)
+            assert len(splits) == len(set(splits)), (d, m)
         clear_cache()
-        assert len(s.records) == 2 * comb(16, 8)
-        assert len(splits) <= 2 * 17 * 17
-        assert len(splits) == len(set(splits))
 
     @settings(max_examples=100, deadline=None)
     @given(

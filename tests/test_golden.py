@@ -38,22 +38,22 @@ from gwcell.verify import run_all
 
 GOLDEN_SHA256 = "8a652cd96a76d2e220fc0d13852a8869951438fa7eda9a88220407d2c0864b81"
 GOLDEN_LARGE_SHA256 = "77eeb36a0d85e7bc51077e7b54fc49a57822330d517931b8b9b91997e1590039"
-GOLDEN_YOUNG_SHA256 = "2d153948c9424b8b2876b451f8ca57d67617aa1e99a5ab52ef0e1777cf088e29"
+GOLDEN_YOUNG_SHA256 = "8ea448d0f9c285665a0778fe33deaf3209d55441c810a43c8858d5c6aa0c6b37"
 GOLDEN_WALK_SHA256 = "608e36eba0a3bb0406d39abebe4a694f03501c1bda13eb45fb108a6a0acab82f"
 GOLDEN_TEXT_SHA256 = "678ded6a67b206e7769938d2ba7f4bfe2ef86397d192a9200b00dbce4a71920c"
-GOLDEN_VERIFY_SHA256 = "e866745783671248cda0eddcfc9326419b828cb167f232c1da641b968a23266d"
+GOLDEN_VERIFY_SHA256 = "2963a0a5a728930083da71f5ff123a6eafba1270520e48912349dbfce8dc05af"
 # sha256 of json.dumps(run_all(d_max, m_max).to_json(), sort_keys=True)
 GOLDEN_REPORT_SHA256 = {
-    (5, 5): "a7c2d8ba288f3c9cd38b2b55ba63efa50d874a8cf4a3cb90eaa00be648cca12a",
-    (5, 6): "25720c1210b643f287f11f2b8f151b450816d6ea25e172c020f7044cee7a8346",
-    (6, 5): "a4123a7f6450d59b0fe550fa9282bf814d4da526f849d2a83e7f5a9fbd9f500d",
-    (5, 7): "88b483f23e3ac530d9847c79a2d1d1952db2fde6a66f70fdbe4956d07f2fffd4",
-    (7, 5): "36c526c5960c8bd92602c010ef576c5ff656bf7d89a2601e75f188ef82c50dd3",
-    (6, 6): "bfd586c51a7ef12bb15c2997deb35621f11443bb5b48d70d5197ad818798b22e",
-    (6, 7): "6e69c023eee9913b52992b98f6a4d5abb4c2af383c9ca7bcf136bd83805fd652",
-    (7, 6): "3c9f2e8b4287607de9c3189429f41c88b90684d120c6f70b8fdacfe8d76ece3b",
-    (7, 7): "f01449e6fd4106a9d9bbf7ab29e286df3e191151c7acd73075609502e1ee37ce",
-    (8, 8): "d6de6687438ea9c8a0a71f563c954983e945a69f4df3437a9c5be4db7f99a87f",
+    (5, 5): "046294bc007838ae0fe480216179bcb7c30c24560c3ca2012873596c4ff8579a",
+    (5, 6): "faa4ed529bca64e5797fe1f58a6ed5939240cef52cb3ab1e5fc421b6474b1bed",
+    (6, 5): "01e601b22a1344aed55bb7ff7caeb4e91d64bc6b2265f660ab9ce514ae1ea100",
+    (5, 7): "5caa7d4eda8b65e6321f111a017aa8a7e42de834d402c0cf577de7abc4021c6b",
+    (7, 5): "a10e3d3635c77beb29132fbf0090e99ecb637251085b0deff0acdd2898527ae5",
+    (6, 6): "137ede8d87f928090d40dd27b36b107d84eb208c1abfdb019296bd209c0e0a4c",
+    (6, 7): "3fa2b43390da30697caba9e19b23154a69587b71b798e05f90783c0a802f148d",
+    (7, 6): "eb4b969c1942d40143ab3c4092e40e8dbd70fba04bb0a1a13223d34097a6b928",
+    (7, 7): "979810c814243762ec3695617fed4a21cbbbf0ec189c1d6f85b00bd370c80e9d",
+    (8, 8): "4f30006823217cac8ea50cfac0d83a4a2234698a8ab1fb6c8ab96fdae238addd",
 }
 
 # sha256 of the whole stdout of one `python -m gwcell.cli` child

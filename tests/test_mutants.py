@@ -176,6 +176,19 @@ MUTANTS = {
         "GWSummand(shift=shift - r - 1,",
         {"les_splitting"},
     ),
+    # a repeated query must read back what its first walk stored
+    "cache_hit_drops_a_leaf": (
+        "engine.py",
+        "len(leaves)) // 2, leaves)\n    return hit\n",
+        "len(leaves)) // 2, leaves)\n        return hit\n    return hit[0], hit[1][1:]\n",
+        {"determinism", "point", "totals"},
+    ),
+    "projbundle_sequence_at_odd_parity": (
+        "engine.py",
+        "if q.r % 2 and not q.parity and not q.split:",
+        "if q.r % 2 and not q.split:",
+        {"projbundle_modes"},
+    ),
     "total_solves_one_class": (
         "engine.py",
         "return _engine_sum(q.d, q.m, q.shift, (0, 1), q.twists, meta)",

@@ -124,6 +124,12 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             YoungDiagram(Frame(2, 2), (1,))
 
+    @pytest.mark.parametrize("d, m", [(1.5, 2), (2, 2.0), (2.0, 2)])
+    def test_frame_reads_exact_ints(self, d, m):
+        # a float side is a ValueError naming d and m, raised before any generator reads it
+        with pytest.raises(ValueError, match=r"d and m must be integers"):
+            enumerate_even(Frame(d, m))
+
 
 class TestInterfaceSegments:
     # the grid-scan segments of a diagram, and is_even's row-length verdict on the same diagram
