@@ -7,13 +7,13 @@ labelled by the Young diagram that produced it.  Formal sums can be
 specialized to Witt groups or evaluated against a user-supplied table of
 base groups.
 
-Documents that come in from outside (base tables, formal sums read back)
-are validated against their JSON schemas.  A base table that passes a
-plain structural check, stricter than its schema, needs no ``jsonschema``;
-it is imported only for the other documents.  Documents this module
-builds are not re-validated on every call: ``verify``'s ``output_schema``
-check, the golden CLI sweep and a property test check that they conform
-to ``FORMAL_SUM_SCHEMA``.
+A base table comes in from outside and is validated against its JSON
+schema.  One that passes a plain structural check, stricter than its
+schema, needs no ``jsonschema``; it is imported only for any other table
+and for ``verify``.  Formal sums are written, never read back.  Documents
+this module builds are not re-validated on every call: ``verify``'s
+``output_schema`` check, the golden CLI sweep and a property test check
+that they conform to ``FORMAL_SUM_SCHEMA``.
 
 A formal sum holds each GW-summand as one plain record, which every
 reader uses; an engine sum builds no ``GWSummand`` or ``YoungDiagram``
@@ -122,6 +122,8 @@ def summand_order(g: GWSummand) -> tuple:
 class FormalSum(Value):
     """Canonical multiset of summands: a K count, a nonnegative exact int, plus GW-summands in ``summand_order``.
 
+    ``meta``: the query context as (key, value) pairs, sorted by key however given.
+
     ``records`` holds one record ``(shift, twist key, rows, t, rho)`` per
     GW-summand, in canonical order: its ``GWSummand`` fields with the twist
     as its ``sort_key`` and the diagram as its row vector (None when
@@ -138,11 +140,11 @@ class FormalSum(Value):
             raise ValueError(f"K count must be nonnegative, got k={k}")
         gw = tuple(sorted(gw, key=summand_order))
         records = tuple((g.shift, g.twist.sort_key, None if g.diagram is None else g.diagram.rows, g.t_index, g.rho) for g in gw)
-        self.__dict__.update(k=k, records=records, meta=tuple(meta), gw=gw, frame=None, twists=None)
+        self.__dict__.update(k=k, records=records, meta=tuple(sorted(dict(meta).items())), gw=gw, frame=None, twists=None)
 
     @classmethod
     def with_meta(cls, k=0, gw=(), **meta) -> "FormalSum":
-        return cls(k, tuple(gw), tuple(sorted(meta.items())))
+        return cls(k, gw, meta.items())
 
     @classmethod
     def of_records(cls, k: int, records, frame: Frame, twists: tuple[PicClass, PicClass], **meta) -> "FormalSum":
@@ -394,13 +396,6 @@ def _meta_value(v):
     return v
 
 
-def _meta_from_json(v):
-    """Inverse of ``_meta_value``: JSON lists back to tuples."""
-    if isinstance(v, list):
-        return tuple(_meta_from_json(x) for x in v)
-    return v
-
-
 def formal_sum_to_json(a: FormalSum) -> dict:
     """The ``FORMAL_SUM_SCHEMA`` document of a formal sum, built without validation.
 
@@ -487,28 +482,6 @@ def _list_text(items, indent: int) -> str:
     pad = "\n" + " " * (indent + 2)
     text = ("," + pad).join(items)
     return "[" + pad + text + "\n" + " " * indent + "]" if text else "[]"
-
-
-def formal_sum_from_json(doc: dict, frame: Frame | None = None) -> FormalSum:
-    """The sum of a ``FORMAL_SUM_SCHEMA`` document, integral floats read as ints; without ``frame`` its summands read back unlabelled."""
-    validate_json(doc, FORMAL_SUM_SCHEMA)
-    gw = []
-    for g in doc["gw"]:
-        diagram = None
-        if g["diagram"] is not None and frame is not None:
-            diagram = YoungDiagram(frame, tuple(map(int, g["diagram"])))
-        t, rho = g["t"], g.get("rho")
-        gw.append(
-            GWSummand(
-                shift=int(g["shift"]),
-                twist=PicClass.parse(g["twist"]),
-                diagram=diagram,
-                t_index=None if t is None else int(t),
-                rho=None if rho is None else int(rho),
-            )
-        )
-    meta = tuple(sorted((k, _meta_from_json(v)) for k, v in doc["meta"].items()))
-    return FormalSum(int(doc["k"]), tuple(gw), meta)
 
 
 def les_to_json(seq: LongExactSequence) -> dict:

@@ -9,8 +9,8 @@ the duality, so addition is symmetric difference of generator sets.
 The engine carries a leaf's flag twist as one bit; the line bundle table
 here is the independent oracle that ``verify.check_twist_table`` checks
 the engine's bit rules against.  The table is plain data, each family's
-rows by site; a family's row at site (0, 0) decides whether a twist is in
-it, and its other rows give that twist's children.
+rows by site; a twist is in the family whose row at site (0, 0) holds
+Delta_d exactly when the twist does, and its other rows give the children.
 """
 
 from __future__ import annotations
@@ -119,20 +119,6 @@ class PicClass(Value):
         return "+".join(self.serialize()) if self.generators else "0"
 
 
-def quotient_range(lo: int, hi: int) -> PicClass:
-    """Sum of the flag quotient classes q_lo, ..., q_hi."""
-    return PicClass(frozenset(FlagQuotient(i) for i in range(lo, hi + 1)))
-
-
-def lambda_parity(t: PicClass, current_delta: Delta) -> int:
-    """Coefficient of the current tautological determinant in the twist.
-
-    Base symbols and flag quotient classes are pulled back from the base
-    direction and contribute 0.
-    """
-    return 1 if current_delta in t.generators else 0
-
-
 H_TILDE = "H-tilde"
 H = "H"
 
@@ -185,9 +171,9 @@ def child_twists(d: int, t: PicClass, ambient_rank: int) -> dict:
     family's row there, off site (0, 0); its K-theory site has no row.
     """
     delta, base = Delta(d), t.base_part()
-    eps = lambda_parity(t, delta)
+    eps = delta in t.generators
     return {
         family: {(d + e, i): instantiate_row(row, e, d, ambient_rank, base) for (e, i), row in rows.items() if (e, i) != (0, 0)}
         for family, rows in LINE_BUNDLE_TABLE.items()
-        if lambda_parity(instantiate_row(rows[0, 0], 0, d, ambient_rank, base), delta) == eps
+        if (delta in instantiate_row(rows[0, 0], 0, d, ambient_rank, base).generators) == eps
     }

@@ -41,7 +41,7 @@ from .expr import (
     validate_json,
     witt_specialize,
 )
-from .twist import BaseSymbol, Delta, PicClass, lambda_parity, quotient_range
+from .twist import BaseSymbol, Delta, FlagQuotient, PicClass
 from .young import Frame
 
 # Even-diagram fixtures, one row vector per published figure.
@@ -510,7 +510,7 @@ def check_twist_table(checks, d_max, m_max, sums):
         s = sums[d, m][eps] if (d, m) in sums else decompose_grassmannian(GrassmannQuery(d, m, 0, t, FLAGGED))
         return {rows: rho for _, _, rows, _, rho in s.records}
 
-    det_v = cache(lambda n: (PicClass(), quotient_range(1, n)))  # a leaf's det V at rank n, by its rho
+    det_v = cache(lambda n: (PicClass(), PicClass(map(FlagQuotient, range(1, n + 1)))))  # a leaf's det V at rank n, by its rho
     # (child rho, parent rho) by the twist that carries a rank-nc leaf's det V bit to a rank-n one's; distinct as 0 < nc < n
     telescoping = cache(lambda nc, n: {det_v(nc)[a] + det_v(n)[b]: (a, b) for a in (0, 1) for b in (0, 1)})
     for d in range(2, d_max + 1):
@@ -529,7 +529,7 @@ def check_twist_table(checks, d_max, m_max, sums):
                 parent = rho_by_rows(d, m, eps)
                 for (cd, cm, ceps), cols, tail in ((shifted, step, ()), (unshifted, 0, (0,) * step)):
                     ct = table[cd, cm]
-                    if lambda_parity(ct, Delta(cd)) != ceps:
+                    if (Delta(cd) in ct.generators) != ceps:
                         bad.append((d, m, eps, "parity"))
                         continue
                     pair = telescoping(cd + cm, d + m).get(ct.base_part())  # None when no pair agrees

@@ -184,6 +184,19 @@ class TestGrassmannCommand:
         error = json.loads(proc.stderr)["error"]
         assert "recursion" in error and "nested" in error
 
+    def test_deeply_nested_base_table_is_domain_error_in_process(self, capsys, tmp_path):
+        # main itself turns the RecursionError into the JSON error, so a library caller gets it too
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        code, out, err = run(capsys, "grassmann", "-d", "2", "-m", "2", "--mode", "eval", "--base-table", str(path))
+        assert (code, out) == (1, "")
+        assert err == json.dumps({"error": "input file nested too deeply (Python's recursion limit reached)"}) + "\n"
+
+    def test_eval_without_base_table_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "grassmann", "-d", "2", "-m", "2", "--mode", "eval")
+        assert (code, out) == (1, "")
+        assert err == json.dumps({"error": "--mode eval requires --base-table"}) + "\n"
+
     @pytest.mark.parametrize("d, m", [(2, 1975), (1975, 2)])
     def test_thin_frame_near_the_limit_solves(self, d, m):
         # both orientations of a deep thin frame solve

@@ -27,7 +27,6 @@ from gwcell.expr import (
     GWSummand,
     LongExactSequence,
     direct_sum,
-    formal_sum_from_json,
     formal_sum_json_text,
     formal_sum_to_json,
     summand_order,
@@ -36,6 +35,7 @@ from gwcell.expr import (
 )
 from gwcell.twist import BaseSymbol, Delta, FlagQuotient, PicClass
 from gwcell.young import Frame, YoungDiagram
+from sum_reader import formal_sum_from_json
 from word_walk import solve_by_words
 
 L = PicClass.of(BaseSymbol("L"))

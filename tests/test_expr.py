@@ -20,7 +20,6 @@ from gwcell.expr import (
     direct_sum,
     equals,
     evaluate,
-    formal_sum_from_json,
     formal_sum_json_text,
     formal_sum_to_json,
     summand_order,
@@ -30,6 +29,7 @@ from gwcell.expr import (
 from gwcell.engine import decompose_total
 from gwcell.twist import BaseSymbol, PicClass
 from gwcell.young import Frame, YoungDiagram
+from sum_reader import formal_sum_from_json
 
 L = PicClass.of(BaseSymbol("L"))
 
@@ -129,6 +129,12 @@ class TestSummandOrder:
         # unknown fields sort apart from known ones, so the order given never shows
         a, b = (fsum(0, *s) for s in orders)
         assert a == b and formal_sum_json_text(a) == formal_sum_json_text(b)
+
+    def test_meta_in_any_given_order(self):
+        # two sums that print the same document are equal, so the constructor sorts its meta as with_meta does
+        a, b = FormalSum(0, (), (("z", 1), ("a", 2))), FormalSum(0, (), (("a", 2), ("z", 1)))
+        assert formal_sum_json_text(a) == formal_sum_json_text(b)
+        assert a == b and hash(a) == hash(b) and a.meta == fsum(0, a=2, z=1).meta
 
 
 class TestEquals:

@@ -4,13 +4,14 @@ Each entry is (file under ``src/gwcell``, old text, new text, checks that
 must fail).  The old text must occur exactly once in its file, so a change
 that moves the code fails here instead of testing nothing.  Each mutant is
 applied to its own copy of ``src/`` and ``python -m gwcell.cli verify``
-runs there in a fresh interpreter, one mutant at a time.
+runs there in a fresh interpreter, two children at a time.
 """
 
 import json
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from test_cli import SRC, _child_env
@@ -253,13 +254,31 @@ def _src_copy(tmp_path, *mutant):
     return str(src)
 
 
-def test_unmutated_copy_passes(tmp_path):
-    assert _verify(_src_copy(tmp_path)) == (0, set())
+@pytest.fixture(scope="module")
+def verdicts(request, tmp_path_factory):
+    """A future of ``_verify`` on the copy of each selected test of this module, by mutant name (None: unmutated).
+
+    The copies are made and verified by two workers, one ``verify`` child
+    each, from the first test on, so each test waits only for its own.
+    """
+    selected = [item for item in request.session.items if getattr(item, "module", None) is request.module]
+    names = [item.callspec.params["name"] if hasattr(item, "callspec") else None for item in selected]
+
+    def verify_copy(name):
+        tmp = tmp_path_factory.mktemp(name or "unmutated")
+        return _verify(_src_copy(tmp, *MUTANTS[name][:3]) if name else _src_copy(tmp))
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        yield {name: pool.submit(verify_copy, name) for name in names}
+
+
+def test_unmutated_copy_passes(verdicts):
+    assert verdicts[None].result() == (0, set())
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
-def test_mutant_fails_verify(tmp_path, name):
-    path, old, new, must_fail = MUTANTS[name]
-    code, failed = _verify(_src_copy(tmp_path, path, old, new))
+def test_mutant_fails_verify(verdicts, name):
+    must_fail = MUTANTS[name][3]
+    code, failed = verdicts[name].result()
     assert code == 2
     assert must_fail <= failed, failed

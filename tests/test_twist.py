@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, strategies as st
 
 from gwcell.twist import (
@@ -10,7 +11,6 @@ from gwcell.twist import (
     PicClass,
     child_twists,
     instantiate_row,
-    lambda_parity,
 )
 
 L = PicClass.of(BaseSymbol("L"))
@@ -47,16 +47,23 @@ class TestPicClass:
         t = PicClass.of(BaseSymbol("L")) + PicClass.of(BaseSymbol("L"))
         assert not t.generators
 
+    def test_only_the_zero_class_is_false(self):
+        assert not PicClass() and PicClass.of(Delta(2))
+
 
 class TestLambdaParity:
+    # the coefficient of Delta_d alone picks the family: at d even, H-tilde's defining row holds Delta_d and H's does not
     def test_base_twist(self):
-        assert lambda_parity(L, Delta(2)) == 0
+        assert list(child_twists(2, L, 4)) == [H]
+        assert list(child_twists(2, PicClass(), 4)) == [H]
 
     def test_delta_twist(self):
-        assert lambda_parity(L + PicClass.of(Delta(2)), Delta(2)) == 1
+        assert list(child_twists(2, L + PicClass.of(Delta(2)), 4)) == [H_TILDE]
+        assert list(child_twists(2, PicClass.of(Delta(2)), 4)) == [H_TILDE]
 
     def test_quotients_contribute_zero(self):
-        assert lambda_parity(L + PicClass.of(FlagQuotient(3)), Delta(2)) == 0
+        assert list(child_twists(2, L + PicClass.of(FlagQuotient(3)), 4)) == [H]
+        assert list(child_twists(2, L + PicClass.of(FlagQuotient(3), Delta(2)), 4)) == [H_TILDE]
 
 
 class TestChildTwists:
@@ -95,7 +102,7 @@ class TestChildTwists:
                 t = L + (PicClass.of(Delta(d)) if eps else PicClass())
                 (children,) = child_twists(d, t, 8).values()
                 for (cd, _), ct in children.items():
-                    assert lambda_parity(ct, Delta(cd)) == cd % 2
+                    assert (Delta(cd) in ct.generators) == cd % 2
 
     def test_trivial_bundle_manufactures_no_base_twists(self):
         # with all quotient classes set to zero, children live in span{L, Delta}
@@ -121,3 +128,7 @@ class TestTable:
         assert instantiate_row(htilde, 0, 4, 6, L) == L + PicClass.of(Delta(4))
         assert instantiate_row(h, 0, 3, 6, L) == L + PicClass.of(Delta(3))
         assert instantiate_row(h, 0, 4, 6, L) == L
+
+    def test_unknown_token_raises(self):
+        with pytest.raises(ValueError, match="unknown table token 'detV/V3'"):
+            instantiate_row(("bad", "L,detV/V3", "L"), 0, 3, 6, L)

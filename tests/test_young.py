@@ -124,6 +124,11 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             YoungDiagram(Frame(2, 2), (1,))
 
+    def test_str_is_the_partition(self):
+        # zero rows are dropped
+        assert str(YoungDiagram(Frame(3, 3), (2, 1, 0))) == "(2,1)"
+        assert str(YoungDiagram(Frame(2, 2), (0, 0))) == "()"
+
     @pytest.mark.parametrize("d, m", [(1.5, 2), (2, 2.0), (2.0, 2)])
     def test_frame_reads_exact_ints(self, d, m):
         # a float side is a ValueError naming d and m, raised before any generator reads it
