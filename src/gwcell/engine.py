@@ -42,15 +42,16 @@ from .young import Frame
 TRIVIAL = "trivial"
 FLAGGED = "flagged"
 
-DET_E = BaseSymbol("detE")
-DET_V = BaseSymbol("detV")
+DET_E = PicClass.of(BaseSymbol("detE"))
+DET_V = PicClass.of(BaseSymbol("detV"))  # what rho 1 adds to a flagged bundle's base twist
+PE_TWISTS = (PicClass(), DET_E)  # P(E)'s twists by rho: O and det E
 
 
 class GrassmannQuery(Value):
     """Gr_d of a rank d+m bundle at a twist checked to live on it; ``eps`` is its Delta_d parity, ``twists`` its twist by rho.
 
     One pass over the twist's generators checks it; a flag quotient outside the flag is
-    named by its lowest index.  The base twist is the twist less Delta_d.  d, m and the
+    named by its lowest index.  The base twist is ``twist.base_part()``.  d, m and the
     shift are read as exact ints (``value.exact_ints``): a float is a ``ValueError``.
     """
 
@@ -75,14 +76,14 @@ class GrassmannQuery(Value):
         eps = len(delta_ranks)
         if d == 0 and eps:
             raise ValueError("Gr_0 has a trivial tautological determinant: the twist cannot carry Delta:0")
-        base = twist + PicClass.of(Delta(d)) if eps else twist
+        base = twist.base_part() if eps else twist
         self.d = d
         self.m = m
         self.shift = shift
         self.twist = twist
         self.bundle = bundle
         self.eps = eps
-        self.twists = (base, base + PicClass.of(DET_V) if bundle == FLAGGED else base)
+        self.twists = (base, base + DET_V if bundle == FLAGGED else base)
 
     def _values(self) -> tuple:
         return (self.d, self.m, self.shift, self.twist, self.bundle)
@@ -235,7 +236,9 @@ def split_node(d: int, m: int, eps: int):
     """The children (shifted, unshifted, step) of an inner node, each (cd, cm, ceps) with ceps = cd mod 2.
 
     The shifted child's leaves gain ``step`` full columns, and the
-    unshifted child's leaves gain ``step`` empty rows at the bottom.
+    unshifted child's leaves gain ``step`` empty rows at the bottom.  As
+    ceps is never (cd - 1) mod 2, an inner child always splits with step
+    2: only a query's root can take step 1.
     """
     step = 1 if eps == (d - 1) % 2 else 2  # first family, else second
     return (d, m - step, d % 2), (d - step, m, (d - step) % 2), step
@@ -296,7 +299,7 @@ def decompose_projective_bundle(q: ProjBundleQuery) -> FormalSum | LongExactSequ
     if q.r % 2 and not q.parity and not q.split:
         return les_theorem_d(q.r, q.shift)
     meta = {"kind": "projective-bundle", "r": q.r, "parity": q.parity, "shift": q.shift}
-    return _engine_sum(1, q.r, q.shift, (q.parity,), (PicClass(), PicClass.of(DET_E)), meta)
+    return _engine_sum(1, q.r, q.shift, (q.parity,), PE_TWISTS, meta)
 
 
 def les_theorem_d(r: int, shift: int) -> LongExactSequence:
@@ -310,8 +313,8 @@ def les_theorem_d(r: int, shift: int) -> LongExactSequence:
     if r % 2 == 0:
         raise ValueError(f"the sequence exists for odd r only, got r={r}")
     meta = dict(kind="les-term", site="S", r=r, shift=shift)
-    first = FormalSum.with_meta((r - 1) // 2, (GWSummand(shift=shift, twist=PicClass(), t_index=0),), **meta)
-    last = FormalSum.with_meta(0, (GWSummand(shift=shift - r, twist=PicClass.of(DET_E), t_index=0),), **meta)
+    first = FormalSum.with_meta((r - 1) // 2, (GWSummand(shift=shift, twist=PE_TWISTS[0], t_index=0),), **meta)
+    last = FormalSum.with_meta(0, (GWSummand(shift=shift - r, twist=PE_TWISTS[1], t_index=0),), **meta)
     return LongExactSequence(
         terms=(first, f"GW^[{shift}](P(E))", last),
         maps=("(Theta_even, q^*)", "q_*", "(0, eta cup c(E))"),

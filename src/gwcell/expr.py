@@ -112,24 +112,28 @@ class GWSummand(Value):
     def _values(self) -> tuple:
         return (self.shift, self.twist, self.diagram, self.t_index, self.rho)
 
+    def record(self) -> tuple:
+        """The summand as a formal-sum record: its fields with the twist as its ``sort_key`` and the diagram as its rows, None when unlabelled."""
+        return (self.shift, self.twist.sort_key, None if self.diagram is None else self.diagram.rows, self.t_index, self.rho)
 
-def summand_order(g: GWSummand) -> tuple:
-    """The canonical order of GW summands: shift, twist key, diagram rows, twist class, rho; unknowns sort apart as (-1,) or -1."""
-    rows = g.diagram.rows if g.diagram is not None else (-1,)
-    return (g.shift, g.twist.sort_key, rows, -1 if g.t_index is None else g.t_index, -1 if g.rho is None else g.rho)
+
+def record_order(record: tuple) -> tuple:
+    """The canonical order of GW records ``(shift, twist key, rows, t, rho)``: plain tuple order, each unset field (None) read as -1, an unset diagram as the one-row vector of -1.
+
+    Engine records never hold None, so ``FormalSum.of_records`` sorts them in plain tuple order, with no key.
+    """
+    s, key, rows, t, rho = record
+    return (s, key, (-1,) if rows is None else rows, -1 if t is None else t, -1 if rho is None else rho)
 
 
 class FormalSum(Value):
-    """Canonical multiset of summands: a K count, a nonnegative exact int, plus GW-summands in ``summand_order``.
+    """Canonical multiset of summands: a K count, a nonnegative exact int, plus GW-summands in ``record_order`` of their records.
 
     ``meta``: the query context as (key, value) pairs, sorted by key however given.
 
-    ``records`` holds one record ``(shift, twist key, rows, t, rho)`` per
-    GW-summand, in canonical order: its ``GWSummand`` fields with the twist
-    as its ``sort_key`` and the diagram as its row vector (None when
-    unlabelled).  A sum built from ``GWSummand``s keeps them as ``gw``.  A
-    sum the engine builds (``of_records``) has no None field, so plain
-    tuple order is the canonical order; its ``gw`` is built from the
+    ``records`` holds each GW-summand's ``GWSummand.record``, in
+    ``record_order``.  A sum built from ``GWSummand``s keeps them as ``gw``.
+    A sum the engine builds (``of_records``) has its ``gw`` built from the
     records, its frame and its twists by rho when first read, and each
     diagram is then validated against the frame.
     """
@@ -138,8 +142,8 @@ class FormalSum(Value):
         (k,) = exact_ints("k", k)
         if k < 0:
             raise ValueError(f"K count must be nonnegative, got k={k}")
-        gw = tuple(sorted(gw, key=summand_order))
-        records = tuple((g.shift, g.twist.sort_key, None if g.diagram is None else g.diagram.rows, g.t_index, g.rho) for g in gw)
+        gw = tuple(sorted(gw, key=lambda g: record_order(g.record())))
+        records = tuple(g.record() for g in gw)
         self.__dict__.update(k=k, records=records, meta=tuple(sorted(dict(meta).items())), gw=gw, frame=None, twists=None)
 
     @classmethod
@@ -148,7 +152,7 @@ class FormalSum(Value):
 
     @classmethod
     def of_records(cls, k: int, records, frame: Frame, twists: tuple[PicClass, PicClass], **meta) -> "FormalSum":
-        """An engine sum: records with every field set, their diagrams in ``frame``, ``twists[rho]`` behind each key."""
+        """An engine sum: records with every field set (see ``record_order``), their diagrams in ``frame``, ``twists[rho]`` behind each key."""
         s = cls.__new__(cls)
         s.__dict__.update(k=k, records=tuple(sorted(records)), meta=tuple(sorted(meta.items())), frame=frame, twists=twists)
         return s

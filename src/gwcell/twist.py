@@ -70,8 +70,10 @@ Generator = BaseSymbol | FlagQuotient | Delta
 
 def _parse_generator(token: str) -> Generator:
     if token.startswith("Delta:"):
-        return Delta(int(token.split(":", 1)[1]))
-    if token.startswith("q") and token[1:].isdigit():
+        if not token[6:].isdecimal():
+            raise ValueError(f"twist generator {token!r}: the rank after 'Delta:' must be a nonnegative integer")
+        return Delta(int(token[6:]))
+    if token.startswith("q") and token[1:].isdecimal():
         return FlagQuotient(int(token[1:]))
     return BaseSymbol(token)
 

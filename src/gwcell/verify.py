@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 from functools import cache
 from math import comb
-from operator import lt
 
 from . import twist as tw
 from . import young
@@ -38,6 +37,7 @@ from .expr import (
     direct_sum,
     formal_sum_json_text,
     formal_sum_to_json,
+    record_order,
     validate_json,
     witt_specialize,
 )
@@ -404,29 +404,15 @@ def check_output_schema(checks, documents):
     _check(checks, "output_schema", not bad, f"failures: {bad}" if bad else f"{len(documents)} documents")
 
 
-def _strictly_increasing(records) -> bool:
-    """Whether records strictly increase (so hold no duplicate) in ``summand_order``.
-
-    That is plain tuple order until an unset field (None) meets a set one;
-    then a None diagram compares as (-1,) and a None t or rho as -1.
-    """
-    try:
-        return all(map(lt, records, records[1:]))
-    except TypeError:
-        keys = [
-            (s, k, (-1,) if rows is None else rows, -1 if t is None else t, -1 if rho is None else rho)
-            for s, k, rows, t, rho in records
-        ]
-        return all(map(lt, keys, keys[1:]))
-
-
 def check_canonical_order(checks, d_max, m_max, sums, documents):
-    """Every flagged sum (as (d, m, class)) and every ``document_sums`` sum has its records in canonical order.
+    """Every flagged sum (as (d, m, class)) and every ``document_sums`` sum has its records in ``record_order`` with no duplicate.
 
+    So its records equal their distinct records sorted by ``record_order``.
     Every other sum ``run_all`` builds is of one of these kinds.
     """
-    bad = [(d, m, l) for (d, m), pair in sorted(sums.items()) for l, s in enumerate(pair) if not _strictly_increasing(s.records)]
-    bad += [("document", i) for i, s in enumerate(documents) if not _strictly_increasing(s.records)]
+    labelled = [((d, m, l), s) for (d, m), pair in sorted(sums.items()) for l, s in enumerate(pair)]
+    labelled += [(("document", i), s) for i, s in enumerate(documents)]
+    bad = [label for label, s in labelled if s.records != tuple(sorted(set(s.records), key=record_order))]
     _report(checks, "canonical_order", bad, {"d_max": d_max, "m_max": m_max}, cap=5)
 
 

@@ -154,7 +154,7 @@ def test_c07_projective_bundle_theorem():
                 ok = ok and s.k == (r - 1) // 2 and shifts == [n - r, n]
             for g in s.gw:
                 if g.shift == n - r and r >= 1:
-                    ok = ok and g.twist == PicClass.of(DET_E)
+                    ok = ok and g.twist == DET_E
                 if g.shift == n and parity == 0:
                     ok = ok and g.twist == PicClass()
     report(7, ok)

@@ -146,6 +146,12 @@ class TestGrassmannCommand:
         out2 = run(capsys, *argv)[1]
         assert out1 == out2
 
+    @pytest.mark.parametrize("token", ["Delta:x", "Delta:", "Delta:1.5", "Delta:-2"])
+    def test_delta_without_a_rank_names_its_token(self, capsys, token):
+        code, out, err = run(capsys, "grassmann", "-d", "2", "-m", "2", "--twist", f"L,{token}")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": f"twist generator {token!r}: the rank after 'Delta:' must be a nonnegative integer"}
+
     @pytest.mark.parametrize("argv", [("-d", "0", "-m", "3", "--twist", "odd"), ("-d", "0", "-m", "0", "--twist", "Delta")])
     def test_odd_twist_on_rank_zero_is_domain_error(self, capsys, argv):
         code, out, err = run(capsys, "grassmann", *argv)

@@ -29,7 +29,7 @@ from gwcell.expr import (
     direct_sum,
     formal_sum_json_text,
     formal_sum_to_json,
-    summand_order,
+    record_order,
     validate_json,
     witt_specialize,
 )
@@ -39,6 +39,10 @@ from sum_reader import formal_sum_from_json
 from word_walk import solve_by_words
 
 L = PicClass.of(BaseSymbol("L"))
+
+
+def summand_order(g):
+    return record_order(g.record())
 
 
 def leaf_profile(s):
@@ -72,14 +76,14 @@ class TestProjectiveBundle:
         s = decompose_projective_bundle(ProjBundleQuery(2, 1, 0))
         assert s.k == 1
         (g,) = s.gw
-        assert g.shift == -2 and g.twist == PicClass.of(DET_E)
+        assert g.shift == -2 and g.twist == DET_E
 
     def test_r3_even_twist_split(self):
         s = decompose_projective_bundle(ProjBundleQuery(3, 0, 0, split=True))
         assert s.k == 1
         assert sorted(g.shift for g in s.gw) == [-3, 0]
         twists = {g.shift: g.twist for g in s.gw}
-        assert twists[0] == PicClass() and twists[-3] == PicClass.of(DET_E)
+        assert twists[0] == PicClass() and twists[-3] == DET_E
 
     def test_r_even_even_twist(self):
         s = decompose_projective_bundle(ProjBundleQuery(4, 0, 5))
@@ -370,6 +374,41 @@ class TestEngineInvariants:
             assert len(splits) == len(set(splits)), (d, m)
         clear_cache()
 
+    def test_only_a_root_splits_with_step_one(self):
+        # every child is solved at ceps = cd mod 2, never the first family's (cd - 1) mod 2, so an
+        # inner child always splits with step 2
+        bad = []
+        for d in range(2, 41):
+            for m in range(2, 41):
+                for eps in (0, 1):
+                    *children, _ = engine.split_node(d, m, eps)
+                    for cd, cm, ceps in children:
+                        if ceps != cd % 2 or cd >= 2 and cm >= 2 and engine.split_node(cd, cm, ceps)[2] != 2:
+                            bad.append((d, m, eps, (cd, cm, ceps)))
+        assert bad == []
+
+    def test_fixed_twists_are_not_rebuilt_per_call(self, monkeypatch):
+        # P(E)'s O and det E and the flagged bundle's det V are module constants: a call builds only
+        # the classes that depend on its own twist
+        built = []
+        init = PicClass.__init__
+
+        def counted(self, generators=frozenset()):
+            init(self, generators)
+            built.append(self.generators)
+
+        odd, flagged = L + PicClass.of(Delta(3)), (L + DET_V).generators
+        monkeypatch.setattr(PicClass, "__init__", counted)
+        decompose_projective_bundle(ProjBundleQuery(3, 0, 0))
+        decompose_projective_bundle(ProjBundleQuery(3, 1, 0))
+        les_theorem_d(3, 0)
+        assert built == []
+        GrassmannQuery(3, 3, 0, L, FLAGGED)
+        assert built == [flagged]
+        built.clear()
+        GrassmannQuery(3, 3, 0, odd, FLAGGED)
+        assert built == [L.generators, flagged]  # the base part, then its sum with det V
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.one_of(
@@ -424,7 +463,7 @@ class TestEngineInvariants:
 
         small, few, twists = sorts_for(2)
         large, many, same = sorts_for(8)
-        assert twists == same == {L, L + PicClass.of(DET_V)}
+        assert twists == same == {L, L + DET_V}
         assert (few, many) == (4, 140)
         # the query twist, then the two twists each twist class builds
         assert small == large <= 1 + 2 * len(twists)
@@ -496,7 +535,7 @@ def test_engine_against_oracles(case):
             assert g.shift == q.shift - g.diagram.boxes()
             assert g.t_index == l
             flagged = bundle == FLAGGED and g.rho
-            assert g.twist == base + (PicClass.of(DET_V) if flagged else PicClass())
+            assert g.twist == base + (DET_V if flagged else PicClass())
         # transpose equivariance: Gr_d(V) is Gr_m(V^dual), where Delta_d is Delta_m + det V
         dual = decompose_grassmannian(GrassmannQuery(m, d, shift, base + (PicClass.of(Delta(m)) if l else PicClass())))
         assert dual.k == s.k
@@ -515,7 +554,7 @@ def test_engine_against_oracles(case):
 def test_gw_read_from_records_is_the_summands_built_per_leaf(case):
     # reference: one GWSummand with a validated diagram per walked leaf, sorted by summand_order
     d, m, shift, bundle, base = case
-    twists = (base, base + PicClass.of(DET_V) if bundle == FLAGGED else base)
+    twists = (base, base + DET_V if bundle == FLAGGED else base)
     both = []
     for l in (0, 1):
         s = decompose_grassmannian(GrassmannQuery(d, m, shift, base + (PicClass.of(Delta(d)) if l else PicClass()), bundle))

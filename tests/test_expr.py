@@ -22,7 +22,7 @@ from gwcell.expr import (
     evaluate,
     formal_sum_json_text,
     formal_sum_to_json,
-    summand_order,
+    record_order,
     validate_json,
     witt_specialize,
 )
@@ -109,7 +109,7 @@ class TestSummandOrder:
     def test_sort_index_then_class_then_rho(self):
         a, b, c, d = gw(-2, rows=(1, 1), t=1, rho=1), gw(-2, rows=(1, 1), t=1), gw(-2, rows=(1, 1), t=0, rho=1), gw(-4, rows=(2, 2))
         assert fsum(0, a, b, c, d).gw == (d, c, b, a)
-        assert summand_order(b) == (-2, b.twist.sort_key, (1, 1), 1, -1)
+        assert record_order(b.record()) == (-2, b.twist.sort_key, (1, 1), 1, -1)
 
     @example(([gw(0), gw(0, t=0, rho=0)], [gw(0, t=0, rho=0), gw(0)]))
     @given(

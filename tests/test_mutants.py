@@ -94,20 +94,20 @@ MUTANTS = {
     ),
     "det_e_for_det_v": (
         "engine.py",
-        "base + PicClass.of(DET_V) if bundle == FLAGGED",
-        "base + PicClass.of(DET_E) if bundle == FLAGGED",
+        "base + DET_V if bundle == FLAGGED",
+        "base + DET_E if bundle == FLAGGED",
         {"engine_vs_enumeration"},
     ),
     "trivial_bundle_det_v": (
         "engine.py",
         "else base)",
-        "else base + PicClass.of(DET_V))",
+        "else base + DET_V)",
         {"engine_vs_enumeration"},
     ),
     "projective_bundle_det_v": (
         "engine.py",
-        "(PicClass(), PicClass.of(DET_E)), meta)",
-        "(PicClass(), PicClass.of(DET_V)), meta)",
+        "PE_TWISTS = (PicClass(), DET_E)",
+        "PE_TWISTS = (PicClass(), DET_V)",
         {"engine_vs_enumeration"},
     ),
     "gr1_empty_row_dropped": (

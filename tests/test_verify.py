@@ -12,7 +12,7 @@ from test_cli import _child_env
 from test_young import framed_diagrams
 
 from gwcell import engine, twist, verify, young
-from gwcell.expr import FormalSum, GWSummand, direct_sum
+from gwcell.expr import FormalSum, GWSummand, direct_sum, record_order
 from gwcell.verify import (
     EVEN_FIXTURES,
     ORACLE_FRAME_LIMIT,
@@ -247,13 +247,16 @@ class TestFixtures:
 
 class TestCanonicalOrder:
     def test_unlabelled_records_compare_as_summand_order(self):
-        # plain tuples cannot compare a None diagram, t or rho with a set one
+        # plain tuples cannot compare a None diagram, t or rho with a set one: the check reads record_order keys
         labelled = GWSummand(0, PicClass(), YoungDiagram(Frame(1, 1), (0,)), 0, 0)
         bare = GWSummand(0, PicClass())
         s = FormalSum.with_meta(0, (labelled, bare))
         assert [r[2] for r in s.records] == [None, (0,)]
-        assert verify._strictly_increasing(s.records)
-        assert not verify._strictly_increasing(s.records[::-1])
+        assert record_order(s.records[0]) < record_order(s.records[1])
+        assert not record_order(s.records[1]) < record_order(s.records[0])
+        checks = []
+        verify.check_canonical_order(checks, 1, 1, {(1, 1): (s, SimpleNamespace(records=s.records[::-1]))}, [s])
+        assert checks[0]["detail"] == "failures: [(1, 1, 1)]"
 
     def test_duplicates_and_disorder_fail(self):
         total = engine.decompose_total(2, 2, 0, PicClass())
