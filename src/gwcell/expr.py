@@ -9,11 +9,12 @@ base groups.
 
 A base table comes in from outside and is validated against its JSON
 schema.  One that passes a plain structural check, stricter than its
-schema, needs no ``jsonschema``; it is imported only for any other table
-and for ``verify``.  Formal sums are written, never read back.  Documents
-this module builds are not re-validated on every call: ``verify``'s
-``output_schema`` check, the golden CLI sweep and a property test check
-that they conform to ``FORMAL_SUM_SCHEMA``.
+schema, needs no ``jsonschema``; it is imported only for any other table.
+Formal sums are written, never read back.  Documents this module builds
+are not re-validated on every call: ``verify``'s ``output_schema`` check,
+the golden CLI sweep and a property test check that they conform to
+``FORMAL_SUM_SCHEMA``.  ``verify`` runs its own plain check first, and
+hands ``validate_json`` only a document that check turns down.
 
 A formal sum holds each GW-summand as one plain record, which every
 reader uses; an engine sum builds no ``GWSummand`` or ``YoungDiagram``

@@ -12,6 +12,7 @@ both the evenness rule and the generator of even diagrams.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from functools import cache
 from math import comb
 
@@ -26,15 +27,20 @@ from .engine import (
     decompose_point,
     decompose_projective_bundle,
     decompose_total,
+    flag_closed_form,
     les_theorem_d,
     split_node,
 )
 from .expr import (
     FORMAL_SUM_SCHEMA,
+    AbelianGroup,
+    BaseTheoryTable,
     FormalSum,
     LongExactSequence,
+    MissingKeyError,
     SchemaMismatchError,
     direct_sum,
+    evaluate,
     formal_sum_json_text,
     formal_sum_to_json,
     record_order,
@@ -370,12 +376,13 @@ def check_determinism(checks, d_max, m_max):
 
 
 def document_sums() -> list:
-    """One small sum of each kind the serializer writes.
+    """One small sum of each kind the serializer writes, in a fixed order that ``check_evaluate`` and ``check_direct_sum`` read.
 
     A flagged Gr(2, 2) over both twists (it has rho = 1 summands) and a
     base symbol whose name JSON escapes and holds a ``%``, its Witt
-    specialization, a projective bundle, a merged direct sum (list-valued
-    meta), and the formal-sum terms of a long exact sequence.
+    specialization, a projective bundle, the merged direct sum of the
+    first and the third (list-valued meta), and the formal-sum terms of a
+    long exact sequence.
     """
     gr = decompose_total(2, 2, 0, L + PicClass.of(BaseSymbol('"\\\u00e9\x01%')), FLAGGED)
     pb = decompose_projective_bundle(ProjBundleQuery(2, 1, 0))
@@ -383,11 +390,45 @@ def document_sums() -> list:
     return sums + [t for t in les_theorem_d(3, 0).terms if not isinstance(t, str)]
 
 
+_GW_FIELDS = frozenset(("shift", "twist", "diagram", "t"))  # the fields FORMAL_SUM_SCHEMA requires of a gw entry; rho may join them
+
+
+def _plain_formal_sum(doc) -> bool:
+    """Whether ``doc`` passes a plain structural check, stricter than ``FORMAL_SUM_SCHEMA``, made without jsonschema.
+
+    Exactly the keys k, gw and meta; k an int >= 0 and meta a dict; gw a
+    list of dicts, each holding shift, twist, diagram and t, and at most
+    also rho; shift an int, twist a list of str, diagram None or a list of
+    ints; t and rho each None, 0 or 1.  Every int must be ``int``, so a bool
+    or an integral float goes to ``validate_json``, as does every other
+    document this turns down: the schema decides and words each failure,
+    as it does for a base table ``expr._plain_table_columns`` turns down.
+    """
+    if type(doc) is not dict or doc.keys() != {"k", "gw", "meta"}:
+        return False
+    k, gw = doc["k"], doc["gw"]
+    if type(k) is not int or k < 0 or type(doc["meta"]) is not dict or type(gw) is not list:
+        return False
+    for g in gw:
+        if type(g) is not dict or not _GW_FIELDS <= g.keys() <= _GW_FIELDS | {"rho"}:
+            return False
+        twist, diagram = g["twist"], g["diagram"]
+        if type(g["shift"]) is not int or type(twist) is not list or not all(type(x) is str for x in twist):
+            return False
+        if diagram is not None and (type(diagram) is not list or not all(type(x) is int for x in diagram)):
+            return False
+        if not all(x is None or type(x) is int and 0 <= x <= 1 for x in (g["t"], g.get("rho"))):
+            return False
+    return True
+
+
 def check_output_schema(checks, documents):
     """Each of ``document_sums`` conforms to FORMAL_SUM_SCHEMA.
 
     ``formal_sum_to_json`` does not validate what it builds, so this is
-    where its output meets the schema.  Each sum must also print through
+    where its output meets the schema.  A document that passes
+    ``_plain_formal_sum`` conforms; only one it turns down is validated,
+    which imports jsonschema.  Each sum must also print through
     ``formal_sum_json_text`` exactly as ``json.dumps(doc, sort_keys=True,
     indent=2)`` prints its document.
     """
@@ -395,7 +436,8 @@ def check_output_schema(checks, documents):
     for i, s in enumerate(documents):
         doc = formal_sum_to_json(s)
         try:
-            validate_json(doc, FORMAL_SUM_SCHEMA)
+            if not _plain_formal_sum(doc):
+                validate_json(doc, FORMAL_SUM_SCHEMA)
         except SchemaMismatchError as exc:
             bad.append((i, str(exc)))
         else:
@@ -414,6 +456,68 @@ def check_canonical_order(checks, d_max, m_max, sums, documents):
     labelled += [(("document", i), s) for i, s in enumerate(documents)]
     bad = [label for label, s in labelled if s.records != tuple(sorted(set(s.records), key=record_order))]
     _report(checks, "canonical_order", bad, {"d_max": d_max, "m_max": m_max}, cap=5)
+
+
+def _primes():
+    """2, 3, 5, 7, ...: each number no smaller number above 1 divides."""
+    n = 2
+    while True:
+        if all(n % p for p in range(2, n)):
+            yield n
+        n += 1
+
+
+def check_evaluate(checks, documents):
+    """``evaluate`` of ``document_sums``' total (GW) and its Witt specialization (W), against tables of prime orders.
+
+    Each key the sum needs, its K key included when K is nonzero, gets its
+    own prime order, so the group ``evaluate`` returns must hold each prime
+    as often as the sum holds records at its key (K copies for the K key).
+    A table without one key, for each key in turn, must raise
+    ``MissingKeyError`` naming exactly that key.
+    """
+    bad, degree = [], 1  # a nonzero degree, so a key that loses it is missed
+    for theory, s in zip(("GW", "W"), documents[:2]):
+        want = Counter((theory, shift, key, degree) for shift, key, *_ in s.records)
+        if s.k:
+            want["K", 0, (), degree] = s.k
+        primes = dict(zip(want, _primes()))
+        entries = [(key, AbelianGroup((p,))) for key, p in primes.items()]
+        got = Counter(evaluate(s, BaseTheoryTable("primes", entries), degree).orders)
+        if got != {primes[key]: n for key, n in want.items()}:
+            bad.append((theory, "multiplicities"))
+        for i, (key, _) in enumerate(entries):
+            try:
+                evaluate(s, BaseTheoryTable("primes", entries[:i] + entries[i + 1 :]), degree)
+            except MissingKeyError as exc:
+                if exc.keys != [key]:
+                    bad.append((theory, key))
+            else:
+                bad.append((theory, key))
+    _report(checks, "evaluate", bad, {"degree": degree})
+
+
+def check_direct_sum(checks, documents):
+    """``document_sums``' merged sum is its two parts added: K their K summed, its records theirs merged in ``record_order``."""
+    gr, _, pb, merged = documents[:4]
+    bad = []
+    if merged.k != gr.k + pb.k:
+        bad.append("k")
+    if merged.records != tuple(sorted(gr.records + pb.records, key=record_order)):
+        bad.append("records")
+    _report(checks, "direct_sum", bad, {})
+
+
+def check_flag_closed_form(checks, d_max, m_max):
+    """``flag_closed_form(d, m, l, 0, L)`` for l = 0, 1: every record's t is l mod 2, and its meta twist holds Delta_d exactly when l is odd."""
+    bad = []
+    for d, m in _frames(d_max, m_max):
+        for l in (0, 1):
+            s = flag_closed_form(d, m, l, 0, L)
+            delta = f"Delta:{d}" in s.meta_dict()["twist"].split("+")
+            if delta != bool(l % 2) or any(t != l % 2 for _, _, _, t, _ in s.records):
+                bad.append((d, m, l))
+    _report(checks, "flag_closed_form", bad, {"d_max": d_max, "m_max": m_max})
 
 
 def check_interface_oracle(checks, limit=6):
@@ -551,6 +655,9 @@ def run_all(d_max: int, m_max: int) -> VerificationReport:
     documents = document_sums()
     check_output_schema(checks, documents)
     check_canonical_order(checks, d_max, m_max, sums, documents)
+    check_evaluate(checks, documents)
+    check_direct_sum(checks, documents)
+    check_flag_closed_form(checks, min(d_max, 3), min(m_max, 3))
     check_interface_oracle(checks, min(max(d_max, m_max), 6))
     check_twist_table(checks, min(d_max, 6), min(m_max, 6), sums)
     checks.sort(key=lambda c: c["id"])

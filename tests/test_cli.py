@@ -238,12 +238,14 @@ class TestGrassmannCommand:
 
 
 class TestLazySchemaImport:
-    # jsonschema is imported only to read a document from outside; the CLI's own output is not re-validated
+    # jsonschema is imported only for a document that fails its plain structural check; the CLI's own output is not
+    # re-validated, and verify's documents pass their plain check
     @pytest.mark.parametrize(
         "code",
         [
             "import gwcell.cli",
             "from gwcell.cli import main; main(['grassmann', '-d', '2', '-m', '2'])",
+            "from gwcell import verify; assert verify.run_all(6, 6).passed()",
         ],
     )
     def test_jsonschema_not_imported(self, code):
@@ -255,7 +257,7 @@ class TestLazySchemaImport:
         assert proc.stdout.splitlines()[-1] == "False"
 
     def test_cli_import_adds_no_heavy_module(self):
-        # the value classes are plain classes, and only the verify command imports gwcell.verify
+        # the value classes are plain classes, only the verify command imports gwcell.verify, and it imports no jsonschema
         listed = "import sys; print(' '.join(sorted(sys.modules)))"
         bare, fresh = (
             subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), check=True)
@@ -264,11 +266,14 @@ class TestLazySchemaImport:
         added = set(fresh.stdout.split()) - set(bare.stdout.split())
         assert "gwcell.cli" in added
         assert not added & {"dataclasses", "inspect", "typing", "gwcell.verify", "jsonschema"}
-        proc = subprocess.run(
-            [sys.executable, "-m", "gwcell.cli", "verify", "--max", "2"], capture_output=True, text=True, env=_child_env()
+        proc = subprocess.run(  # -X importtime lists on stderr every module the child imports
+            [sys.executable, "-X", "importtime", "-m", "gwcell.cli", "verify", "--max", "2"],
+            capture_output=True, text=True, env=_child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["ok"] is True
+        imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+        assert "gwcell.verify" in imported and not {name for name in imported if name.split(".")[0] == "jsonschema"}
 
     def test_well_formed_base_table_read_without_jsonschema(self, tmp_path):
         # a table passing the plain structural check never reaches jsonschema
@@ -298,18 +303,18 @@ class TestLazySchemaImport:
         assert "does not match its schema" in json.loads(proc.stderr)["error"]
 
     def test_missing_jsonschema_is_a_json_error(self, capsys, monkeypatch, tmp_path):
-        # the commands that need jsonschema exit 1 without it, with one JSON line on stderr
+        # verify runs without jsonschema; a table that needs it exits 1 without it, with one JSON line on stderr
         entry = {"theory": "K", "shift": 0, "twist": [], "degree": 0, "group": [2.0]}  # the plain check leaves 2.0 to jsonschema
         path = tmp_path / "table.json"
         path.write_text(json.dumps({"name": "t", "entries": [entry]}))
         monkeypatch.setitem(sys.modules, "jsonschema", None)
         monkeypatch.setitem(sys.modules, "jsonschema.exceptions", None)
-        eval_argv = ["grassmann", "-d", "2", "-m", "2", "--mode", "eval", "--base-table", str(path)]
-        for argv in (["verify", "--max", "2"], eval_argv):
-            code, out, err = run(capsys, *argv)
-            assert (code, out) == (1, "")
-            (line,) = err.splitlines()
-            assert "jsonschema" in json.loads(line)["error"]
+        code, out, err = run(capsys, "verify", "--max", "2")
+        assert (code, err) == (0, "") and json.loads(out)["ok"] is True
+        code, out, err = run(capsys, "grassmann", "-d", "2", "-m", "2", "--mode", "eval", "--base-table", str(path))
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert "jsonschema" in json.loads(line)["error"]
 
 
 class TestYoungCommand:

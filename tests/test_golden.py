@@ -38,22 +38,22 @@ from gwcell.verify import run_all
 
 GOLDEN_SHA256 = "8a652cd96a76d2e220fc0d13852a8869951438fa7eda9a88220407d2c0864b81"
 GOLDEN_LARGE_SHA256 = "77eeb36a0d85e7bc51077e7b54fc49a57822330d517931b8b9b91997e1590039"
-GOLDEN_YOUNG_SHA256 = "8ea448d0f9c285665a0778fe33deaf3209d55441c810a43c8858d5c6aa0c6b37"
+GOLDEN_YOUNG_SHA256 = "5e589218fc0588c5c387d8c4c90bfc3a5dd798975a5b9ca6ef164addeb663d6c"
 GOLDEN_WALK_SHA256 = "608e36eba0a3bb0406d39abebe4a694f03501c1bda13eb45fb108a6a0acab82f"
 GOLDEN_TEXT_SHA256 = "678ded6a67b206e7769938d2ba7f4bfe2ef86397d192a9200b00dbce4a71920c"
-GOLDEN_VERIFY_SHA256 = "2963a0a5a728930083da71f5ff123a6eafba1270520e48912349dbfce8dc05af"
+GOLDEN_VERIFY_SHA256 = "171b634c0ba5fc9f8b19e66c4f81c81da7cd16b3393f135b2504e3e30e378409"
 # sha256 of json.dumps(run_all(d_max, m_max).to_json(), sort_keys=True)
 GOLDEN_REPORT_SHA256 = {
-    (5, 5): "046294bc007838ae0fe480216179bcb7c30c24560c3ca2012873596c4ff8579a",
-    (5, 6): "faa4ed529bca64e5797fe1f58a6ed5939240cef52cb3ab1e5fc421b6474b1bed",
-    (6, 5): "01e601b22a1344aed55bb7ff7caeb4e91d64bc6b2265f660ab9ce514ae1ea100",
-    (5, 7): "5caa7d4eda8b65e6321f111a017aa8a7e42de834d402c0cf577de7abc4021c6b",
-    (7, 5): "a10e3d3635c77beb29132fbf0090e99ecb637251085b0deff0acdd2898527ae5",
-    (6, 6): "137ede8d87f928090d40dd27b36b107d84eb208c1abfdb019296bd209c0e0a4c",
-    (6, 7): "3fa2b43390da30697caba9e19b23154a69587b71b798e05f90783c0a802f148d",
-    (7, 6): "eb4b969c1942d40143ab3c4092e40e8dbd70fba04bb0a1a13223d34097a6b928",
-    (7, 7): "979810c814243762ec3695617fed4a21cbbbf0ec189c1d6f85b00bd370c80e9d",
-    (8, 8): "4f30006823217cac8ea50cfac0d83a4a2234698a8ab1fb6c8ab96fdae238addd",
+    (5, 5): "fc0494563177bd98f29d72cd529d73f1da88f241d3d7eb71f799f21615112f19",
+    (5, 6): "44b7aa593a0247afe8c9eae9e3f8589335383ee5a50df426ddbc1f65cc473f6b",
+    (6, 5): "3b1eb849e2c9cadfb9b256c7d71c1644449175d4757c6f45de0ae09b2ee6fadb",
+    (5, 7): "85b2fba4c959df7030152421bf565266ca965a6390fc513ebeac50b6f05ac2a0",
+    (7, 5): "142e64262e1c02bd5656c1f29e988bb97864dd5d02c6c2eee88d96fb99ea3505",
+    (6, 6): "b5cf731e93572f9f9c63d4828ac3e9e962fa30d89503fd68404936e2a2952969",
+    (6, 7): "0fdad314ce0c505967cc01854b54253917eb1dbcd33d88ba22fcb9dd2f91bc11",
+    (7, 6): "85a1e529a6625419cb16b330a90d5f69f2eb1be2a736fcd784ab0e3648bf0349",
+    (7, 7): "2fbdfaafb3ab1dd59dcaa5fac5157317934b69a22bcea086bb92280cfe6552d7",
+    (8, 8): "bad14ddb7cd37e70781d4953ca04f885640624030cdba1f7a1ba262ca703bf55",
 }
 
 # sha256 of the whole stdout of one `python -m gwcell.cli` child

@@ -209,6 +209,31 @@ MUTANTS = {
         "records=tuple(records)",
         {"canonical_order"},
     ),
+    # evaluate reads each key's copies back from a table of prime orders; the Witt sum repeats a key
+    "evaluate_counts_each_key_once": (
+        "expr.py",
+        "copies[gw_theory, shift, key, degree] += 1",
+        "copies[gw_theory, shift, key, degree] = 1",
+        {"evaluate"},
+    ),
+    "evaluate_k_plus_one": (
+        "expr.py",
+        'copies["K", 0, (), degree] = a.k',
+        'copies["K", 0, (), degree] = a.k + 1',
+        {"evaluate"},
+    ),
+    "flag_closed_form_parity_flipped": (
+        "engine.py",
+        "if l % 2 else PicClass())",
+        "if not l % 2 else PicClass())",
+        {"flag_closed_form"},
+    ),
+    "direct_sum_drops_b_k": (
+        "expr.py",
+        "FormalSum(a.k + b.k, ",
+        "FormalSum(a.k, ",
+        {"direct_sum"},
+    ),
     # the line bundle table is data read only by twist_table: dropping a flag quotient from a child row must fail it
     "table_htilde1_no_flag_quotient": (
         "twist.py",

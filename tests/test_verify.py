@@ -1,3 +1,4 @@
+import copy
 import json
 import subprocess
 import sys
@@ -6,18 +7,34 @@ from itertools import groupby, product
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, note, strategies as st
 from interface_scan import brute_force_interface
 from test_cli import _child_env
 from test_young import framed_diagrams
 
 from gwcell import engine, twist, verify, young
-from gwcell.expr import FormalSum, GWSummand, direct_sum, record_order
+from gwcell.expr import (
+    FORMAL_SUM_SCHEMA,
+    AbelianGroup,
+    FormalSum,
+    GWSummand,
+    MissingKeyError,
+    SchemaMismatchError,
+    direct_sum,
+    formal_sum_to_json,
+    record_order,
+    validate_json,
+    witt_specialize,
+)
 from gwcell.verify import (
     EVEN_FIXTURES,
     ORACLE_FRAME_LIMIT,
     VerificationReport,
+    _plain_formal_sum,
     check_determinism,
+    check_direct_sum,
+    check_evaluate,
+    check_flag_closed_form,
     check_interface_oracle,
     check_output_schema,
     check_twist_table,
@@ -266,6 +283,140 @@ class TestCanonicalOrder:
         assert checks[0]["detail"] == "failures: [(2, 2, 1), ('document', 1)]"
 
 
+_ODD_VALUES = [0, 1, 2, -1, 1.0, 2.5, True, "x", None, [], {}, [1.0], [True], ["x"], [None]]
+_DELETE = object()
+
+
+def _slots(doc):
+    """Each (path, slot) a change can hit: a key of each dict (also "extra" and "rho"), an index of each list (also its end)."""
+    stack = [((), doc)]
+    while stack:
+        path, x = stack.pop()
+        if type(x) is dict:
+            yield from ((path, key) for key in [*x, "extra", "rho"] if key != "extra" or key not in x)
+            stack += [(path + (key,), v) for key, v in x.items()]
+        elif type(x) is list:
+            yield from ((path, i) for i in range(len(x) + 1))
+            stack += [(path + (i,), v) for i, v in enumerate(x)]
+
+
+def _changed(doc, path, slot, value):
+    """A copy of ``doc`` with ``value`` (a copy of it) put at ``slot`` of the container at ``path``, or that slot deleted."""
+    doc = copy.deepcopy(doc)
+    target = doc
+    for step in path:
+        target = target[step]
+    if value is _DELETE:
+        if slot in (target if type(target) is dict else range(len(target))):
+            del target[slot]
+    elif type(target) is list and slot == len(target):
+        target.append(copy.deepcopy(value))
+    else:
+        target[slot] = copy.deepcopy(value)
+    return doc
+
+
+def _real_documents():
+    return [formal_sum_to_json(s) for s in document_sums()]
+
+
+class TestPlainFormalSum:
+    # the plain check must be stricter than FORMAL_SUM_SCHEMA, and still take every document the package writes
+    def test_every_single_change_it_accepts_conforms(self):
+        accepted = 0
+        for doc in _real_documents():
+            for path, slot in list(_slots(doc)):
+                for value in (*_ODD_VALUES, _DELETE):
+                    changed = _changed(doc, path, slot, value)
+                    if _plain_formal_sum(changed):
+                        validate_json(changed, FORMAL_SUM_SCHEMA)
+                        accepted += 1
+        assert accepted  # some changes keep a document plain: a shift of -1, a t of 0, a new meta key
+
+    @given(st.data())
+    def test_accepts_only_documents_the_schema_accepts(self, data):
+        doc = data.draw(st.sampled_from(_real_documents()))
+        for _ in range(data.draw(st.integers(1, 4))):
+            path, slot = data.draw(st.sampled_from(sorted(_slots(doc), key=repr)))
+            doc = _changed(doc, path, slot, data.draw(st.sampled_from([*_ODD_VALUES, _DELETE])))
+        note(doc)
+        if _plain_formal_sum(doc):
+            validate_json(doc, FORMAL_SUM_SCHEMA)
+
+    @pytest.mark.parametrize(
+        "doc, schema_accepts",
+        [
+            ({"k": -1, "gw": [], "meta": {}}, False),
+            ({"k": True, "gw": [], "meta": {}}, False),
+            ({"k": 0, "gw": [], "meta": {}, "extra": 0}, False),
+            ({"k": 0, "gw": [{"shift": 0, "twist": [], "diagram": None, "t": 2}], "meta": {}}, False),
+            ({"k": 0, "gw": [{"shift": 0, "twist": [], "diagram": None, "t": 0, "rho": 2}], "meta": {}}, False),
+            ({"k": 0, "gw": [{"shift": 0, "twist": [], "diagram": None}], "meta": {}}, False),
+            # integral floats: the schema reads them as integers, the plain check leaves them to it
+            ({"k": 1.0, "gw": [], "meta": {}}, True),
+            ({"k": 0, "gw": [{"shift": 0, "twist": [], "diagram": [1.0], "t": 0}], "meta": {}}, True),
+        ],
+    )
+    def test_leaves_to_the_schema_what_it_turns_down(self, doc, schema_accepts):
+        assert not _plain_formal_sum(doc)
+        if schema_accepts:
+            validate_json(doc, FORMAL_SUM_SCHEMA)
+        else:
+            with pytest.raises(SchemaMismatchError):
+                validate_json(doc, FORMAL_SUM_SCHEMA)
+
+    def test_accepts_every_document_the_package_writes(self):
+        sums = list(document_sums())
+        for d, m in product(range(1, 5), repeat=2):
+            for bundle in (engine.TRIVIAL, engine.FLAGGED):
+                sums.append(engine.decompose_total(d, m, 0, verify.L, bundle))
+        for r in range(1, 5):
+            for parity in (0, 1):
+                sums.append(engine.decompose_projective_bundle(engine.ProjBundleQuery(r, parity, 0, True)))
+        sums += [witt_specialize(s) for s in sums]
+        for s in sums:
+            assert _plain_formal_sum(formal_sum_to_json(s)), s.meta
+
+
+class TestEvaluateDirectSumAndFlagChecks:
+    def test_evaluate_names_wrong_multiplicities(self, monkeypatch):
+        original = verify.evaluate
+        monkeypatch.setattr(verify, "evaluate", lambda s, table, degree: original(s, table, degree) + original(s, table, degree))
+        checks = []
+        check_evaluate(checks, document_sums())
+        assert checks[0]["detail"] == "failures: [('GW', 'multiplicities'), ('W', 'multiplicities')]"
+
+    def test_evaluate_names_each_key_a_table_lacks_silently(self, monkeypatch):
+        original = verify.evaluate
+
+        def lenient(s, table, degree):
+            try:
+                return original(s, table, degree)
+            except MissingKeyError:
+                return AbelianGroup()
+
+        monkeypatch.setattr(verify, "evaluate", lenient)
+        checks = []
+        check_evaluate(checks, document_sums())
+        gr, witt = document_sums()[:2]
+        keys = {("GW", *rec[:2], 1) for rec in gr.records} | {("K", 0, (), 1)} | {("W", *rec[:2], 1) for rec in witt.records}
+        failures = eval(checks[0]["detail"].removeprefix("failures: "))
+        assert {key for _, key in failures} == keys and len(failures) == len(keys)
+
+    def test_direct_sum_names_the_part_that_differs(self):
+        gr, witt, pb, merged, *terms = document_sums()
+        checks = []
+        check_direct_sum(checks, [gr, witt, pb, FormalSum(merged.k + 1, merged.gw[1:], merged.meta)])
+        assert checks[0]["detail"] == "failures: ['k', 'records']"
+
+    def test_flag_closed_form_catches_a_flipped_parity(self, monkeypatch):
+        original = verify.flag_closed_form
+        monkeypatch.setattr(verify, "flag_closed_form", lambda d, m, l, shift, base: original(d, m, l + 1, shift, base))
+        checks = []
+        check_flag_closed_form(checks, 1, 2)
+        assert checks[0]["detail"] == "failures: [(1, 1, 0), (1, 1, 1), (1, 2, 0), (1, 2, 1)]"
+
+
 class TestRunAll:
     def test_small_sweep_passes(self):
         report = run_all(4, 4)
@@ -274,6 +425,7 @@ class TestRunAll:
         assert "fixtures_4x4" in by_id
         assert by_id["engine_vs_enumeration"]["status"] == "pass"
         assert by_id["output_schema"] == {"id": "output_schema", "params": {}, "status": "pass", "detail": "6 documents"}
+        assert {"direct_sum", "evaluate", "flag_closed_form"} <= by_id.keys()
 
     def test_base_case_sweep(self):
         report = run_all(1, 1)
