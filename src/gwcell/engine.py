@@ -3,7 +3,10 @@
 Executes the splitting recursions for Grassmannians over a base with a
 complete flag, on every frame, whichever side is longer.  The Gr_1 base
 case also serves P(E) = Gr_1(E), the m = 1 base case is its dual Gr_d of
-a rank d+1 bundle, and Gr_0 serves the point.  Every GW leaf is a pair
+a rank d+1 bundle, Gr_0 serves the point, and m = 0 is the base itself.
+Gr_2 at the even twist class is a base case too: its chain of splits,
+unrolled, gives its leaves (2k, 2k) at once, so a frame with d <= 2
+splits at most its root.  Every GW leaf is a pair
 (even Young diagram recording which cells produced it, flag twist bit
 rho); K-theory copies are only counted.
 
@@ -144,7 +147,19 @@ def _solve(d: int, m: int, eps: int) -> tuple[int, tuple[Leaf, ...]]:
 
 
 def _base_leaves(d: int, m: int, eps: int):
-    """The leaves of a base node (d < 2 or m < 2; ``_walk`` calls it on no other), each a constant row vector (row count, row length, rho)."""
+    """The leaves of a base node, each a constant row vector (row count, row length, rho).
+
+    A base node has d < 2 or m < 2, or is Gr_2 at the even class (d = 2,
+    eps = 0); ``_walk`` calls this on no other.  That last case is
+    ``split_node`` unrolled: (2, m, 0) is a second-family node with step 2
+    whose shifted child is (2, m - 2, 0) and whose unshifted child is Gr_0,
+    with its one leaf () of rho 0.  So the k-th node down the chain gives
+    the leaf (2k, 2k), and the chain ends at m < 2 with the leaf of
+    k = m // 2, as Gr_2 at m = 0 or 1 keeps only its empty diagram at
+    eps = 0.  Derived, not fitted, it agrees with the box-partition model
+    of the leaves (ROADMAP.md), whose d-even row gives D(mu) for mu in an
+    a x b box with rho 0, at a = 1.
+    """
     if d == 0:
         return ((0, 0, 0),)
     if m == 0:
@@ -154,6 +169,9 @@ def _base_leaves(d: int, m: int, eps: int):
         # P(E) for E of rank m+1: the empty row survives at eps = 0, the full
         # row (twisted by det E) at eps = m+1 mod 2, and the rest is K by rank.
         return (((1, 0, 0),) if eps == 0 else ()) + (((1, m, 1),) if eps != m % 2 else ())
+    if d == 2 and eps == 0:
+        # Gr_2 at the even class, unrolled as in the docstring.
+        return tuple((2, 2 * k, 0) for k in range(m // 2 + 1))
     # m = 1: Gr_d of a rank d+1 bundle, dual to P(E): the empty column
     # survives at eps = 0, the full column at eps = d+1 mod 2 with rho 1 - eps.
     return (((d, 0, 0),) if eps == 0 else ()) + (((d, 1, 1 - eps),) if eps != d % 2 else ())
@@ -163,16 +181,17 @@ def _plan(node: tuple[int, int, int]):
     """An inner node's (shifted, unshifted, step) from one ``split_node`` call, each child classified inline.
 
     A child with eps, d and m all odd has no leaves (that twist class of its
-    frame is all K) and is None; a base child (d < 2 or m < 2) is its
-    ``_base_leaves``; any other child is the node itself.
+    frame is all K) and is None; a base child (d < 3 or m < 2, as a child
+    with d = 2 has eps 0) is its ``_base_leaves``; any other child is the
+    node itself.
     """
     d, m, eps = node
     shifted, unshifted, step = split_node(d, m, eps)
     sd, sm, seps = shifted
     ud, um, ueps = unshifted
     return (
-        None if seps and sd % 2 and sm % 2 else shifted if sd > 1 and sm > 1 else _base_leaves(sd, sm, seps),
-        None if ueps and ud % 2 and um % 2 else unshifted if ud > 1 and um > 1 else _base_leaves(ud, um, ueps),
+        None if seps and sd % 2 and sm % 2 else shifted if sd > 2 and sm > 1 else _base_leaves(sd, sm, seps),
+        None if ueps and ud % 2 and um % 2 else unshifted if ud > 2 and um > 1 else _base_leaves(ud, um, ueps),
         step,
     )
 
@@ -197,9 +216,11 @@ def _walk(d: int, m: int, eps: int) -> list[Leaf]:
     other node is looked up at every visit, and its plan is stored only
     when it is reached as an unshifted child, where a square frame's many
     paths to its few nodes meet.  So a thin frame (d <= 3, m long), whose
-    nodes lie mostly on its chain, stores next to nothing.
+    nodes lie mostly on its chain, stores next to nothing.  As Gr_2 at the
+    even class is a base node, a 2 x m frame plans at most its root and a
+    3 x m frame only its chain, each unshifted child of which is a base.
     """
-    if d < 2 or m < 2:
+    if d < 2 or m < 2 or d == 2 and eps == 0:
         return [((length,) * count, rho) for count, length, rho in _base_leaves(d, m, eps)]
     leaves, plans, stack = [], {}, []
     append = leaves.append

@@ -296,7 +296,8 @@ class TestEngineInvariants:
         "nodes",
         [
             [(d, m) for d in range(13) for m in range(13)],
-            [f for m in range(1, 301) for f in ((2, m), (m, 2))],
+            # (3, m)'s unshifted children are the Gr_2 even-class base nodes
+            [f for d in (2, 3) for m in range(1, 301) for f in ((d, m), (m, d))],
         ],
         ids=["small", "thin"],
     )
@@ -339,19 +340,37 @@ class TestEngineInvariants:
         assert leaf_profile(again) == [(shift + 2, rows, t, rho) for shift, rows, t, rho in leaf_profile(first)]
 
     def test_walk_reads_base_leaves_only_at_base_nodes(self, monkeypatch):
-        # an inner node (d, m >= 2) goes straight to split_node
+        # an inner node (d, m >= 2, not Gr_2 at the even class) goes straight to split_node
         clear_cache()
         calls = []
         base_leaves = engine._base_leaves
 
         def counted(d, m, eps):
-            calls.append((d, m))
+            calls.append((d, m, eps))
             return base_leaves(d, m, eps)
 
         monkeypatch.setattr(engine, "_base_leaves", counted)
         s = decompose_total(7, 6, 0, L, FLAGGED)
-        assert calls and all(d < 2 or m < 2 for d, m in calls)
+        assert calls and all(d < 2 or m < 2 or d == 2 and eps == 0 for d, m, eps in calls)
         assert len(calls) <= len(s.records)
+
+    def test_gr2_walk_splits_at_most_its_root(self, monkeypatch):
+        # Gr_2 at the even class is a base node, so its walk makes no split, and the odd class
+        # splits its root once into two base children
+        splits = []
+        split_node = engine.split_node
+
+        def counted(d, m, eps):
+            splits.append((d, m, eps))
+            return split_node(d, m, eps)
+
+        monkeypatch.setattr(engine, "split_node", counted)
+        for m in range(2, 401):
+            for eps in (0, 1):
+                splits.clear()
+                leaves = engine._walk(2, m, eps)
+                assert splits == ([(2, m, 1)] if eps else []), (m, eps)
+                assert len(leaves) == comb(m + 2, 2) - 2 * young.beta_parity(eps, 2, m), (m, eps)
 
     def test_walk_splits_each_node_once(self, monkeypatch):
         # each walk splits a node into its plan once: a node on the query's row, planned without a

@@ -120,6 +120,12 @@ MUTANTS = {
         "engine.py",
         "return ((0, 0, 0),)",
         "return ((0, 0, 1),)",
+        {"point", "twist_table"},
+    ),
+    "gr2_even_leaf_rho": (
+        "engine.py",
+        "return tuple((2, 2 * k, 0) for k in range(m // 2 + 1))",
+        "return tuple((2, 2 * k, k % 2) for k in range(m // 2 + 1))",
         {"transpose_equivariance", "twist_table"},
     ),
     # pascal reads both sides of its identities from the beta_parity table, so it must still catch these
